@@ -1,11 +1,16 @@
 """Relative entropy of entanglement over the PPT set.
 
-The minimization runs projected gradient descent on the convex objective
-f(rho) = S(sigma||rho), with feasibility restored after every trial step
-by alternating projections (Dykstra) onto the intersection of the density
-set and the partial-transpose image of the density set.  Internals work on
-raw ndarrays in natural-log units; results are converted to bits at the
-boundary.
+The minimization works on the convex objective f(rho) = S(sigma||rho).
+Up to total dimension 32 it first follows the logarithmic-barrier path of
+both positivity cones with damped Newton steps from a strictly feasible
+start, then hands the best point to projected gradient descent, which
+measures stationarity and, if that fails, runs a second barrier round.
+Above dimension 32, where the Newton system is too large, projected
+gradient descent runs alone.  Descent restores feasibility after every
+trial step by alternating projections (Dykstra) onto the intersection of
+the density set and the partial-transpose image of the density set.
+Internals work on raw ndarrays in natural-log units; results are
+converted to bits at the boundary.
 """
 
 from __future__ import annotations
@@ -216,8 +221,9 @@ def _gradient(w: np.ndarray, u: np.ndarray, overlaps_full: np.ndarray) -> np.nda
     return (g + g.conj().T) / 2.0
 
 
-# phase-2 refinement: barrier path following with damped Newton steps.
-# the linear system is (d^2+1)-dimensional, so cap the dimensions it runs at
+# barrier path following with damped Newton steps.  the linear system is
+# (d^2+1)-dimensional, so cap the dimensions it runs at.  between barrier
+# rounds, descent gets _PHASE1_BUDGET steps
 _NEWTON_DIM_CAP = 32
 _CENTER_MIX = 0.05
 _RECENTER_MIX = 1e-3
@@ -341,15 +347,22 @@ def _newton_step(
 def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
     """Minimize S(sigma||rho) over PPT density matrices rho.
 
-    Two cooperating phases.  Plain projected gradient descent with Armijo
-    backtracking and a secant warm start handles the easy bulk: every
-    trial point is pulled back into the feasible set by alternating
-    projections and floored to (1-eps) rho + eps I/d.  When that stalls,
-    which happens near rank-deficient optima, a strictly interior
-    refinement follows the logarithmic-barrier path of both positivity
-    cones with damped Newton steps, no projections needed, until the
-    barrier weight reaches its floor; descent then resumes for the final
-    stationarity measurement.
+    The start point is a mixed copy of sigma, pulled into the feasible set
+    by alternating projections and floored to (1-eps) rho + eps I/d.  Up
+    to total dimension 32 the solve then runs in three stages:
+
+    1. barrier path: from the start point, recentred toward I/d, follow
+       the logarithmic-barrier path of both positivity cones with damped
+       Newton steps, no projections needed, until the barrier weight
+       reaches its floor;
+    2. descent hand-back: projected gradient descent with Armijo
+       backtracking and a secant warm start resumes from the best point
+       and measures stationarity at once;
+    3. second round: if descent has not converged after _PHASE1_BUDGET
+       steps, a second barrier round runs, and descent then continues
+       until it converges, its line search fails or max_iters is spent.
+
+    Above dimension 32 projected gradient descent runs alone.
 
     The reported value is in bits, evaluated at the best feasible iterate
     seen, so it is always an upper bound on the minimum (up to the
@@ -374,18 +387,25 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
     def pull_feasible(mat: np.ndarray) -> np.ndarray:
         return _dykstra_arr(mat, da, db, opts.dykstra_max, opts.dykstra_tol)[0]
 
+    def recenter(mat: np.ndarray) -> np.ndarray:
+        # nudged off the boundary so both barriers are finite
+        return (1.0 - _RECENTER_MIX) * mat + _RECENTER_MIX * uniform
+
+    newton_ok = d <= _NEWTON_DIM_CAP
+    perm = _pt_perm(da, db) if newton_ok else None
+
     # starting point: project a slightly mixed copy of sigma.  mixing
     # before the projection keeps the spectrum away from zero, so the
     # first gradients are bounded, and it speeds the projection up when
-    # sigma itself is rank deficient
+    # sigma itself is rank deficient.  where Newton runs, the first
+    # barrier round starts right here
     rho = floor_interior(pull_feasible((1.0 - _CENTER_MIX) * sig + _CENTER_MIX * uniform))
+    if newton_ok:
+        rho = recenter(rho)
     f_cur, w, u, overlaps = _objective_and_spec(sig, rho, sigma_term)
     grad = _gradient(w, u, overlaps)
     best_f = f_cur
     best_rho = rho
-
-    newton_ok = d <= _NEWTON_DIM_CAP
-    perm = _pt_perm(da, db) if newton_ok else None
 
     step_ref = opts.armijo_step
     step = step_ref
@@ -393,8 +413,8 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
     converged = False
     grad_norm = math.inf
     proxy = math.inf
-    phase2 = False
-    newton_rounds = 0
+    phase2 = newton_ok
+    newton_rounds = int(newton_ok)
     phase1_left = _PHASE1_BUDGET
     mu = _MU_INIT
     inner = 0
@@ -440,13 +460,12 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
             phase1_left -= 1
             if (not accepted) or (newton_ok and phase1_left <= 0):
                 if newton_ok and newton_rounds < _NEWTON_ROUNDS:
-                    # hand over to the interior refinement, nudged off the
-                    # boundary so both barriers are finite
+                    # hand over to the next barrier round
                     phase2 = True
                     newton_rounds += 1
                     mu = _MU_INIT
                     inner = 0
-                    rho = (1.0 - _RECENTER_MIX) * rho + _RECENTER_MIX * uniform
+                    rho = recenter(rho)
                     f_cur, w, u, overlaps = _objective_and_spec(sig, rho, sigma_term)
                     grad = _gradient(w, u, overlaps)
                 elif not accepted:
@@ -463,12 +482,15 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
             sig, rho, w, u, overlaps, grad, mu, perm, da, db
         )
         moved = False
+        t = 0.0
         if direction is not None and decrement > 0.0:
             cap = min(
                 _chol_step_cap(rho, direction),
                 _chol_step_cap(tau, _partial_transpose_b(direction, da, db)),
             )
             t = min(1.0, 0.95 * cap)
+        # a zero cap means a Cholesky factorisation failed: no step to take
+        if t > 0.0:
             barrier_cur = float(np.sum(np.log(w))) + float(np.sum(np.log(s)))
             model_cur = f_cur - mu * barrier_cur
             for _ in range(_MAX_BACKTRACKS):

@@ -205,6 +205,14 @@ def _trial_theorem1(rng, dims, tol):
     return quantities, min(gap_a, gap_b)
 
 
+def _solve_diagnostics(res, name: str = "ree") -> dict:
+    """Whether one solve converged, and its iteration count, as record floats."""
+    return {
+        f"{name}_converged": 1.0 if res.converged else 0.0,
+        f"{name}_iterations": float(res.iterations),
+    }
+
+
 def _trial_lemma2(rng, dims, tol):
     d = dims.total
     rank = int(rng.integers(1, d + 1))
@@ -213,6 +221,7 @@ def _trial_lemma2(rng, dims, tol):
     res = ree_ppt(sigma)
     bound = lemma2_bound(sigma)
     quantities = {"bound": bound, "rank": float(rank), "ree": res.value_bits}
+    quantities.update(_solve_diagnostics(res))
     return quantities, min(res.value_bits - bound, res.value_bits)
 
 
@@ -228,6 +237,7 @@ def _trial_corollary1(rng, dims, tol):
         "reduced_entropy": reduced_entropy,
         "ree": res.value_bits,
     }
+    quantities.update(_solve_diagnostics(res))
     return quantities, -abs(res.value_bits - reduced_entropy)
 
 
@@ -249,6 +259,8 @@ def _trial_corollary2(rng, dims, tol):
         "ree_product": r12.value_bits,
         "ree_right": r2.value_bits,
     }
+    for name, res in (("ree_left", r1), ("ree_product", r12), ("ree_right", r2)):
+        quantities.update(_solve_diagnostics(res, name))
     return quantities, -abs(r12.value_bits - r1.value_bits - r2.value_bits)
 
 
@@ -262,6 +274,7 @@ def _trial_lemma3(rng, dims, tol):
     eof = eof_two_qubit(sigma)
     ent = von_neumann_entropy(sigma)
     quantities = {"eof": eof, "entropy": ent, "rank": float(rank), "ree": res.value_bits}
+    quantities.update(_solve_diagnostics(res))
     return quantities, res.value_bits - (eof - ent)
 
 
@@ -272,6 +285,7 @@ def _trial_lemma4(rng, dims, tol):
     res = ree_ppt(sigma)
     bound = lemma2_bound(sigma)
     quantities = {"bound": bound, "ree": res.value_bits}
+    quantities.update(_solve_diagnostics(res))
     if abs(res.value_bits - bound) >= _SATURATION_GATE:
         return quantities, None
     s_a = von_neumann_entropy(partial_trace_B(sigma))

@@ -6,6 +6,7 @@ import pytest
 from reelab.entropy import lemma2_bound, relative_entropy, von_neumann_entropy
 from reelab.criteria import ppt_criterion
 from reelab.errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
+from reelab import solver
 from reelab.hermitian import HermitianMatrix
 from reelab.solver import (
     ReeOptions,
@@ -40,6 +41,10 @@ WERNER75_ORACLE = 0.18872223597471827
 WERNER75_REE = 0.18872187554086717
 # concurrence formula output for werner(0.75)
 WERNER75_EOF = 0.35457890266527003
+# solver value for random_density(6, 2, 0) at 2x3, frozen from a run that
+# took 40 descent steps before the barrier path; following the barrier
+# path alone, without handing back to descent, stops 6.4e-3 bits above it
+RANK2_2X3_REE = 0.2686356363933422
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -211,6 +216,38 @@ def test_ree_budget_exhaustion_flagged():
         res = ree_ppt(psi.density(), ReeOptions(max_iters=3))
     assert not res.converged
     assert res.iterations == 3
+
+
+def test_ree_eigh_budget(monkeypatch):
+    # the barrier path starts before any projected-gradient step; with 40
+    # descent steps first, these inputs took 1,351 and 27,528 calls
+    # against 309 and 3,431 now
+    calls = 0
+    inner = solver._eigh
+
+    def counted(mat):
+        nonlocal calls
+        calls += 1
+        return inner(mat)
+
+    monkeypatch.setattr(solver, "_eigh", counted)
+    cases = [
+        (random_density(4, 4, 3).tagged(2, 2), 700),
+        (random_density(6, 2, 0).tagged(2, 3), 6000),
+    ]
+    for sigma, budget in cases:
+        calls = 0
+        res = ree_ppt(sigma)
+        assert res.converged
+        assert calls <= budget
+
+
+def test_ree_rank2_2x3_no_worse_than_frozen():
+    sigma = random_density(6, 2, 0).tagged(2, 3)
+    res = ree_ppt(sigma)
+    assert res.value_bits <= RANK2_2X3_REE + 1e-9
+    assert res.value_bits >= lemma2_bound(sigma) - 1e-9
+    assert res.converged
 
 
 def test_ree_dimension_cap():

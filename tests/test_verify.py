@@ -155,3 +155,11 @@ def test_worst_margin_matches_records():
     result = run_suite("reduction", 50, 13)
     margins = [r.margin for r in result.records if not r.indeterminate]
     assert result.summary["worst_margin"] == min(margins)
+
+
+def test_solver_suites_record_solve_diagnostics():
+    for suite in ("lemma2", "lemma3"):
+        for record in run_suite(suite, 2, 7).records:
+            quantities = record.quantities
+            assert quantities["ree_converged"] in (0.0, 1.0)
+            assert quantities["ree_iterations"] >= 1.0
