@@ -3,8 +3,11 @@
 The minimization works on the convex objective f(rho) = S(sigma||rho).
 Up to total dimension 32 it first follows the logarithmic-barrier path of
 both positivity cones with damped Newton steps from a strictly feasible
-start, then hands the best point to projected gradient descent, which
-measures stationarity and, if that fails, runs a second barrier round.
+start; the first step after each cut of the barrier weight follows the
+tangent of that central path (a predictor step), so it lands near the new
+centre instead of running into the cone boundary.  The best point then
+goes to projected gradient descent, which measures stationarity and, if
+that fails, runs a second barrier round.
 Above dimension 32, where the Newton system is too large, projected
 gradient descent runs alone.  Descent restores feasibility after every
 trial step by alternating projections (Dykstra) onto the intersection of
@@ -291,15 +294,21 @@ def _newton_step(
     perm: np.ndarray,
     da: int,
     db: int,
+    mu_curv: float | None = None,
 ):
     """Damped-Newton direction for f(rho) + mu barriers at a strictly feasible rho.
 
     The model Hessian is the exact second derivative of -tr{sigma ln rho},
     assembled in rho's eigenframe from second divided differences, plus
-    the curvature of -mu ln det rho and -mu ln det rho^PT.  The direction
-    solves the trace-zero Newton system through one bordered linear solve.
-    Returns (direction, decrement, tau, tau_eigs); direction is None when
-    the solve fails or the decrement is not positive.
+    the curvature of -ln det rho and -ln det rho^PT weighted by mu_curv
+    (mu by default).  The gradient always carries the weight mu.  With
+    mu_curv the weight before a cut to mu, at a point centred for it, the
+    direction is the tangent (mu - mu_curv) d rho/d mu of the central path,
+    which predicts the new centre instead of overshooting into the cone
+    boundary.  The direction solves the trace-zero Newton system through
+    one bordered linear solve.  Returns (direction, decrement, tau,
+    tau_eigs); direction is None when the solve fails or the decrement is
+    not positive.
     """
     d = len(w)
     n = d * d
@@ -316,11 +325,13 @@ def _newton_step(
     basis = np.kron(u, u.conj())
     hess = basis @ frame.reshape(n, n) @ basis.conj().T
 
+    if mu_curv is None:
+        mu_curv = mu
     rho_inv = (u * (1.0 / w)) @ u.conj().T
     tau_inv = (v * (1.0 / s)) @ v.conj().T
-    hess = hess + mu * np.kron(rho_inv, rho_inv.T)
+    hess = hess + mu_curv * np.kron(rho_inv, rho_inv.T)
     ppt_part = np.kron(tau_inv, tau_inv.T)
-    hess = hess + mu * ppt_part[np.ix_(perm, perm)]
+    hess = hess + mu_curv * ppt_part[np.ix_(perm, perm)]
     hess = (hess + hess.conj().T) / 2.0
 
     g_mu = grad - mu * rho_inv - mu * _partial_transpose_b(tau_inv, da, db)
@@ -354,10 +365,14 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
     1. barrier path: from the start point, recentred toward I/d, follow
        the logarithmic-barrier path of both positivity cones with damped
        Newton steps, no projections needed, until the barrier weight
-       reaches its floor;
+       reaches its floor.  After each cut of the weight, if the last step
+       moved, the next step keeps the old weight on the barrier curvature:
+       that is the tangent step of the central path toward the new weight;
+       every other step, the first of a round included, is plain Newton;
     2. descent hand-back: projected gradient descent with Armijo
        backtracking and a secant warm start resumes from the best point
-       and measures stationarity at once;
+       and measures stationarity at once; a line search fails as soon
+       as two successive trial points coincide within dykstra_tol;
     3. second round: if descent has not converged after _PHASE1_BUDGET
        steps, a second barrier round runs, and descent then continues
        until it converges, its line search fails or max_iters is spent.
@@ -417,6 +432,7 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
     newton_rounds = int(newton_ok)
     phase1_left = _PHASE1_BUDGET
     mu = _MU_INIT
+    mu_curv = None
     inner = 0
 
     while iterations < opts.max_iters:
@@ -434,8 +450,14 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
                     break
             step = min(step_ref, 2.0 * step)
             accepted = False
+            trial = None
             for _ in range(_MAX_BACKTRACKS):
                 candidate = floor_interior(pull_feasible(rho - step * grad))
+                # as the step shrinks, trials tend to the floored projection
+                # of rho, not to rho; once they stop moving the search failed
+                if trial is not None and np.linalg.norm(candidate - trial) < opts.dykstra_tol:
+                    break
+                trial = candidate
                 f_new, w2, u2, overlaps2 = _objective_and_spec(sig, candidate, sigma_term)
                 predicted = float(np.real(np.vdot(grad, candidate - rho)))
                 if f_new <= f_cur + opts.armijo_slope * predicted and f_new <= f_cur:
@@ -479,8 +501,9 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
             continue
 
         direction, decrement, tau, s = _newton_step(
-            sig, rho, w, u, overlaps, grad, mu, perm, da, db
+            sig, rho, w, u, overlaps, grad, mu, perm, da, db, mu_curv
         )
+        mu_curv = None
         moved = False
         t = 0.0
         if direction is not None and decrement > 0.0:
@@ -534,6 +557,10 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
                 f_cur, w, u, overlaps = _objective_and_spec(sig, rho, sigma_term)
                 grad = _gradient(w, u, overlaps)
             else:
+                # a point that a step just moved sits near the centre for
+                # mu, so the first step after the cut follows the tangent
+                if moved:
+                    mu_curv = mu
                 mu = max(_MU_SHRINK * mu, _MU_FLOOR)
                 inner = 0
 

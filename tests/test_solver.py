@@ -221,7 +221,7 @@ def test_ree_budget_exhaustion_flagged():
 def test_ree_eigh_budget(monkeypatch):
     # the barrier path starts before any projected-gradient step; with 40
     # descent steps first, these inputs took 1,351 and 27,528 calls
-    # against 309 and 3,431 now
+    # against 204 and 2,492 now
     calls = 0
     inner = solver._eigh
 
@@ -240,6 +240,44 @@ def test_ree_eigh_budget(monkeypatch):
         res = ree_ppt(sigma)
         assert res.converged
         assert calls <= budget
+
+
+def test_ree_newton_step_budget(monkeypatch):
+    # the first step after each barrier-weight cut follows the tangent of
+    # the central path; with a plain Newton step there, which runs into
+    # the cone boundary, this input took 58 steps against 34 now
+    calls = 0
+    inner = solver._newton_step
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_newton_step", counted)
+    res = ree_ppt(random_density(6, 6, 1).tagged(2, 3))
+    assert res.converged
+    assert calls <= 40
+
+
+def test_ree_failed_descent_search_stops_early(monkeypatch):
+    # on this input the descent line search after each barrier round
+    # fails; trial points that stop moving end it, where retesting the
+    # same rejected point until the backtracking budget ran out took 126
+    # projections against 44 now
+    calls = 0
+    inner = solver._dykstra_arr
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "_dykstra_arr", counted)
+    sigma = random_density(4, 2, 0).tagged(2, 2)
+    res = ree_ppt(sigma)
+    assert calls <= 60
+    assert res.value_bits >= lemma2_bound(sigma) - 1e-9
 
 
 def test_ree_rank2_2x3_no_worse_than_frozen():
