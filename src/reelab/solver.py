@@ -5,9 +5,11 @@ Up to total dimension 32 it first follows the logarithmic-barrier path of
 both positivity cones with damped Newton steps from a strictly feasible
 start; the first step after each cut of the barrier weight follows the
 tangent of that central path (a predictor step), so it lands near the new
-centre instead of running into the cone boundary.  The best point then
-goes to projected gradient descent, which measures stationarity and, if
-that fails, runs a second barrier round.
+centre instead of running into the cone boundary.  A Newton step costs
+O(d^5) to assemble its d^2 x d^2 Hessian from eigenframe factors and
+O(d^6) for the dense bordered solve.  The best point then goes to
+projected gradient descent, which measures stationarity and, if that
+fails, runs a second barrier round.
 Above dimension 32, where the Newton system is too large, projected
 gradient descent runs alone.  Descent restores feasibility after every
 trial step by alternating projections (Dykstra) onto the intersection of
@@ -50,10 +52,16 @@ _YY_FLIP = np.array(
 
 @dataclass(frozen=True)
 class ReeOptions:
-    """Tuning knobs for the projected-gradient minimization.
+    """Tuning knobs for the REE minimization.
 
-    All fields must be positive; ``eps`` additionally must stay below 1e-3
-    so the interior floor does not visibly bias the optimal value.
+    ``max_iters`` bounds barrier-Newton and descent steps together,
+    ``grad_tol`` is the stationarity tolerance, ``eps`` the interior floor
+    and ``dykstra_*`` the projection budget.  ``armijo_slope`` is the
+    sufficient-decrease fraction of both line searches, descent and barrier
+    Newton; ``armijo_shrink`` and ``armijo_step`` set the backtracking
+    factor and the reference step of descent.  All fields must be
+    positive; ``eps`` additionally must stay below 1e-3 so the interior
+    floor does not visibly bias the optimal value.
     """
 
     max_iters: int = 5000
@@ -236,6 +244,9 @@ _MU_INIT = 1e-3
 _MU_FLOOR = 1e-12
 _MU_SHRINK = 0.2
 _INNER_CAP = 6
+# relative to max(1, S(sigma)), the Newton decrement below which the
+# barrier model's Armijo test is decided by rounding
+_DECREMENT_FLOOR = 1e-14
 
 
 def _neg_log_dd2(w: np.ndarray) -> np.ndarray:
@@ -259,14 +270,41 @@ def _neg_log_dd2(w: np.ndarray) -> np.ndarray:
     return np.where(near_xz, np.broadcast_to(pair[:, :, None], generic.shape), generic)
 
 
-def _pt_perm(da: int, db: int) -> np.ndarray:
-    """Index permutation p with vec(X^PT) = vec(X)[p] for row-major vec.
+def _newton_hessian(
+    w: np.ndarray,
+    u: np.ndarray,
+    overlaps_full: np.ndarray,
+    rho_inv: np.ndarray,
+    tau_inv: np.ndarray,
+    mu_curv: float,
+    da: int,
+    db: int,
+) -> np.ndarray:
+    """Newton-model Hessian on row-major vec(rho), entry [(p q),(r s)].
 
-    Partial transposition permutes matrix entries, and the permutation is
-    an involution.
+    The second derivative of -tr{sigma ln rho} in rho's eigenframe is
+    sum_j u_pj conj(u_rj) conj(B_j)[q,s] + B_j[p,r] conj(u_qj) u_sj with
+    B_j = u (O o T_j) u^H, where O is overlaps_full and T the fully
+    symmetric table of _neg_log_dd2.  Laid out as [(p r),(q s)] it is
+    X + X^H with X = P conj(B), P[(p r),j] = u_pj conj(u_rj): one
+    (d^2 x d)(d x d^2) product, so the assembly costs O(d^5).  The barrier
+    curvatures mu_curv (rho^-1 x rho^-T) and its partial-transpose image
+    are outer products in that layout, and one transpose returns the
+    [(p q),(r s)] layout.
     """
-    d = da * db
-    return np.arange(d * d).reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(d * d)
+    d = len(w)
+    n = d * d
+    frames = u @ (overlaps_full * _neg_log_dd2(w)) @ u.conj().T
+    pairs = (u[:, None, :] * u.conj()[None, :, :]).reshape(n, d)
+    half = pairs @ frames.conj().reshape(d, n)
+    buf = half + half.conj().T
+    buf += np.outer(mu_curv * rho_inv, rho_inv.T)
+    # split into axes (a1 b1 a3 b3 a2 b2 a4 b4) for p = (a1 b1), r, q, s:
+    # partial transposition swaps b1 with b2 and b3 with b4
+    tau_pair = np.multiply.outer(mu_curv * tau_inv, tau_inv.T).reshape((da, db) * 4)
+    split = buf.reshape((da, db) * 4)
+    split += tau_pair.transpose(0, 5, 2, 7, 4, 1, 6, 3)
+    return buf.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
 
 
 def _chol_step_cap(mat: np.ndarray, dirn: np.ndarray) -> float:
@@ -284,14 +322,12 @@ def _chol_step_cap(mat: np.ndarray, dirn: np.ndarray) -> float:
 
 
 def _newton_step(
-    sig: np.ndarray,
     rho: np.ndarray,
     w: np.ndarray,
     u: np.ndarray,
     overlaps_full: np.ndarray,
     grad: np.ndarray,
     mu: float,
-    perm: np.ndarray,
     da: int,
     db: int,
     mu_curv: float | None = None,
@@ -306,9 +342,10 @@ def _newton_step(
     direction is the tangent (mu - mu_curv) d rho/d mu of the central path,
     which predicts the new centre instead of overshooting into the cone
     boundary.  The direction solves the trace-zero Newton system through
-    one bordered linear solve.  Returns (direction, decrement, tau,
-    tau_eigs); direction is None when the solve fails or the decrement is
-    not positive.
+    one bordered linear solve.  Assembly costs O(d^5) (_newton_hessian),
+    the dense complex solve of size d^2 + 1 costs O(d^6).  Returns
+    (direction, decrement, tau, tau_eigs); direction is None when rho or
+    tau is not positive definite or the solve fails.
     """
     d = len(w)
     n = d * d
@@ -317,22 +354,11 @@ def _newton_step(
     if s[0] <= 0.0 or w[0] <= 0.0:
         return None, -1.0, tau, s
 
-    table = _neg_log_dd2(w)
-    eye = np.eye(d)
-    frame = np.einsum("ia,bk,ibk->ikab", eye, overlaps_full, table) + np.einsum(
-        "kl,ij,ijk->ikjl", eye, overlaps_full, table
-    )
-    basis = np.kron(u, u.conj())
-    hess = basis @ frame.reshape(n, n) @ basis.conj().T
-
     if mu_curv is None:
         mu_curv = mu
     rho_inv = (u * (1.0 / w)) @ u.conj().T
     tau_inv = (v * (1.0 / s)) @ v.conj().T
-    hess = hess + mu_curv * np.kron(rho_inv, rho_inv.T)
-    ppt_part = np.kron(tau_inv, tau_inv.T)
-    hess = hess + mu_curv * ppt_part[np.ix_(perm, perm)]
-    hess = (hess + hess.conj().T) / 2.0
+    hess = _newton_hessian(w, u, overlaps_full, rho_inv, tau_inv, mu_curv, da, db)
 
     g_mu = grad - mu * rho_inv - mu * _partial_transpose_b(tau_inv, da, db)
 
@@ -407,7 +433,6 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
         return (1.0 - _RECENTER_MIX) * mat + _RECENTER_MIX * uniform
 
     newton_ok = d <= _NEWTON_DIM_CAP
-    perm = _pt_perm(da, db) if newton_ok else None
 
     # starting point: project a slightly mixed copy of sigma.  mixing
     # before the projection keeps the spectrum away from zero, so the
@@ -501,12 +526,18 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
             continue
 
         direction, decrement, tau, s = _newton_step(
-            sig, rho, w, u, overlaps, grad, mu, perm, da, db, mu_curv
+            rho, w, u, overlaps, grad, mu, da, db, mu_curv
         )
         mu_curv = None
         moved = False
+        # a decrement at the rounding level of the objective cannot pass
+        # the Armijo test, though the step still moves rho by about its
+        # square root: take it once it is feasible
+        centred = direction is not None and abs(decrement) <= _DECREMENT_FLOOR * max(
+            1.0, abs(sigma_term)
+        )
         t = 0.0
-        if direction is not None and decrement > 0.0:
+        if direction is not None and (decrement > 0.0 or centred):
             cap = min(
                 _chol_step_cap(rho, direction),
                 _chol_step_cap(tau, _partial_transpose_b(direction, da, db)),
@@ -529,7 +560,7 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
                         model_new = f_new - mu * (
                             float(np.sum(np.log(w2))) + float(np.sum(np.log(s2)))
                         )
-                        if model_new <= model_cur - opts.armijo_slope * t * decrement:
+                        if centred or model_new <= model_cur - opts.armijo_slope * t * decrement:
                             moved = True
                             break
                 t *= 0.5
@@ -603,7 +634,7 @@ def closest_state_for_pure(psi: PureState) -> DensityMatrix:
     for i, s in enumerate(svals):
         if s <= 0.0:
             continue
-        vec = np.kron(left[:, i], right[i, :])
+        vec = np.outer(left[:, i], right[i, :]).ravel()
         out += (s * s) * np.outer(vec, vec.conj())
     return DensityMatrix(out, dims=dims)
 
