@@ -84,8 +84,18 @@ class DensityMatrix:
         return self.matrix.dim
 
     def tagged(self, da: int, db: int) -> "DensityMatrix":
-        """Same state with an A|B dimension tag attached."""
-        return DensityMatrix(self.matrix, BipartiteDims(da, db))
+        """Same state with an A|B dimension tag attached.
+
+        The matrix was validated when this state was built, so only the
+        tag is checked.
+        """
+        dims = BipartiteDims(da, db)
+        if dims.total != self.dim:
+            raise ShapeError(f"dims {da}x{db} do not match matrix dimension {self.dim}")
+        out = object.__new__(DensityMatrix)
+        out.matrix = self.matrix
+        out.dims = dims
+        return out
 
     def __repr__(self) -> str:
         tag = f", dims={self.dims.da}x{self.dims.db}" if self.dims else ""
@@ -227,6 +237,20 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
+def _random_density_arr(dim: int, rank: int, seed: int) -> np.ndarray:
+    """The array random_density stores, built without validating it.
+
+    Symmetrised exactly as HermitianMatrix does, so wrapping the result
+    in a DensityMatrix leaves every bit as it is.
+    """
+    if not 1 <= rank <= dim:
+        raise InputError(f"rank must satisfy 1 <= rank <= dim, got rank {rank}, dim {dim}")
+    g = _ginibre(np.random.default_rng(seed), dim, rank)
+    m = g @ g.conj().T
+    m = m / np.real(np.trace(m))
+    return (m + m.conj().T) / 2.0
+
+
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     """Hilbert-Schmidt-measure random state of the given rank.
 
@@ -234,11 +258,7 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     numpy's PCG64 generator; identical (seed, dim, rank) reproduce the
     state bit-for-bit.
     """
-    if not 1 <= rank <= dim:
-        raise InputError(f"rank must satisfy 1 <= rank <= dim, got rank {rank}, dim {dim}")
-    g = _ginibre(np.random.default_rng(seed), dim, rank)
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.real(np.trace(m)))
+    return DensityMatrix(_random_density_arr(dim, rank, seed))
 
 
 def random_pure(dims, seed: int) -> PureState:

@@ -1,12 +1,13 @@
 """Seeded verification campaigns with machine-readable reports.
 
 Each suite checks one inequality or identity on randomly sampled states.
-A campaign runs N independent trials; trial i draws its generator from
-the seed sequence (master seed, crc32(suite name), i), so different
-suites and different trials never share a stream and any trial can be
-reproduced in isolation.  Records serialize as one JSON object per line
-with sorted keys and 17-significant-digit decimals; non-finite values
-appear as the strings "inf", "-inf", or "nan".
+A campaign runs N independent trials one after another; trial i draws
+its generator from the seed sequence (master seed, crc32(suite name),
+i), so different suites and different trials never share a stream and
+any trial can be reproduced in isolation.  Records serialize as one
+JSON object per line with sorted keys and 17-significant-digit
+decimals; non-finite values appear as the strings "inf", "-inf", or
+"nan".
 
 A record passes when its margin (the slack of the most binding
 inequality, positive = comfortable) stays above minus the suite
@@ -18,9 +19,7 @@ pass nor failure, and are tallied separately in the summary.
 from __future__ import annotations
 
 import math
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,23 +44,13 @@ from .states import (
     BipartiteDims,
     DensityMatrix,
     _partial_transpose_b,
+    _random_density_arr,
     partial_trace_A,
     partial_trace_B,
     permute_systems,
     random_density,
     random_pure,
     random_separable,
-)
-
-SUITE_NAMES = (
-    "theorem1",
-    "lemma2",
-    "corollary1",
-    "corollary2",
-    "lemma3",
-    "lemma4",
-    "monotone",
-    "reduction",
 )
 
 DEFAULT_TOLERANCES = {
@@ -160,7 +149,8 @@ def _random_nondistillable(rng, dims) -> DensityMatrix:
     separable (hence PPT) and usually rank deficient; the rest are
     Ginibre states rejection-sampled to a PSD partial transpose.  A
     deterministic blend toward the uniform state backstops the rare
-    exhausted rejection budget.
+    exhausted rejection budget.  Candidates are tested as raw arrays;
+    only the returned state is validated.
     """
     d = dims.total
     da, db = dims.da, dims.db
@@ -168,26 +158,24 @@ def _random_nondistillable(rng, dims) -> DensityMatrix:
         k = int(rng.integers(1, 4))
         (s1,) = _state_seeds(rng, 1)
         return random_separable(dims, s1, k=k)
-    last = None
     for _ in range(200):
         rank = int(rng.integers(1, d + 1))
         (s1,) = _state_seeds(rng, 1)
-        cand = random_density(d, rank, s1)
-        if _is_ppt(cand.mat, da, db):
-            return cand.tagged(da, db)
-        last = cand
+        last = _random_density_arr(d, rank, s1)
+        if _is_ppt(last, da, db):
+            return DensityMatrix(last, dims)
     uniform = np.eye(d) / d
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _is_ppt((1.0 - mid) * last.mat + mid * uniform, da, db):
+        if _is_ppt((1.0 - mid) * last + mid * uniform, da, db):
             hi = mid
         else:
             lo = mid
-    return DensityMatrix((1.0 - hi) * last.mat + hi * uniform, dims)
+    return DensityMatrix((1.0 - hi) * last + hi * uniform, dims)
 
 
-def _trial_theorem1(rng, dims, tol):
+def _trial_theorem1(rng, dims, tol, trial):
     d = dims.total
     rank_s = int(rng.integers(1, d + 1))
     (s1,) = _state_seeds(rng, 1)
@@ -213,7 +201,7 @@ def _solve_diagnostics(res, name: str = "ree") -> dict:
     }
 
 
-def _trial_lemma2(rng, dims, tol):
+def _trial_lemma2(rng, dims, tol, trial):
     d = dims.total
     rank = int(rng.integers(1, d + 1))
     (s1,) = _state_seeds(rng, 1)
@@ -225,7 +213,7 @@ def _trial_lemma2(rng, dims, tol):
     return quantities, min(res.value_bits - bound, res.value_bits)
 
 
-def _trial_corollary1(rng, dims, tol):
+def _trial_corollary1(rng, dims, tol, trial):
     (s1,) = _state_seeds(rng, 1)
     psi = random_pure(dims, s1)
     sigma = psi.density()
@@ -241,7 +229,7 @@ def _trial_corollary1(rng, dims, tol):
     return quantities, -abs(res.value_bits - reduced_entropy)
 
 
-def _trial_corollary2(rng, dims, tol):
+def _trial_corollary2(rng, dims, tol, trial):
     s1, s2 = _state_seeds(rng, 2)
     psi1 = random_pure(dims, s1)
     psi2 = random_pure(dims, s2)
@@ -264,7 +252,7 @@ def _trial_corollary2(rng, dims, tol):
     return quantities, -abs(r12.value_bits - r1.value_bits - r2.value_bits)
 
 
-def _trial_lemma3(rng, dims, tol):
+def _trial_lemma3(rng, dims, tol, trial):
     if (dims.da, dims.db) != (2, 2):
         raise InputError("lemma3 needs two-qubit states")
     rank = int(rng.integers(1, 5))
@@ -278,7 +266,7 @@ def _trial_lemma3(rng, dims, tol):
     return quantities, res.value_bits - (eof - ent)
 
 
-def _trial_lemma4(rng, dims, tol):
+def _trial_lemma4(rng, dims, tol, trial):
     (s1,) = _state_seeds(rng, 1)
     psi = random_pure(dims, s1)
     sigma = psi.density()
@@ -319,7 +307,7 @@ def _trial_monotone(rng, dims, tol, trial):
     return {"log_slack": slack, "square_slack": square_slack}, slack
 
 
-def _trial_reduction(rng, dims, tol):
+def _trial_reduction(rng, dims, tol, trial):
     d = dims.total
     rank = int(rng.integers(1, d + 1))
     (s1,) = _state_seeds(rng, 1)
@@ -348,26 +336,26 @@ def _trial_reduction(rng, dims, tol):
     return quantities, margin
 
 
+# suite name -> trial(rng, dims, tol, trial index) -> (quantities, margin)
+_TRIALS = {
+    "theorem1": _trial_theorem1,
+    "lemma2": _trial_lemma2,
+    "corollary1": _trial_corollary1,
+    "corollary2": _trial_corollary2,
+    "lemma3": _trial_lemma3,
+    "lemma4": _trial_lemma4,
+    "monotone": _trial_monotone,
+    "reduction": _trial_reduction,
+}
+
+SUITE_NAMES = tuple(_TRIALS)
+
+
 def _run_trial(suite: str, master_seed: int, trial: int, dims: BipartiteDims, tol: float):
-    rng = _trial_rng(master_seed, suite, trial)
-    if suite == "theorem1":
-        quantities, margin = _trial_theorem1(rng, dims, tol)
-    elif suite == "lemma2":
-        quantities, margin = _trial_lemma2(rng, dims, tol)
-    elif suite == "corollary1":
-        quantities, margin = _trial_corollary1(rng, dims, tol)
-    elif suite == "corollary2":
-        quantities, margin = _trial_corollary2(rng, dims, tol)
-    elif suite == "lemma3":
-        quantities, margin = _trial_lemma3(rng, dims, tol)
-    elif suite == "lemma4":
-        quantities, margin = _trial_lemma4(rng, dims, tol)
-    elif suite == "monotone":
-        quantities, margin = _trial_monotone(rng, dims, tol, trial)
-    elif suite == "reduction":
-        quantities, margin = _trial_reduction(rng, dims, tol)
-    else:
+    trial_fn = _TRIALS.get(suite)
+    if trial_fn is None:
         raise InputError(f"unknown suite {suite!r}")
+    quantities, margin = trial_fn(_trial_rng(master_seed, suite, trial), dims, tol, trial)
     indeterminate = margin is None
     passed = True if indeterminate else margin >= -tol
     return ReportRecord(
@@ -380,20 +368,6 @@ def _run_trial(suite: str, master_seed: int, trial: int, dims: BipartiteDims, to
         passed=passed,
         indeterminate=indeterminate,
     )
-
-
-def thread_count() -> int:
-    """Worker count from REE_LAB_THREADS; 0 or unset means automatic."""
-    raw = os.environ.get("REE_LAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"REE_LAB_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise InputError(f"REE_LAB_THREADS must be nonnegative, got {n}")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
 
 
 @dataclass(frozen=True)
@@ -409,13 +383,12 @@ def run_suite(
     seed: int,
     dims: BipartiteDims | None = None,
     tol: float | None = None,
-    threads: int | None = None,
 ) -> CampaignResult:
     """Run one verification suite and collect its records in trial order.
 
-    Trials are independent, so they run on a thread pool; the per-trial
-    streams are fixed by (seed, suite, index), which keeps the full
-    report byte-identical for every parallelism degree.
+    Trials run one after another.  Each draws only from its own stream,
+    fixed by (seed, suite, index), so a longer campaign extends a
+    shorter one record for record and any trial can be rerun alone.
     """
     if suite not in SUITE_NAMES:
         raise InputError(f"unknown suite {suite!r}")
@@ -428,17 +401,7 @@ def run_suite(
         tol = DEFAULT_TOLERANCES[suite]
     if not tol > 0:
         raise InputError(f"tolerance must be positive, got {tol!r}")
-    workers = thread_count() if threads is None else threads
-    if workers < 1:
-        raise InputError(f"thread count must be positive, got {workers}")
-
-    if workers == 1:
-        records = [_run_trial(suite, seed, i, dims, tol) for i in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda i: _run_trial(suite, seed, i, dims, tol), range(trials))
-            )
+    records = [_run_trial(suite, seed, i, dims, tol) for i in range(trials)]
 
     determinate = [r for r in records if not r.indeterminate]
     failed = [r for r in determinate if not r.passed]

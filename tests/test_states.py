@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reelab import states
 from reelab.errors import (
     InputError,
     NormalizationError,
@@ -197,6 +198,27 @@ def test_tensor_bipartite():
     w = np.sort(np.linalg.eigvalsh(out.mat))
     w12 = np.sort(np.outer(np.linalg.eigvalsh(r1.mat), np.linalg.eigvalsh(r2.mat)).ravel())
     assert np.allclose(w, w12, atol=1e-10)
+
+
+def test_tagged_reuses_the_validated_matrix(monkeypatch):
+    mat = random_density(6, 3, 5).mat
+    calls = []
+    eigh = states._eigh
+
+    def counting_eigh(m):
+        calls.append(1)
+        return eigh(m)
+
+    monkeypatch.setattr(states, "_eigh", counting_eigh)
+    rho = DensityMatrix(mat)
+    assert len(calls) == 1
+    tagged = rho.tagged(2, 3)
+    assert len(calls) == 1
+    assert tagged.matrix is rho.matrix
+    assert tagged.dims == BipartiteDims(2, 3)
+    assert rho.dims is None
+    with pytest.raises(ShapeError):
+        rho.tagged(2, 2)
 
 
 def test_permute_systems():

@@ -1,17 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from reelab import states
 from reelab.errors import InputError
 from reelab.states import BipartiteDims
 from reelab.verify import (
     DEFAULT_TOLERANCES,
     SUITE_NAMES,
+    _random_nondistillable,
     record_to_json,
     run_suite,
     summary_to_json,
-    thread_count,
 )
 
 
@@ -48,10 +50,42 @@ def test_reports_are_deterministic():
     assert a == b
 
 
-def test_reports_identical_across_parallelism_degrees():
-    a = campaign_text(run_suite("lemma2", 10, 5, threads=1))
-    b = campaign_text(run_suite("lemma2", 10, 5, threads=4))
-    assert a == b
+# sha256 of campaign_text for (suite, trials, seed, dims), frozen from the
+# reports made while the theorem1 sampler still validated every candidate;
+# the digests pin the floating-point results of one numpy/BLAS build, so
+# another build may need them recomputed
+FROZEN_REPORT_DIGESTS = {
+    ("theorem1", 60, 7, (2, 2)): "c76526584d141657aacb0fb3023faace9921ec29cd43df40824844d8293d5635",
+    ("theorem1", 60, 7, (2, 3)): "fc2cc38336ada0aaa616d6b42746dffd8d79cf6df29090ea4fa1427961ec9007",
+    ("reduction", 60, 7, (2, 2)): "5f67b1fd96b4814824394c642426c253ee5347a49af616fd3f0664e26cbcf2cc",
+    ("reduction", 60, 7, (2, 3)): "73774b2314c3870a1e15bfad63d839fbfbdfc162b32910069d4e7e0395bb1362",
+    ("monotone", 30, 7, (2, 2)): "85078f2e38855a8fbd49d2967cf4d52c941944c64c5ae733627a1b436eef805c",
+    ("monotone", 30, 7, (2, 3)): "4337e06d87c859c4d9fb0415d1972681fbdc19a322a3d739504fe542fb2b809d",
+}
+
+
+def test_verify_reports_match_parent():
+    for (suite, trials, seed, dims), digest in FROZEN_REPORT_DIGESTS.items():
+        text = campaign_text(run_suite(suite, trials, seed, dims=BipartiteDims(*dims)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (suite, dims)
+
+
+def test_nondistillable_draw_validates_once(monkeypatch):
+    calls = []
+    init = states.DensityMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(states.DensityMatrix, "__init__", counting_init)
+    dims = BipartiteDims(2, 3)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        before = len(calls)
+        rho = _random_nondistillable(rng, dims)
+        assert len(calls) - before == 1
+        assert rho.dims == dims
 
 
 def test_trial_streams_are_prefix_stable():
@@ -118,21 +152,6 @@ def test_run_suite_validation():
         run_suite("theorem1", 5, 7, tol=0.0)
     with pytest.raises(InputError):
         run_suite("lemma3", 5, 7, dims=BipartiteDims(3, 3))
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("REE_LAB_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("REE_LAB_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.delenv("REE_LAB_THREADS")
-    assert thread_count() >= 1
-    monkeypatch.setenv("REE_LAB_THREADS", "-2")
-    with pytest.raises(InputError):
-        thread_count()
-    monkeypatch.setenv("REE_LAB_THREADS", "lots")
-    with pytest.raises(InputError):
-        thread_count()
 
 
 def test_default_tolerances_cover_every_suite():
