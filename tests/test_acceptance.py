@@ -253,11 +253,11 @@ def test_criterion_09_solver_vs_oracle():
     ppt_side = sum(1 for w in weight_sets if max(w) <= 0.5)
     assert 0 < ppt_side < len(weight_sets)
 
-    tol = max(1e-3, 1.0 / 2000)
+    tol = 1e-8
     worst = 0.0
     for w in weight_sets:
         res = ree_ppt(bell_diagonal(w))
-        want = bell_diagonal_ree_oracle(w, 2000)
+        want = bell_diagonal_ree_oracle(w)
         worst = max(worst, abs(res.value_bits - want))
     assert worst <= tol
     print(
