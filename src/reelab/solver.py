@@ -1,18 +1,18 @@
 """Relative entropy of entanglement over the PPT set.
 
 The minimization works on the convex objective f(rho) = S(sigma||rho).
-Up to total dimension 32 it follows the logarithmic-barrier path of both
-positivity cones with damped Newton steps from a strictly feasible start,
-centring at each barrier weight before cutting it; the first step after
-each cut follows the tangent of that central path (a predictor step), so
-it lands near the new centre instead of running into the cone boundary.
-A Newton step costs O(d^5) to assemble its d^2 x d^2 Hessian from
-eigenframe factors and O(d^6) for the dense bordered solve.  Above
-dimension 32, where the Newton system is too large, projected gradient
-descent runs instead; it restores feasibility after every trial step by
-alternating projections (Dykstra) onto the intersection of the density
-set and the partial-transpose image of the density set.  The same
-projections give the start point of both paths and the stationarity test.
+For every supported total dimension (d <= 64) it follows the
+logarithmic-barrier path of both positivity cones with damped Newton
+steps (Boyd & Vandenberghe, Convex Optimization, 11.6), from a closed-form
+strictly feasible mix of sigma with I/d, centring at each barrier weight
+before cutting it; the first step after each cut follows the tangent of
+that central path (a predictor step), so it lands near the new centre
+instead of running into the cone boundary.  Every iterate is strictly
+inside both cones, so the path needs no projection.  A Newton step costs
+O(d^5) to assemble its d^2 x d^2 Hessian from eigenframe factors and
+O(d^6) for the dense bordered solve.  Alternating projections (Dykstra)
+onto the density set and the partial-transpose image of the density set
+serve the public projection helpers and the stationarity test.
 Internals work on raw ndarrays in natural-log units; results are
 converted to bits at the boundary.
 """
@@ -53,24 +53,17 @@ _YY_FLIP = np.array(
 class ReeOptions:
     """Tuning knobs for the REE minimization.
 
-    ``max_iters`` bounds the steps of the one path a solve runs: barrier
-    Newton steps up to total dimension 32, descent steps above it.
-    ``grad_tol`` is the stationarity tolerance, measured at the reference
-    step ``armijo_step``; ``eps`` is the interior floor and ``dykstra_*``
-    the projection budget.  ``armijo_slope`` is the sufficient-decrease
-    fraction of both line searches, barrier Newton and descent.  Only
-    descent, above dimension 32, reads ``armijo_shrink``, its backtracking
-    factor, and starts its line search at ``armijo_step``.  All fields must
-    be positive; ``eps`` additionally must stay below 1e-3 so the interior
-    floor does not visibly bias the optimal value.
+    ``max_iters`` bounds the barrier Newton steps.  ``armijo_slope`` is the
+    sufficient-decrease fraction of their line search.  ``grad_tol`` is
+    the stationarity tolerance, measured at the reference step
+    ``armijo_step``; ``dykstra_*`` is the budget of the projection that
+    test makes.  All fields must be positive.
     """
 
     max_iters: int = 5000
     grad_tol: float = 1e-7
-    eps: float = 1e-9
     dykstra_max: int = 500
     dykstra_tol: float = 1e-11
-    armijo_shrink: float = 0.5
     armijo_slope: float = 1e-4
     armijo_step: float = 1.0
 
@@ -78,20 +71,14 @@ class ReeOptions:
         for name in (
             "max_iters",
             "grad_tol",
-            "eps",
             "dykstra_max",
             "dykstra_tol",
-            "armijo_shrink",
             "armijo_slope",
             "armijo_step",
         ):
             value = getattr(self, name)
             if not value > 0:
                 raise InputError(f"{name} must be positive, got {value!r}")
-        if self.eps >= 1e-3:
-            raise InputError(f"eps must stay below 1e-3, got {self.eps!r}")
-        if self.armijo_shrink >= 1:
-            raise InputError("armijo_shrink must be below 1")
 
 
 @dataclass(frozen=True)
@@ -217,8 +204,7 @@ def _entropy_term_nat(mat: np.ndarray) -> float:
 def _objective_and_spec(sig: np.ndarray, rho: np.ndarray, sigma_term: float):
     """Cross entropy part of S(sigma||rho) plus the spectral data of rho.
 
-    Assumes rho has been floored away from singularity, so every
-    eigenvalue is safely positive.
+    Assumes rho is positive definite, as every barrier iterate is.
     """
     w, u = _eigh(rho)
     overlaps_full = u.conj().T @ sig @ u
@@ -233,11 +219,7 @@ def _gradient(w: np.ndarray, u: np.ndarray, overlaps_full: np.ndarray) -> np.nda
     return (g + g.conj().T) / 2.0
 
 
-# barrier path following with damped Newton steps.  the linear system is
-# (d^2+1)-dimensional, so cap the dimensions it runs at
-_NEWTON_DIM_CAP = 32
-_CENTER_MIX = 0.05
-_RECENTER_MIX = 1e-3
+# barrier path following with damped Newton steps
 _MU_INIT = 1e-3
 _MU_FLOOR = 1e-12
 _MU_SHRINK = 0.2
@@ -379,19 +361,25 @@ def _newton_step(
     return direction, decrement, tau, s
 
 
-def _floor_interior(mat: np.ndarray, eps: float) -> np.ndarray:
-    d = mat.shape[0]
-    return (1.0 - eps) * mat + eps * (np.eye(d, dtype=complex) / d)
+def _start_point(sig: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Strictly feasible mix (1 - t) sigma + t I/d, in closed form.
 
-
-def _pull_feasible(mat: np.ndarray, da: int, db: int, opts: ReeOptions) -> np.ndarray:
-    return _dykstra_arr(mat, da, db, opts.dykstra_max, opts.dykstra_tol)[0]
+    (I/d)^PT = I/d, so the least eigenvalue of the mix's partial transpose
+    is (1 - t) lam + t/d, with lam that of sigma^PT: linear in t and zero
+    at t* = -lam/(1/d - lam) when lam < 0 (t* = 0 otherwise).  The start
+    lies 5% of the way from t* to I/d, inside both cones.
+    """
+    d = da * db
+    lam = float(_eigh(_partial_transpose_b(sig, da, db))[0][0])
+    edge = -lam / (1.0 / d - lam) if lam < 0.0 else 0.0
+    t = edge + (1.0 - edge) * 0.05
+    return (1.0 - t) * sig + t * (np.eye(d, dtype=complex) / d)
 
 
 def _stationarity(rho: np.ndarray, grad: np.ndarray, da: int, db: int, opts: ReeOptions) -> float:
     """Projected-gradient displacement at rho per unit of the reference step."""
     step_ref = opts.armijo_step
-    reference = _pull_feasible(rho - step_ref * grad, da, db, opts)
+    reference = _dykstra_arr(rho - step_ref * grad, da, db, opts.dykstra_max, opts.dykstra_tol)[0]
     return float(np.linalg.norm(reference - rho)) / step_ref
 
 
@@ -478,91 +466,20 @@ def _barrier_path(
     return best_rho, iterations
 
 
-def _descent(
-    sig: np.ndarray, sigma_term: float, rho: np.ndarray, da: int, db: int, opts: ReeOptions
-) -> tuple[np.ndarray, int, bool, float]:
-    """Projected gradient descent from a feasible rho.
-
-    Each trial step is pulled back into the feasible set by Dykstra's
-    projections and floored; Armijo backtracking by armijo_shrink accepts
-    it, and a secant (Barzilai-Borwein) estimate, capped at armijo_step,
-    warm-starts the next search.  The search fails as soon as two
-    successive trial points coincide within dykstra_tol.  Returns the best
-    iterate, the step count, whether the stationarity test passed and the
-    last measured projected-gradient norm.
-    """
-    f_cur, w, u, overlaps = _objective_and_spec(sig, rho, sigma_term)
-    grad = _gradient(w, u, overlaps)
-    best_f = f_cur
-    best_rho = rho
-    step_ref = opts.armijo_step
-    step = step_ref
-    iterations = 0
-    grad_norm = math.inf
-    proxy = math.inf
-    while iterations < opts.max_iters:
-        iterations += 1
-        # convergence is judged on the true gradient at the reference
-        # step; the projection there is costly, so it only runs once
-        # the cheap displacement proxy says it could plausibly pass
-        if iterations == 1 or proxy < 100.0 * opts.grad_tol:
-            grad_norm = _stationarity(rho, grad, da, db, opts)
-            if grad_norm < opts.grad_tol:
-                return best_rho, iterations, True, grad_norm
-        step = min(step_ref, 2.0 * step)
-        accepted = False
-        trial = None
-        for _ in range(_MAX_BACKTRACKS):
-            candidate = _floor_interior(_pull_feasible(rho - step * grad, da, db, opts), opts.eps)
-            # as the step shrinks, trials tend to the floored projection
-            # of rho, not to rho; once they stop moving the search failed
-            if trial is not None and np.linalg.norm(candidate - trial) < opts.dykstra_tol:
-                break
-            trial = candidate
-            f_new, w2, u2, overlaps2 = _objective_and_spec(sig, candidate, sigma_term)
-            predicted = float(np.real(np.vdot(grad, candidate - rho)))
-            if f_new <= f_cur + opts.armijo_slope * predicted and f_new <= f_cur:
-                accepted = True
-                break
-            step *= opts.armijo_shrink
-        if not accepted:
-            # a failed search still deserves an honest measurement
-            grad_norm = _stationarity(rho, grad, da, db, opts)
-            return best_rho, iterations, grad_norm < opts.grad_tol, grad_norm
-        displacement = candidate - rho
-        proxy = float(np.linalg.norm(displacement)) / step
-        grad_new = _gradient(w2, u2, overlaps2)
-        bend = float(np.real(np.vdot(displacement, grad_new - grad)))
-        if bend > 0.0:
-            step = float(np.real(np.vdot(displacement, displacement))) / bend
-        else:
-            step = 2.0 * step
-        step = min(step_ref, max(step, 1e-12))
-        rho, f_cur, grad = candidate, f_new, grad_new
-        if f_cur < best_f:
-            best_f = f_cur
-            best_rho = rho
-    return best_rho, iterations, False, grad_norm
-
-
 def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
     """Minimize S(sigma||rho) over PPT density matrices rho.
 
-    The start point is a mixed copy of sigma, pulled into the feasible set
-    by alternating projections and floored to (1-eps) rho + eps I/d; a
-    ConvergenceWarning reports a start projection that stopped on its
-    dykstra_max budget, since its point is not PPT.  Up to total dimension
-    32 the start is recentred toward I/d and the solve follows the
-    logarithmic-barrier path with damped Newton steps, centring at every
-    barrier weight down to its floor (_barrier_path); stationarity is
-    measured once, at the best iterate of the path.  Above dimension 32
-    projected gradient descent runs alone (_descent).
+    The solve starts at the closed-form strictly feasible mix of sigma
+    with I/d (_start_point) and follows the logarithmic-barrier path with
+    damped Newton steps, centring at every barrier weight down to its
+    floor (_barrier_path).
 
-    The reported value is in bits, evaluated at the best iterate, pulled
-    into the feasible set and floored, so it is always an upper bound on
-    the minimum (up to the interior floor).  Convergence means the
-    projected-gradient displacement at the reference step armijo_step fell
-    below grad_tol.
+    The reported value is in bits, evaluated at the best iterate of the
+    path, which is the returned closest state; it is positive definite
+    with a positive definite partial transpose, so the value is always an
+    upper bound on the minimum.  Convergence means the projected-gradient
+    displacement at that state, per unit of the reference step
+    armijo_step, fell below grad_tol.
     """
     opts = opts or ReeOptions()
     bdims = _require_bipartite(sigma)
@@ -573,43 +490,12 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
 
     sig = sigma.mat
     sigma_term = _entropy_term_nat(sig)
-    uniform = np.eye(d, dtype=complex) / d
-
-    # starting point: project a slightly mixed copy of sigma.  mixing
-    # before the projection keeps the spectrum away from zero, so the
-    # first gradients are bounded, and it speeds the projection up when
-    # sigma itself is rank deficient
-    mixed = (1.0 - _CENTER_MIX) * sig + _CENTER_MIX * uniform
-    start, sweeps, ok = _dykstra_arr(mixed, da, db, opts.dykstra_max, opts.dykstra_tol)
-    if not ok:
-        warnings.warn(
-            f"start projection stopped on budget after {sweeps} sweeps; "
-            "its point is not PPT and the value may be far from the minimum",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    rho = _floor_interior(start, opts.eps)
-
-    newton = d <= _NEWTON_DIM_CAP
-    if newton:
-        # nudged off the boundary so both barriers are finite
-        rho = (1.0 - _RECENTER_MIX) * rho + _RECENTER_MIX * uniform
-        best_rho, iterations = _barrier_path(sig, sigma_term, rho, da, db, opts)
-        # measured at the iterate, not at the floored point returned below:
-        # flooring moves rho off the end of the path, and at that point the
-        # displacement test fails on many inputs that the iterate passes
-        _, w, u, overlaps = _objective_and_spec(sig, best_rho, sigma_term)
-        grad_norm = _stationarity(best_rho, _gradient(w, u, overlaps), da, db, opts)
-        converged = grad_norm < opts.grad_tol
-    else:
-        best_rho, iterations, converged, grad_norm = _descent(sig, sigma_term, rho, da, db, opts)
-
-    final = _floor_interior(_pull_feasible(best_rho, da, db, opts), opts.eps)
-    f_fin, w_f, u_f, overlaps_f = _objective_and_spec(sig, final, sigma_term)
-    if not (newton or converged):
-        # descent last measured at an iterate; measure at the returned point
-        grad_norm = _stationarity(final, _gradient(w_f, u_f, overlaps_f), da, db, opts)
-        converged = grad_norm < opts.grad_tol
+    best_rho, iterations = _barrier_path(
+        sig, sigma_term, _start_point(sig, da, db), da, db, opts
+    )
+    f_best, w, u, overlaps = _objective_and_spec(sig, best_rho, sigma_term)
+    grad_norm = _stationarity(best_rho, _gradient(w, u, overlaps), da, db, opts)
+    converged = grad_norm < opts.grad_tol
     if iterations >= opts.max_iters and not converged:
         warnings.warn(
             f"ree_ppt stopped on the iteration budget after {iterations} steps",
@@ -617,11 +503,9 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
             stacklevel=2,
         )
 
-    closest = DensityMatrix(final, dims=bdims)
-    value_bits = max(0.0, f_fin) / _LN2
     return ReeResult(
-        value_bits=value_bits,
-        closest_state=closest,
+        value_bits=max(0.0, f_best) / _LN2,
+        closest_state=DensityMatrix(best_rho, dims=bdims),
         iterations=iterations,
         converged=converged,
         final_grad_norm=grad_norm,

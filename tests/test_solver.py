@@ -128,10 +128,6 @@ def test_ree_options_validation():
     with pytest.raises(InputError):
         ReeOptions(max_iters=0)
     with pytest.raises(InputError):
-        ReeOptions(eps=0.1)
-    with pytest.raises(InputError):
-        ReeOptions(armijo_shrink=1.0)
-    with pytest.raises(InputError):
         ReeOptions(grad_tol=-1.0)
 
 
@@ -230,9 +226,9 @@ def test_ree_budget_exhaustion_flagged():
 
 
 def test_ree_eigh_budget(monkeypatch):
-    # the barrier path runs alone; with 40 descent steps before it, these
-    # inputs took 1,351 and 27,528 calls, and with descent steps between
-    # two barrier rounds 204 and 2,988, against 194 and 625 now
+    # the barrier path from a closed-form start takes 200 and 228 calls on
+    # these inputs; with descent steps mixed in they took up to 1,351 and
+    # 27,528
     calls = 0
     inner = solver._eigh
 
@@ -256,7 +252,7 @@ def test_ree_eigh_budget(monkeypatch):
 def test_ree_newton_step_budget(monkeypatch):
     # the first step after each barrier-weight cut follows the tangent of
     # the central path; with a plain Newton step there, which runs into
-    # the cone boundary, this input took 58 steps against 34 now
+    # the cone boundary, this input took 58 steps against 35 now
     calls = 0
     inner = solver._newton_step
 
@@ -272,9 +268,9 @@ def test_ree_newton_step_budget(monkeypatch):
 
 
 def test_ree_barrier_path_makes_no_projections(monkeypatch):
-    # the only projections are the start point, the stationarity test and
-    # the returned point; handing the barrier point to descent took 44
-    # and 95 projections on these inputs
+    # the only projection is the stationarity test; handing the barrier
+    # point to descent took 44 and 95 projections on these inputs, and a
+    # projected start and returned point 3
     calls = 0
     inner = solver._dykstra_arr
 
@@ -287,7 +283,7 @@ def test_ree_barrier_path_makes_no_projections(monkeypatch):
     for sigma in (random_density(4, 2, 0).tagged(2, 2), random_density(6, 2, 0).tagged(2, 3)):
         calls = 0
         res = ree_ppt(sigma)
-        assert calls <= 3
+        assert calls <= 1
         assert res.value_bits >= lemma2_bound(sigma) - 1e-9
 
 
@@ -351,7 +347,7 @@ def test_newton_hessian_matches_dense_reference():
 def test_ree_4x4_pure_product(monkeypatch):
     # REE is additive on pure states: psi1 (x) psi2, regrouped to
     # (A1 A2)|(B1 B2) as in corollary2, has the sum of the two reduced
-    # entropies; the barrier path stops about 1.1e-9 bits above it
+    # entropies; the barrier path stops about 3.5e-11 bits above it
     calls = 0
     inner = solver._newton_step
 
@@ -374,8 +370,7 @@ def test_ree_4x4_pure_product(monkeypatch):
 
 
 def test_ree_isotropic_6x6():
-    # above total dimension 32 projected gradient descent runs alone; an
-    # isotropic state with singlet fraction F > 1/n has the REE
+    # d = 36; an isotropic state with singlet fraction F > 1/n has the REE
     # log2 n - h(F) - (1 - F) log2(n - 1) (Rains, PRA 60, 179 (1999))
     n, f = 6, 0.6
     phi = np.eye(n).reshape(n * n) / np.sqrt(n)
@@ -388,14 +383,50 @@ def test_ree_isotropic_6x6():
     assert res.value_bits == pytest.approx(exact, abs=1e-8)
 
 
-def test_ree_warns_when_start_projection_stops_on_budget():
-    # at 6x6 the start projection of this pure state stops on its sweep
-    # budget at a point that is not PPT, and the solve cannot recover:
-    # it returns 5.37 bits against the exact S(rho_A) = 1.82
-    psi = pure_from_schmidt(np.sqrt([0.5, 0.3, 0.1, 0.06, 0.03, 0.01]), (6, 6))
-    with pytest.warns(ConvergenceWarning, match="start projection"):
-        res = ree_ppt(psi.density())
-    assert not res.converged
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _entropy_bits(w):
+    w = np.asarray(w, dtype=float)
+    w = w[w > 1e-15]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def _pure_6x6():
+    # REE of a pure state is S(rho_A)
+    weights = [0.5, 0.3, 0.1, 0.06, 0.03, 0.01]
+    return pure_from_schmidt(np.sqrt(weights), (6, 6)).density(), _entropy_bits(weights)
+
+
+def _maximally_correlated_6x6():
+    # sum_ij a_ij |ii><jj| under random local unitaries has the REE
+    # S(diag a) - S(a): the dephased state sum_i a_ii |ii><ii| is separable
+    # and attains the lemma-2 lower bound
+    n = 6
+    a = random_density(n, n, 5).mat
+    diag = [i * n + i for i in range(n)]
+    mat = np.zeros((n * n, n * n), dtype=complex)
+    mat[np.ix_(diag, diag)] = a
+    rng = np.random.default_rng(3)
+    local = np.kron(_haar_unitary(rng, n), _haar_unitary(rng, n))
+    sigma = DensityMatrix(local @ mat @ local.conj().T, (n, n))
+    exact = _entropy_bits(np.real(np.diag(a))) - _entropy_bits(np.linalg.eigvalsh(a))
+    return sigma, exact
+
+
+@pytest.mark.parametrize("make", [_pure_6x6, _maximally_correlated_6x6], ids=["pure", "max-correlated"])
+def test_ree_exact_at_6x6(make):
+    # d = 36: projected gradient descent returned 5.368 bits on the pure
+    # state (exact 1.815) and stopped unconverged 2.4e-9 bits high on the
+    # maximally correlated one
+    sigma, exact = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        res = ree_ppt(sigma)
+    assert res.converged
+    assert res.value_bits == pytest.approx(exact, abs=1e-8)
 
 
 def test_ree_dimension_cap():

@@ -182,3 +182,12 @@ def test_solver_suites_record_solve_diagnostics():
             quantities = record.quantities
             assert quantities["ree_converged"] in (0.0, 1.0)
             assert quantities["ree_iterations"] >= 1.0
+
+
+def test_corollary2_passes_at_2x3():
+    # the product of two 2x3 pure states is a 4x9 (d = 36) solve; projected
+    # gradient descent stopped there after one step, about 2 bits high
+    result = run_suite("corollary2", 1, 7, BipartiteDims(2, 3))
+    assert result.all_pass
+    record = result.records[0]
+    assert record.quantities["ree_product_converged"] == 1.0
