@@ -7,14 +7,17 @@ steps (Boyd & Vandenberghe, Convex Optimization, 11.6), from a closed-form
 strictly feasible mix of sigma with I/d, centring at each barrier weight
 before cutting it; the first step after each cut follows the tangent of
 that central path (a predictor step), so it lands near the new centre
-instead of running into the cone boundary.  Every iterate is strictly
-inside both cones, so the path needs no projection.  A Newton step costs
-O(d^5) to assemble its d^2 x d^2 Hessian from eigenframe factors and
-O(d^6) for the dense bordered solve.  Alternating projections (Dykstra)
-onto the density set and the partial-transpose image of the density set
-serve the public projection helpers and the stationarity test.
-Internals work on raw ndarrays in natural-log units; results are
-converted to bits at the boundary.
+instead of running into the cone boundary.  The backtracking line search
+is the only feasibility test: it accepts a point only when the
+eigenvalues of rho and rho^PT are all positive, so every iterate is
+strictly inside both cones and the path needs no projection.  Each point
+is decomposed once: the two eigh calls of its trial serve the next
+Newton step, which costs O(d^5) to assemble its d^2 x d^2 Hessian from
+eigenframe factors and O(d^6) for the dense bordered solve.  Alternating
+projections (Dykstra) onto the density set and the partial-transpose
+image of the density set serve the public projection helpers and the
+stationarity test.  Internals work on raw ndarrays in natural-log units;
+results are converted to bits at the boundary.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ from .states import (
     _as_dims,
     _partial_transpose_b,
 )
-
-# backtracking below ~2**-60 cannot produce a representable new iterate
-_MAX_BACKTRACKS = 60
 
 _YY_FLIP = np.array(
     [
@@ -201,15 +201,23 @@ def _entropy_term_nat(mat: np.ndarray) -> float:
     return float(np.sum(w * np.log(w)))
 
 
-def _objective_and_spec(sig: np.ndarray, rho: np.ndarray, sigma_term: float):
-    """Cross entropy part of S(sigma||rho) plus the spectral data of rho.
+def _objective_and_spec(sig: np.ndarray, rho: np.ndarray, sigma_term: float, da: int, db: int):
+    """S(sigma||rho) in nats plus the spectra of rho and rho^PT, at a strictly feasible rho.
 
-    Assumes rho is positive definite, as every barrier iterate is.
+    Returns (f, w, u, overlaps_full, s, v): f = sigma_term - tr{sigma ln rho},
+    the eigenpairs (w, u) of rho with overlaps_full = u^H sigma u, and the
+    eigenpairs (s, v) of rho^PT.  Returns None unless both rho and rho^PT
+    are positive definite; rho is checked before rho^PT is decomposed.
     """
     w, u = _eigh(rho)
+    if not w[0] > 0.0:
+        return None
+    s, v = _eigh(_partial_transpose_b(rho, da, db))
+    if not s[0] > 0.0:
+        return None
     overlaps_full = u.conj().T @ sig @ u
     value = sigma_term - float(np.real(np.sum(np.diag(overlaps_full) * np.log(w))))
-    return value, w, u, overlaps_full
+    return value, w, u, overlaps_full, s, v
 
 
 def _gradient(w: np.ndarray, u: np.ndarray, overlaps_full: np.ndarray) -> np.ndarray:
@@ -287,25 +295,12 @@ def _newton_hessian(
     return buf.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
 
 
-def _chol_step_cap(mat: np.ndarray, dirn: np.ndarray) -> float:
-    """Largest t keeping mat + t*dirn positive definite (inf if unbounded)."""
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return 0.0
-    inv = np.linalg.inv(chol)
-    pencil = inv @ dirn @ inv.conj().T
-    low = float(_eigh((pencil + pencil.conj().T) / 2.0)[0][0])
-    if low >= 0.0:
-        return math.inf
-    return -1.0 / low
-
-
 def _newton_step(
-    rho: np.ndarray,
     w: np.ndarray,
     u: np.ndarray,
     overlaps_full: np.ndarray,
+    s: np.ndarray,
+    v: np.ndarray,
     grad: np.ndarray,
     mu: float,
     da: int,
@@ -314,26 +309,23 @@ def _newton_step(
 ):
     """Damped-Newton direction for f(rho) + mu barriers at a strictly feasible rho.
 
-    The model Hessian is the exact second derivative of -tr{sigma ln rho},
-    assembled in rho's eigenframe from second divided differences, plus
-    the curvature of -ln det rho and -ln det rho^PT weighted by mu_curv
-    (mu by default).  The gradient always carries the weight mu.  With
-    mu_curv the weight before a cut to mu, at a point centred for it, the
-    direction is the tangent (mu - mu_curv) d rho/d mu of the central path,
-    which predicts the new centre instead of overshooting into the cone
-    boundary.  The direction solves the trace-zero Newton system through
-    one bordered linear solve.  Assembly costs O(d^5) (_newton_hessian),
-    the dense complex solve of size d^2 + 1 costs O(d^6).  Returns
-    (direction, decrement, tau, tau_eigs); direction is None when rho or
-    tau is not positive definite or the solve fails.
+    (w, u, overlaps_full) and (s, v) are the spectral data of rho and of
+    rho^PT from _objective_and_spec, which has checked that both are
+    positive definite.  The model Hessian is the exact second derivative of
+    -tr{sigma ln rho}, assembled in rho's eigenframe from second divided
+    differences, plus the curvature of -ln det rho and -ln det rho^PT
+    weighted by mu_curv (mu by default).  The gradient always carries the
+    weight mu.  With mu_curv the weight before a cut to mu, at a point
+    centred for it, the direction is the tangent (mu - mu_curv) d rho/d mu
+    of the central path, which predicts the new centre instead of
+    overshooting into the cone boundary.  The direction solves the
+    trace-zero Newton system through one bordered linear solve.  Assembly
+    costs O(d^5) (_newton_hessian), the dense complex solve of size
+    d^2 + 1 costs O(d^6).  Returns (direction, decrement); direction is
+    None when the solve fails.
     """
     d = len(w)
     n = d * d
-    tau = _partial_transpose_b(rho, da, db)
-    s, v = _eigh(tau)
-    if s[0] <= 0.0 or w[0] <= 0.0:
-        return None, -1.0, tau, s
-
     if mu_curv is None:
         mu_curv = mu
     rho_inv = (u * (1.0 / w)) @ u.conj().T
@@ -352,13 +344,13 @@ def _newton_step(
     try:
         sol = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
-        return None, -1.0, tau, s
+        return None, -1.0
     direction = sol[:n].reshape(d, d)
     direction = (direction + direction.conj().T) / 2.0
     decrement = -float(np.real(np.vdot(g_mu, direction)))
     if not np.isfinite(decrement):
-        return None, -1.0, tau, s
-    return direction, decrement, tau, s
+        return None, -1.0
+    return direction, decrement
 
 
 def _start_point(sig: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -393,10 +385,14 @@ def _barrier_path(
     _MU_SHRINK, and the path ends once it is centred at _MU_FLOOR.  After
     a cut, if the last step moved, the next step keeps the old weight on
     the barrier curvature: that is the tangent step of the central path
-    toward the new weight.  Every iterate is strictly feasible, so no
-    projection is needed.  Returns the best iterate and the step count.
+    toward the new weight.  The backtracking search from t = 1 accepts
+    only points where rho and rho^PT are both positive definite, so every
+    iterate is strictly feasible and no projection is needed; the spectra
+    of the accepted point serve the next step.  Returns the best iterate
+    and the step count.
     """
-    f_cur, w, u, overlaps = _objective_and_spec(sig, rho, sigma_term)
+    # the closed-form start is strictly feasible by construction
+    f_cur, w, u, overlaps, s, v = _objective_and_spec(sig, rho, sigma_term, da, db)
     grad = _gradient(w, u, overlaps)
     best_f = f_cur
     best_rho = rho
@@ -406,47 +402,29 @@ def _barrier_path(
     iterations = 0
     while iterations < opts.max_iters:
         iterations += 1
-        direction, decrement, tau, s = _newton_step(
-            rho, w, u, overlaps, grad, mu, da, db, mu_curv
-        )
+        direction, decrement = _newton_step(w, u, overlaps, s, v, grad, mu, da, db, mu_curv)
         mu_curv = None
         moved = False
         # a decrement at the rounding level of the objective cannot pass
         # the Armijo test, though the step still moves rho by about its
         # square root: take it once it is feasible
         centred = direction is not None and abs(decrement) <= rounding
-        t = 0.0
         if direction is not None and (decrement > 0.0 or centred):
-            cap = min(
-                _chol_step_cap(rho, direction),
-                _chol_step_cap(tau, _partial_transpose_b(direction, da, db)),
-            )
-            t = min(1.0, 0.95 * cap)
-        # a zero cap means a Cholesky factorisation failed: no step to take
-        if t > 0.0:
-            barrier_cur = float(np.sum(np.log(w))) + float(np.sum(np.log(s)))
-            model_cur = f_cur - mu * barrier_cur
-            for _ in range(_MAX_BACKTRACKS):
+            model_cur = f_cur - mu * (float(np.sum(np.log(w))) + float(np.sum(np.log(s))))
+            t = 1.0
+            while t >= 1e-16:
                 candidate = rho + t * direction
-                w2, u2 = _eigh(candidate)
-                if w2[0] > 0.0:
-                    s2 = _eigh(_partial_transpose_b(candidate, da, db))[0]
-                    if s2[0] > 0.0:
-                        overlaps2 = u2.conj().T @ sig @ u2
-                        f_new = sigma_term - float(
-                            np.real(np.sum(np.diag(overlaps2) * np.log(w2)))
-                        )
-                        model_new = f_new - mu * (
-                            float(np.sum(np.log(w2))) + float(np.sum(np.log(s2)))
-                        )
-                        if centred or model_new <= model_cur - opts.armijo_slope * t * decrement:
-                            moved = True
-                            break
+                trial = _objective_and_spec(sig, candidate, sigma_term, da, db)
+                if trial is not None:
+                    f_new, w2, _, _, s2, _ = trial
+                    model_new = f_new - mu * (float(np.sum(np.log(w2))) + float(np.sum(np.log(s2))))
+                    if centred or model_new <= model_cur - opts.armijo_slope * t * decrement:
+                        moved = True
+                        break
                 t *= 0.5
-                if t < 1e-16:
-                    break
             if moved:
-                rho, f_cur, w, u, overlaps = candidate, f_new, w2, u2, overlaps2
+                rho = candidate
+                f_cur, w, u, overlaps, s, v = trial
                 grad = _gradient(w, u, overlaps)
                 # values within rounding are ties, which the later iterate,
                 # further along the path, wins
@@ -493,7 +471,7 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
     best_rho, iterations = _barrier_path(
         sig, sigma_term, _start_point(sig, da, db), da, db, opts
     )
-    f_best, w, u, overlaps = _objective_and_spec(sig, best_rho, sigma_term)
+    f_best, w, u, overlaps, _, _ = _objective_and_spec(sig, best_rho, sigma_term, da, db)
     grad_norm = _stationarity(best_rho, _gradient(w, u, overlaps), da, db, opts)
     converged = grad_norm < opts.grad_tol
     if iterations >= opts.max_iters and not converged:

@@ -7,7 +7,7 @@ from reelab.entropy import lemma2_bound, relative_entropy, von_neumann_entropy
 from reelab.criteria import ppt_criterion
 from reelab.errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
 from reelab import solver
-from reelab.hermitian import HermitianMatrix, _eigh
+from reelab.hermitian import HermitianMatrix
 from reelab.solver import (
     ReeOptions,
     bell_diagonal_ree_oracle,
@@ -226,9 +226,10 @@ def test_ree_budget_exhaustion_flagged():
 
 
 def test_ree_eigh_budget(monkeypatch):
-    # the barrier path from a closed-form start takes 200 and 228 calls on
-    # these inputs; with descent steps mixed in they took up to 1,351 and
-    # 27,528
+    # the barrier path decomposes each point once, in its line search,
+    # and takes 96 and 112 calls on these inputs; a Cholesky step cap
+    # and a second decomposition in the Newton step took 200 and 228, and
+    # descent steps mixed in up to 1,351 and 27,528
     calls = 0
     inner = solver._eigh
 
@@ -239,8 +240,8 @@ def test_ree_eigh_budget(monkeypatch):
 
     monkeypatch.setattr(solver, "_eigh", counted)
     cases = [
-        (random_density(4, 4, 3).tagged(2, 2), 700),
-        (random_density(6, 2, 0).tagged(2, 3), 1000),
+        (random_density(4, 4, 3).tagged(2, 2), 150),
+        (random_density(6, 2, 0).tagged(2, 3), 170),
     ]
     for sigma, budget in cases:
         calls = 0
@@ -319,10 +320,9 @@ def test_newton_hessian_matches_dense_reference():
         d = da * db
         sig = random_density(d, 2, 40 + d).mat
         rho = 0.5 * random_density(d, d, 60 + d).mat + 0.5 * np.eye(d) / d
-        tau = solver._partial_transpose_b(rho, da, db)
-        s, v = _eigh(tau)
-        assert s[0] > 0.0
-        _, w, u, overlaps = solver._objective_and_spec(sig, rho, 0.0)
+        spec = solver._objective_and_spec(sig, rho, 0.0, da, db)
+        assert spec is not None
+        _, w, u, overlaps, s, v = spec
         rho_inv = (u * (1.0 / w)) @ u.conj().T
         tau_inv = (v * (1.0 / s)) @ v.conj().T
         mu = 3e-3
@@ -336,7 +336,9 @@ def test_newton_hessian_matches_dense_reference():
         h = 1e-5
         grads = []
         for sign in (1.0, -1.0):
-            _, w2, u2, overlaps2 = solver._objective_and_spec(sig, rho + sign * h * dirn, 0.0)
+            _, w2, u2, overlaps2, _, _ = solver._objective_and_spec(
+                sig, rho + sign * h * dirn, 0.0, da, db
+            )
             grads.append(solver._gradient(w2, u2, overlaps2))
         fd = (grads[0] - grads[1]) / (2.0 * h)
         sigma_part = solver._newton_hessian(w, u, overlaps, rho_inv, tau_inv, 0.0, da, db)
