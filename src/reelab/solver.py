@@ -13,11 +13,13 @@ eigenvalues of rho and rho^PT are all positive, so every iterate is
 strictly inside both cones and the path needs no projection.  Each point
 is decomposed once: the two eigh calls of its trial serve the next
 Newton step, which costs O(d^5) to assemble its d^2 x d^2 Hessian from
-eigenframe factors and O(d^6) for the dense bordered solve.  Alternating
-projections (Dykstra) onto the density set and the partial-transpose
-image of the density set serve the public projection helpers and the
-stationarity test.  Internals work on raw ndarrays in natural-log units;
-results are converted to bits at the boundary.
+eigenframe factors and O(d^6) for the dense bordered solve, and, at the
+returned point, the stationarity test.  Alternating projections
+(Dykstra) onto the density set and the partial-transpose image of the
+density set serve the public projection helpers and that test.  Every
+tolerance is a module constant; callers set only the two budgets.
+Internals work on raw ndarrays in natural-log units; results are
+converted to bits at the boundary.
 """
 
 from __future__ import annotations
@@ -50,45 +52,13 @@ _YY_FLIP = np.array(
 
 
 @dataclass(frozen=True)
-class ReeOptions:
-    """Tuning knobs for the REE minimization.
-
-    ``max_iters`` bounds the barrier Newton steps.  ``armijo_slope`` is the
-    sufficient-decrease fraction of their line search.  ``grad_tol`` is
-    the stationarity tolerance, measured at the reference step
-    ``armijo_step``; ``dykstra_*`` is the budget of the projection that
-    test makes.  All fields must be positive.
-    """
-
-    max_iters: int = 5000
-    grad_tol: float = 1e-7
-    dykstra_max: int = 500
-    dykstra_tol: float = 1e-11
-    armijo_slope: float = 1e-4
-    armijo_step: float = 1.0
-
-    def __post_init__(self):
-        for name in (
-            "max_iters",
-            "grad_tol",
-            "dykstra_max",
-            "dykstra_tol",
-            "armijo_slope",
-            "armijo_step",
-        ):
-            value = getattr(self, name)
-            if not value > 0:
-                raise InputError(f"{name} must be positive, got {value!r}")
-
-
-@dataclass(frozen=True)
 class ReeResult:
     """Outcome of one minimization run.
 
     ``value_bits`` is the attained relative entropy in bits and
     ``closest_state`` the minimizing density matrix.  ``converged`` is set
-    when the projected-gradient norm fell under the tolerance before the
-    iteration budget ran out.
+    when the projected-gradient displacement ``final_grad_norm`` at that
+    state is below _STATIONARY_TOL.
     """
 
     value_bits: float
@@ -119,13 +89,14 @@ def _project_ppt_arr(mat: np.ndarray, da: int, db: int) -> np.ndarray:
     return _partial_transpose_b(_project_density_arr(flipped), da, db)
 
 
-def _dykstra_arr(
-    mat: np.ndarray, da: int, db: int, max_sweeps: int, tol: float
-) -> tuple[np.ndarray, int, bool]:
+_DYKSTRA_TOL = 1e-11
+
+
+def _dykstra_arr(mat: np.ndarray, da: int, db: int, max_sweeps: int) -> tuple[np.ndarray, int, bool]:
     """Alternating projections with correction terms onto density AND PPT.
 
     Each sweep ends on the density-set projection, so the returned iterate
-    is exactly unit-trace PSD and PPT up to the convergence tolerance.
+    is exactly unit-trace PSD and PPT up to _DYKSTRA_TOL.
     """
     current = mat
     corr_ppt = np.zeros_like(mat)
@@ -139,7 +110,7 @@ def _dykstra_arr(
         corr_den = shifted - onto_den
         delta = float(np.linalg.norm(onto_den - current))
         current = onto_den
-        if delta < tol:
+        if delta < _DYKSTRA_TOL:
             return current, sweep, True
     return current, max_sweeps, False
 
@@ -171,20 +142,22 @@ def project_ppt(h: HermitianMatrix, dims) -> HermitianMatrix:
     return HermitianMatrix(_project_ppt_arr(h.mat, bdims.da, bdims.db))
 
 
-def dykstra_ppt_density(h: HermitianMatrix, dims, opts: ReeOptions | None = None) -> DensityMatrix:
+def dykstra_ppt_density(h: HermitianMatrix, dims, max_sweeps: int = 500) -> DensityMatrix:
     """Project onto the set of PPT density matrices.
 
-    Non-convergence within the sweep budget is reported through a
-    ConvergenceWarning; the last iterate is still returned so the caller
-    can decide what to do with it.
+    A sweep that moves the iterate by less than _DYKSTRA_TOL ends the
+    projection.  Non-convergence within max_sweeps sweeps, which must be
+    positive, is reported through a ConvergenceWarning; the last iterate
+    is still returned so the caller can decide what to do with it.
     """
-    opts = opts or ReeOptions()
+    if not max_sweeps > 0:
+        raise InputError(f"max_sweeps must be positive, got {max_sweeps!r}")
     bdims = _as_dims(dims)
     if bdims is None:
         raise ShapeError("bipartite dimensions are required")
     if bdims.total != h.dim:
         raise ShapeError(f"dims {bdims.da}x{bdims.db} do not match dimension {h.dim}")
-    out, sweeps, ok = _dykstra_arr(h.mat, bdims.da, bdims.db, opts.dykstra_max, opts.dykstra_tol)
+    out, sweeps, ok = _dykstra_arr(h.mat, bdims.da, bdims.db, max_sweeps)
     if not ok:
         warnings.warn(
             f"alternating projection stopped on budget after {sweeps} sweeps",
@@ -235,6 +208,12 @@ _MU_SHRINK = 0.2
 # Newton decrement below it cannot pass the barrier model's Armijo test,
 # and objective values closer than it are ties
 _DECREMENT_FLOOR = 1e-14
+# sufficient-decrease fraction of the line search's Armijo test
+_ARMIJO_SLOPE = 1e-4
+# a solve has converged when one unit gradient step, projected back onto
+# the PPT states within _STATIONARY_SWEEPS sweeps, moves rho less than this
+_STATIONARY_TOL = 1e-7
+_STATIONARY_SWEEPS = 500
 
 
 def _neg_log_dd2(w: np.ndarray) -> np.ndarray:
@@ -368,16 +347,15 @@ def _start_point(sig: np.ndarray, da: int, db: int) -> np.ndarray:
     return (1.0 - t) * sig + t * (np.eye(d, dtype=complex) / d)
 
 
-def _stationarity(rho: np.ndarray, grad: np.ndarray, da: int, db: int, opts: ReeOptions) -> float:
-    """Projected-gradient displacement at rho per unit of the reference step."""
-    step_ref = opts.armijo_step
-    reference = _dykstra_arr(rho - step_ref * grad, da, db, opts.dykstra_max, opts.dykstra_tol)[0]
-    return float(np.linalg.norm(reference - rho)) / step_ref
+def _stationarity(rho: np.ndarray, grad: np.ndarray, da: int, db: int) -> float:
+    """Displacement of rho by one unit gradient step projected back onto the PPT states."""
+    reference = _dykstra_arr(rho - grad, da, db, _STATIONARY_SWEEPS)[0]
+    return float(np.linalg.norm(reference - rho))
 
 
 def _barrier_path(
-    sig: np.ndarray, sigma_term: float, rho: np.ndarray, da: int, db: int, opts: ReeOptions
-) -> tuple[np.ndarray, int]:
+    sig: np.ndarray, sigma_term: float, rho: np.ndarray, da: int, db: int, max_iters: int
+) -> tuple[np.ndarray, float, np.ndarray, int]:
     """Follow the logarithmic-barrier path of both cones from a strictly feasible rho.
 
     At each barrier weight mu, damped Newton steps run until the decrement
@@ -389,18 +367,18 @@ def _barrier_path(
     only points where rho and rho^PT are both positive definite, so every
     iterate is strictly feasible and no projection is needed; the spectra
     of the accepted point serve the next step.  Returns the best iterate
-    and the step count.
+    with its objective value and gradient, and the step count.
     """
     # the closed-form start is strictly feasible by construction
     f_cur, w, u, overlaps, s, v = _objective_and_spec(sig, rho, sigma_term, da, db)
     grad = _gradient(w, u, overlaps)
     best_f = f_cur
-    best_rho = rho
+    best = (rho, f_cur, grad)
     rounding = _DECREMENT_FLOOR * max(1.0, abs(sigma_term))
     mu = _MU_INIT
     mu_curv = None
     iterations = 0
-    while iterations < opts.max_iters:
+    while iterations < max_iters:
         iterations += 1
         direction, decrement = _newton_step(w, u, overlaps, s, v, grad, mu, da, db, mu_curv)
         mu_curv = None
@@ -418,7 +396,7 @@ def _barrier_path(
                 if trial is not None:
                     f_new, w2, _, _, s2, _ = trial
                     model_new = f_new - mu * (float(np.sum(np.log(w2))) + float(np.sum(np.log(s2))))
-                    if centred or model_new <= model_cur - opts.armijo_slope * t * decrement:
+                    if centred or model_new <= model_cur - _ARMIJO_SLOPE * t * decrement:
                         moved = True
                         break
                 t *= 0.5
@@ -430,7 +408,7 @@ def _barrier_path(
                 # further along the path, wins
                 if f_cur <= best_f + rounding:
                     best_f = min(best_f, f_cur)
-                    best_rho = rho
+                    best = (rho, f_cur, grad)
         # centred for mu once the decrement is small on the barrier scale
         # or no step was possible
         if (not moved) or decrement < 0.25 * mu:
@@ -441,10 +419,10 @@ def _barrier_path(
             if moved:
                 mu_curv = mu
             mu = max(_MU_SHRINK * mu, _MU_FLOOR)
-    return best_rho, iterations
+    return (*best, iterations)
 
 
-def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
+def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     """Minimize S(sigma||rho) over PPT density matrices rho.
 
     The solve starts at the closed-form strictly feasible mix of sigma
@@ -455,11 +433,13 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
     The reported value is in bits, evaluated at the best iterate of the
     path, which is the returned closest state; it is positive definite
     with a positive definite partial transpose, so the value is always an
-    upper bound on the minimum.  Convergence means the projected-gradient
-    displacement at that state, per unit of the reference step
-    armijo_step, fell below grad_tol.
+    upper bound on the minimum.  max_iters, which must be positive,
+    bounds the Newton steps.  Convergence means that one unit gradient
+    step from that state, projected back onto the PPT states, moves it
+    less than _STATIONARY_TOL.
     """
-    opts = opts or ReeOptions()
+    if not max_iters > 0:
+        raise InputError(f"max_iters must be positive, got {max_iters!r}")
     bdims = _require_bipartite(sigma)
     da, db = bdims.da, bdims.db
     d = bdims.total
@@ -468,13 +448,12 @@ def ree_ppt(sigma: DensityMatrix, opts: ReeOptions | None = None) -> ReeResult:
 
     sig = sigma.mat
     sigma_term = _entropy_term_nat(sig)
-    best_rho, iterations = _barrier_path(
-        sig, sigma_term, _start_point(sig, da, db), da, db, opts
+    best_rho, f_best, grad, iterations = _barrier_path(
+        sig, sigma_term, _start_point(sig, da, db), da, db, max_iters
     )
-    f_best, w, u, overlaps, _, _ = _objective_and_spec(sig, best_rho, sigma_term, da, db)
-    grad_norm = _stationarity(best_rho, _gradient(w, u, overlaps), da, db, opts)
-    converged = grad_norm < opts.grad_tol
-    if iterations >= opts.max_iters and not converged:
+    grad_norm = _stationarity(best_rho, grad, da, db)
+    converged = grad_norm < _STATIONARY_TOL
+    if iterations >= max_iters and not converged:
         warnings.warn(
             f"ree_ppt stopped on the iteration budget after {iterations} steps",
             ConvergenceWarning,

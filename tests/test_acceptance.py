@@ -133,7 +133,7 @@ def test_criterion_03_pure_state_value(pure_trials):
         worst_solver = max(worst_solver, abs(res.value_bits - reduced))
         closed = relative_entropy(sigma, closest_state_for_pure(psi))
         worst_closed = max(worst_closed, abs(closed - reduced))
-    assert worst_solver <= 1e-3
+    assert worst_solver <= 1e-8
     assert worst_closed <= 1e-9
     print(
         f"criterion 3: PASS solver dev {worst_solver:.3e}, "
@@ -150,7 +150,7 @@ def test_criterion_04_lower_bound_ensemble():
         res = ree_ppt(sigma)
         assert res.value_bits >= 0.0
         worst = min(worst, res.value_bits - lemma2_bound(sigma))
-    assert worst >= -1e-6
+    assert worst >= -1e-9
     print(f"criterion 4: PASS worst bound slack {worst:.3e}, {time.time() - t0:.1f}s")
 
 
@@ -163,7 +163,7 @@ def test_criterion_05_formation_entropy_bound():
         res = ree_ppt(sigma)
         slack = res.value_bits - (eof_two_qubit(sigma) - von_neumann_entropy(sigma))
         worst = min(worst, slack)
-    assert worst >= -1e-4
+    assert worst >= -1e-9
     print(f"criterion 5: PASS worst slack {worst:.3e}, {time.time() - t0:.1f}s")
 
 
@@ -182,7 +182,7 @@ def test_criterion_06_additivity_on_pure_pairs():
         r2 = ree_ppt(psi2.density()).value_bits
         r12 = ree_ppt(joint).value_bits
         worst = max(worst, abs(r12 - r1 - r2))
-    assert worst <= 5e-3
+    assert worst <= 1e-8
     print(f"criterion 6: PASS worst additivity dev {worst:.3e}, {time.time() - t0:.1f}s")
 
 
@@ -206,7 +206,7 @@ def test_criterion_07_closest_state_reduction(pure_trials):
                     partial_trace_A(res.closest_state).mat, partial_trace_A(sigma).mat
                 ),
             )
-    assert worst <= 1e-3
+    assert worst <= 1e-8
     print(f"criterion 7: PASS worst reduction distance {worst:.3e}, {time.time() - t0:.1f}s")
 
 

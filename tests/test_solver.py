@@ -9,7 +9,6 @@ from reelab.errors import ConvergenceWarning, InputError, NormalizationError, Sh
 from reelab import solver
 from reelab.hermitian import HermitianMatrix
 from reelab.solver import (
-    ReeOptions,
     bell_diagonal_ree_oracle,
     closest_state_for_pure,
     dykstra_ppt_density,
@@ -119,16 +118,15 @@ def test_dykstra_is_frobenius_nearest_for_bell_diagonal():
 
 
 def test_dykstra_warns_on_budget():
-    opts = ReeOptions(dykstra_max=1, dykstra_tol=1e-15)
     with pytest.warns(ConvergenceWarning):
-        dykstra_ppt_density(HermitianMatrix(singlet().mat), (2, 2), opts)
+        dykstra_ppt_density(HermitianMatrix(singlet().mat), (2, 2), max_sweeps=1)
 
 
 def test_ree_options_validation():
     with pytest.raises(InputError):
-        ReeOptions(max_iters=0)
+        ree_ppt(singlet(), max_iters=0)
     with pytest.raises(InputError):
-        ReeOptions(grad_tol=-1.0)
+        dykstra_ppt_density(HermitianMatrix(singlet().mat), (2, 2), max_sweeps=0)
 
 
 def test_ree_singlet():
@@ -212,7 +210,7 @@ def test_ree_reported_value_monotone_in_budget():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         for budget in (1, 2, 4, 8, 16, 32, 64, 128):
-            res = ree_ppt(sigma, ReeOptions(max_iters=budget))
+            res = ree_ppt(sigma, max_iters=budget)
             assert res.value_bits <= previous + 1e-7
             previous = res.value_bits
 
@@ -220,16 +218,17 @@ def test_ree_reported_value_monotone_in_budget():
 def test_ree_budget_exhaustion_flagged():
     psi = pure_from_schmidt([np.sqrt(0.9), np.sqrt(0.1)], (2, 2))
     with pytest.warns(ConvergenceWarning):
-        res = ree_ppt(psi.density(), ReeOptions(max_iters=3))
+        res = ree_ppt(psi.density(), max_iters=3)
     assert not res.converged
     assert res.iterations == 3
 
 
 def test_ree_eigh_budget(monkeypatch):
     # the barrier path decomposes each point once, in its line search,
-    # and takes 96 and 112 calls on these inputs; a Cholesky step cap
-    # and a second decomposition in the Newton step took 200 and 228, and
-    # descent steps mixed in up to 1,351 and 27,528
+    # and takes 94 and 110 calls on these inputs; decomposing the
+    # returned point again took 96 and 112, a Cholesky step cap and a
+    # second decomposition in the Newton step 200 and 228, and descent
+    # steps mixed in up to 1,351 and 27,528
     calls = 0
     inner = solver._eigh
 
