@@ -50,7 +50,14 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_USAGE = 64
 
-_FAMILIES = ("singlet", "werner", "bell_diagonal", "random", "pure_schmidt")
+# each family with the flags it takes
+_FAMILIES = {
+    "singlet": set(),
+    "werner": {"F"},
+    "bell_diagonal": {"weights"},
+    "random": {"dims", "seed", "rank"},
+    "pure_schmidt": {"alpha", "dims"},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,6 +133,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# argparse parsers keep no state between parse_args calls, so one serves
+# every call of main
+_PARSER = _build_parser()
+
+
 def _cmd_compute(args) -> int:
     try:
         state = load_state(args.state)
@@ -177,9 +189,9 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, parser: _Parser) -> int:
+def _cmd_verify(args) -> int:
     if args.suite not in SUITE_NAMES:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         print(
             f"reelab: unknown suite {args.suite!r}; expected one of "
             + ", ".join(SUITE_NAMES),
@@ -224,16 +236,16 @@ def _cmd_verify(args, parser: _Parser) -> int:
     return EXIT_OK if result.all_pass else EXIT_FAILURES
 
 
-def _flag_clash(args, family: str, allowed: set[str]) -> str | None:
+def _flag_clash(args, family: str) -> None:
+    """Raise InputError naming every given flag that the family does not take."""
     given = {
         name
         for name in ("F", "weights", "alpha", "dims", "seed", "rank")
         if getattr(args, name) is not None
     }
-    extra = sorted(given - allowed)
+    extra = sorted(given - _FAMILIES[family])
     if extra:
-        return f"family {family!r} does not take --" + ", --".join(extra)
-    return None
+        raise InputError(f"family {family!r} does not take --" + ", --".join(extra))
 
 
 def _cmd_mkstate(args) -> int:
@@ -246,38 +258,24 @@ def _cmd_mkstate(args) -> int:
         )
         return EXIT_USAGE
     try:
+        _flag_clash(args, family)
         if family == "singlet":
-            clash = _flag_clash(args, family, set())
-            if clash:
-                raise InputError(clash)
             state = singlet()
         elif family == "werner":
-            clash = _flag_clash(args, family, {"F"})
-            if clash:
-                raise InputError(clash)
             if args.F is None:
                 raise InputError("werner needs --F")
             state = werner(args.F)
         elif family == "bell_diagonal":
-            clash = _flag_clash(args, family, {"weights"})
-            if clash:
-                raise InputError(clash)
             if args.weights is None:
                 raise InputError("bell_diagonal needs --weights p0,p1,p2,p3")
             state = bell_diagonal(_parse_weights(args.weights, "--weights"))
         elif family == "random":
-            clash = _flag_clash(args, family, {"dims", "seed", "rank"})
-            if clash:
-                raise InputError(clash)
             if args.dims is None or args.seed is None:
                 raise InputError("random needs --dims and --seed")
             dims = _parse_dims(args.dims)
             rank = dims.total if args.rank is None else args.rank
             state = random_density(dims.total, rank, args.seed).tagged(dims.da, dims.db)
         else:
-            clash = _flag_clash(args, family, {"alpha", "dims"})
-            if clash:
-                raise InputError(clash)
             if args.alpha is None or args.dims is None:
                 raise InputError("pure_schmidt needs --alpha and --dims")
             dims = _parse_dims(args.dims)
@@ -298,15 +296,14 @@ def _cmd_mkstate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "compute":
         return _cmd_compute(args)
     if args.command == "verify":
-        return _cmd_verify(args, parser)
+        return _cmd_verify(args)
     if args.command == "mkstate":
         return _cmd_mkstate(args)
-    parser.print_usage(sys.stderr)
+    _PARSER.print_usage(sys.stderr)
     return EXIT_USAGE
 
 

@@ -123,7 +123,6 @@ def operator_monotone_search(
     for trial in range(trials):
         if trial == 0 and f.domain_lower < 0:
             a_mat, b_mat = _canonical_pair(dim)
-            wa = _eigh(a_mat)[0]
             wb, ub = _eigh(b_mat)
             fa = _matrix_apply(f, *_eigh(a_mat))
             fb = _matrix_apply(f, wb, ub)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InputError, ShapeError
+from .errors import InputError, ShapeError
 from .hermitian import HermitianMatrix, _eigh, loewner_geq, matrix_log
 from .states import DensityMatrix, partial_trace_A, partial_trace_B
 
@@ -102,17 +102,12 @@ def log_order_check(rho: DensityMatrix, tol: float = 1e-9) -> bool:
     Natural logs; the verdict is base-independent. Requires rho_AB full
     rank (DomainError otherwise) - callers regularize if needed.
     """
-    _, db = _require_dims_pair(rho)
+    # the partial trace comes first: it raises ShapeError on an untagged state
+    rho_a = partial_trace_B(rho)
     log_joint = matrix_log(rho.matrix)
-    log_a = matrix_log(partial_trace_B(rho).matrix)
-    lifted = HermitianMatrix(np.kron(log_a.mat, np.eye(db)))
+    log_a = matrix_log(rho_a.matrix)
+    lifted = HermitianMatrix(np.kron(log_a.mat, np.eye(rho.dims.db)))
     return loewner_geq(lifted, log_joint, tol)
-
-
-def _require_dims_pair(rho: DensityMatrix) -> tuple[int, int]:
-    if rho.dims is None:
-        raise ShapeError("operation requires a state with bipartite dims")
-    return rho.dims.da, rho.dims.db
 
 
 def lemma2_bound(sigma: DensityMatrix) -> float:
@@ -121,7 +116,6 @@ def lemma2_bound(sigma: DensityMatrix) -> float:
     A lower bound on the relative entropy of entanglement; vacuous
     (negative) for weakly correlated states, tight for pure ones.
     """
-    _require_dims_pair(sigma)
     s_joint = von_neumann_entropy(sigma)
     s_a = von_neumann_entropy(partial_trace_B(sigma))
     s_b = von_neumann_entropy(partial_trace_A(sigma))

@@ -176,15 +176,15 @@ def matrix_function(h: HermitianMatrix, f: ScalarFunction) -> HermitianMatrix:
     return HermitianMatrix((u * fw) @ u.conj().T)
 
 
-def matrix_log(h: HermitianMatrix, psd_tol: float = PSD_TOL) -> HermitianMatrix:
+def matrix_log(h: HermitianMatrix) -> HermitianMatrix:
     """Natural-log matrix function; base conversion is the caller's concern.
 
-    Requires a positive definite input: min eigenvalue must exceed
-    psd_tol, otherwise DomainError.
+    Requires a positive definite input: the min eigenvalue must exceed
+    PSD_TOL (1e-9), otherwise DomainError.
     """
     dec = eig_hermitian(h)
     w = dec.eigenvalues
-    if w[0] <= psd_tol:
+    if w[0] <= PSD_TOL:
         raise DomainError(
             f"matrix log needs a positive definite input; min eigenvalue {w[0]:.6g}",
             eigenvalue=float(w[0]),

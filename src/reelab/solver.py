@@ -16,7 +16,7 @@ Newton step, which costs O(d^5) to assemble its d^2 x d^2 Hessian from
 eigenframe factors and O(d^6) for the dense bordered solve, and, at the
 returned point, the stationarity test.  Alternating projections
 (Dykstra) onto the density set and the partial-transpose image of the
-density set serve the public projection helpers and that test.  Every
+density set serve dykstra_ppt_density and that test.  Every
 tolerance is a module constant; callers set only the two budgets.
 Internals work on raw ndarrays in natural-log units; results are
 converted to bits at the boundary.
@@ -33,13 +33,7 @@ import numpy as np
 from .entropy import EIG_ZERO_TOL, _LN2
 from .errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
 from .hermitian import HermitianMatrix, _eigh, _log_divided_differences
-from .states import (
-    BipartiteDims,
-    DensityMatrix,
-    PureState,
-    _as_dims,
-    _partial_transpose_b,
-)
+from .states import DensityMatrix, PureState, _as_dims, _partial_transpose_b
 
 _YY_FLIP = np.array(
     [
@@ -113,33 +107,6 @@ def _dykstra_arr(mat: np.ndarray, da: int, db: int, max_sweeps: int) -> tuple[np
         if delta < _DYKSTRA_TOL:
             return current, sweep, True
     return current, max_sweeps, False
-
-
-def _require_bipartite(state) -> BipartiteDims:
-    dims = getattr(state, "dims", None)
-    if dims is None:
-        raise ShapeError("state carries no bipartite dimensions")
-    return dims
-
-
-def project_density(h: HermitianMatrix) -> DensityMatrix:
-    """Nearest density matrix in Frobenius distance.
-
-    Eigenvalues are projected onto the probability simplex while the
-    eigenbasis is kept, e.g. diag(2, 0) -> diag(1, 0) and
-    diag(0.6, 0.6) -> diag(0.5, 0.5).
-    """
-    return DensityMatrix(_project_density_arr(h.mat))
-
-
-def project_ppt(h: HermitianMatrix, dims) -> HermitianMatrix:
-    """Nearest matrix whose partial transpose is a density matrix."""
-    bdims = _as_dims(dims)
-    if bdims is None:
-        raise ShapeError("bipartite dimensions are required")
-    if bdims.total != h.dim:
-        raise ShapeError(f"dims {bdims.da}x{bdims.db} do not match dimension {h.dim}")
-    return HermitianMatrix(_project_ppt_arr(h.mat, bdims.da, bdims.db))
 
 
 def dykstra_ppt_density(h: HermitianMatrix, dims, max_sweeps: int = 500) -> DensityMatrix:
@@ -440,7 +407,9 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     """
     if not max_iters > 0:
         raise InputError(f"max_iters must be positive, got {max_iters!r}")
-    bdims = _require_bipartite(sigma)
+    bdims = getattr(sigma, "dims", None)
+    if bdims is None:
+        raise ShapeError("state carries no bipartite dimensions")
     da, db = bdims.da, bdims.db
     d = bdims.total
     if d > 64:
@@ -476,7 +445,7 @@ def closest_state_for_pure(psi: PureState) -> DensityMatrix:
     singular-value decomposed and the squared singular values weight the
     corresponding product projectors.
     """
-    dims = _require_bipartite(psi)
+    dims = psi.dims
     amps = psi.amplitudes.reshape(dims.da, dims.db)
     left, svals, right = np.linalg.svd(amps)
     out = np.zeros((dims.total, dims.total), dtype=complex)

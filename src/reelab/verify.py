@@ -47,10 +47,10 @@ from .states import (
     _random_density_arr,
     partial_trace_A,
     partial_trace_B,
-    permute_systems,
     random_density,
     random_pure,
     random_separable,
+    tensor_bipartite,
 )
 
 DEFAULT_TOLERANCES = {
@@ -233,15 +233,10 @@ def _trial_corollary2(rng, dims, tol, trial):
     s1, s2 = _state_seeds(rng, 2)
     psi1 = random_pure(dims, s1)
     psi2 = random_pure(dims, s2)
-    da, db = dims.da, dims.db
-    joint = permute_systems(
-        DensityMatrix(np.kron(psi1.density().mat, psi2.density().mat)),
-        (0, 2, 1, 3),
-        (da, db, da, db),
-    ).tagged(da * da, db * db)
-    r1 = ree_ppt(psi1.density())
-    r2 = ree_ppt(psi2.density())
-    r12 = ree_ppt(joint)
+    rho1, rho2 = psi1.density(), psi2.density()
+    r1 = ree_ppt(rho1)
+    r2 = ree_ppt(rho2)
+    r12 = ree_ppt(tensor_bipartite(rho1, rho2))
     quantities = {
         "ree_left": r1.value_bits,
         "ree_product": r12.value_bits,

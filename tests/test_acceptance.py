@@ -15,7 +15,6 @@ from reelab.criteria import (
     MONOTONE_TOL,
     loewner_matrix_psd_check,
     operator_monotone_search,
-    ppt_criterion,
     reduction_criterion,
 )
 from reelab.entropy import (

@@ -187,3 +187,17 @@ def test_lemma2_bound():
     for seed in range(10):
         rho = random_density(6, 6, 300 + seed).tagged(2, 3)
         assert lemma2_bound(rho) <= np.log2(2) + 1e-12
+
+
+def test_bipartite_functionals_reject_untagged_state():
+    full_rank = random_density(4, 4, 9)
+    # rank deficient: the A|B split is checked before any matrix log
+    singular = DensityMatrix(singlet().mat)
+    for state in (full_rank, singular):
+        with pytest.raises(ShapeError):
+            lemma2_bound(state)
+        with pytest.raises(ShapeError):
+            log_order_check(state, 1e-9)
+        for side in ("A", "B"):
+            with pytest.raises(ShapeError):
+                negative_conditional_entropy(state, side)

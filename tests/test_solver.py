@@ -13,8 +13,6 @@ from reelab.solver import (
     closest_state_for_pure,
     dykstra_ppt_density,
     eof_two_qubit,
-    project_density,
-    project_ppt,
     ree_ppt,
 )
 from reelab.states import (
@@ -22,7 +20,6 @@ from reelab.states import (
     PureState,
     bell_diagonal,
     maximally_mixed,
-    partial_trace_A,
     partial_trace_B,
     pure_from_schmidt,
     random_density,
@@ -48,32 +45,6 @@ RANK2_2X3_REE = 0.2686356363933422
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
-
-
-def test_project_density_examples():
-    rho = random_density(3, 3, 5)
-    again = project_density(HermitianMatrix(rho.mat))
-    assert np.linalg.norm(again.mat - rho.mat) < 1e-12
-
-    spread = project_density(HermitianMatrix(np.diag([2.0, 0.0])))
-    assert np.allclose(spread.mat, np.diag([1.0, 0.0]), atol=1e-12)
-
-    flat = project_density(HermitianMatrix(np.diag([0.6, 0.6])))
-    assert np.allclose(flat.mat, np.diag([0.5, 0.5]), atol=1e-12)
-
-
-def test_project_ppt_examples():
-    sep = random_separable((2, 2), seed=3)
-    again = project_ppt(HermitianMatrix(sep.mat), (2, 2))
-    assert np.linalg.norm(again.mat - sep.mat) < 1e-12
-
-    proj = project_ppt(HermitianMatrix(singlet().mat), (2, 2))
-    assert ppt_criterion(DensityMatrix(proj.mat, (2, 2)), 1e-9).holds
-
-    with pytest.raises(ShapeError):
-        project_ppt(HermitianMatrix(singlet().mat), None)
-    with pytest.raises(ShapeError):
-        project_ppt(HermitianMatrix(singlet().mat), (3, 3))
 
 
 def test_dykstra_fixed_point_and_idempotence():
@@ -115,6 +86,14 @@ def test_dykstra_is_frobenius_nearest_for_bell_diagonal():
     best = float(np.min(np.linalg.norm(q - p, axis=1)))
     assert dist <= best + 1e-9
     assert dist >= best - 2.0 / n
+
+
+def test_dykstra_requires_matching_dims():
+    h = HermitianMatrix(singlet().mat)
+    with pytest.raises(ShapeError):
+        dykstra_ppt_density(h, None)
+    with pytest.raises(ShapeError):
+        dykstra_ppt_density(h, (3, 3))
 
 
 def test_dykstra_warns_on_budget():
