@@ -183,7 +183,7 @@ def _cmd_compute(args) -> int:
             f"ree_bits: {_fmt(res.value_bits)}",
             f"ree_converged: {_bool(res.converged)}",
             f"ree_iterations: {res.iterations}",
-            f"ree_grad_norm: {_fmt(res.final_grad_norm)}",
+            f"ree_lower_bits: {_fmt(res.lower_bits)}",
         ]
     print("\n".join(lines))
     return EXIT_OK

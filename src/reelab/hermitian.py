@@ -229,6 +229,11 @@ def _log_divided_differences(w: np.ndarray) -> np.ndarray:
     return np.where(near, 1.0 / wi, table)
 
 
+def _log_adjoint(w: np.ndarray, u: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """frechet_log_adjoint on arrays: U (L o overlaps) U' with overlaps = U' sigma U."""
+    return u @ (_log_divided_differences(w) * overlaps) @ u.conj().T
+
+
 def frechet_log_adjoint(rho: SpectralDecomposition, sigma: HermitianMatrix) -> HermitianMatrix:
     """Adjoint of the Frechet derivative of the matrix log at rho, applied to sigma.
 
@@ -246,8 +251,7 @@ def frechet_log_adjoint(rho: SpectralDecomposition, sigma: HermitianMatrix) -> H
     if sigma.dim != rho.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     u = rho.eigenvectors
-    m = u.conj().T @ sigma.mat @ u
-    return HermitianMatrix(u @ (_log_divided_differences(w) * m) @ u.conj().T)
+    return HermitianMatrix(_log_adjoint(w, u, u.conj().T @ sigma.mat @ u))
 
 
 def hs_inner(a: HermitianMatrix, b: HermitianMatrix) -> float:

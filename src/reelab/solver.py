@@ -13,13 +13,13 @@ eigenvalues of rho and rho^PT are all positive, so every iterate is
 strictly inside both cones and the path needs no projection.  Each point
 is decomposed once: the two eigh calls of its trial serve the next
 Newton step, which costs O(d^5) to assemble its d^2 x d^2 Hessian from
-eigenframe factors and O(d^6) for the dense bordered solve, and, at the
-returned point, the stationarity test.  Alternating projections
-(Dykstra) onto the density set and the partial-transpose image of the
-density set serve dykstra_ppt_density and that test.  Every
-tolerance is a module constant; callers set only the two budgets.
-Internals work on raw ndarrays in natural-log units; results are
-converted to bits at the boundary.
+eigenframe factors and O(d^6) for the dense bordered solve.  The best
+iterate gives an upper bound; the last Newton step, read as a
+primal-dual estimate of the PPT multiplier, gives a weak-duality lower
+bound (Boyd & Vandenberghe, 5.9 and 11.7), and the gap between the two
+certifies the solve.  Every tolerance is a module constant; callers set
+only the iteration budget.  Internals work on raw ndarrays in natural-log
+units; results are converted to bits at the boundary.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 
 from .entropy import EIG_ZERO_TOL, _LN2
 from .errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
-from .hermitian import HermitianMatrix, _eigh, _log_divided_differences
-from .states import DensityMatrix, PureState, _as_dims, _partial_transpose_b
+from .hermitian import _eigh, _log_adjoint, _log_divided_differences
+from .states import DensityMatrix, PureState, _partial_transpose_b
 
 _YY_FLIP = np.array(
     [
@@ -50,88 +50,17 @@ class ReeResult:
     """Outcome of one minimization run.
 
     ``value_bits`` is the attained relative entropy in bits and
-    ``closest_state`` the minimizing density matrix.  ``converged`` is set
-    when the projected-gradient displacement ``final_grad_norm`` at that
-    state is below _STATIONARY_TOL.
+    ``closest_state`` the minimizing density matrix, so the REE lies in
+    [``lower_bits``, ``value_bits``]: ``lower_bits`` is the weak-duality
+    lower bound in bits, floored at 0.  ``converged`` is set when that
+    certified gap is at most _GAP_TOL bits.
     """
 
     value_bits: float
     closest_state: DensityMatrix
     iterations: int
     converged: bool
-    final_grad_norm: float
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    shifted = np.cumsum(u) - 1.0
-    counts = np.arange(1, v.size + 1)
-    k = counts[u - shifted / counts > 0][-1]
-    tau = shifted[k - 1] / k
-    return np.clip(v - tau, 0.0, None)
-
-
-def _project_density_arr(mat: np.ndarray) -> np.ndarray:
-    w, u = _eigh(mat)
-    w = _project_simplex(w)
-    return (u * w) @ u.conj().T
-
-
-def _project_ppt_arr(mat: np.ndarray, da: int, db: int) -> np.ndarray:
-    flipped = _partial_transpose_b(mat, da, db)
-    return _partial_transpose_b(_project_density_arr(flipped), da, db)
-
-
-_DYKSTRA_TOL = 1e-11
-
-
-def _dykstra_arr(mat: np.ndarray, da: int, db: int, max_sweeps: int) -> tuple[np.ndarray, int, bool]:
-    """Alternating projections with correction terms onto density AND PPT.
-
-    Each sweep ends on the density-set projection, so the returned iterate
-    is exactly unit-trace PSD and PPT up to _DYKSTRA_TOL.
-    """
-    current = mat
-    corr_ppt = np.zeros_like(mat)
-    corr_den = np.zeros_like(mat)
-    for sweep in range(1, max_sweeps + 1):
-        shifted = current + corr_ppt
-        onto_ppt = _project_ppt_arr(shifted, da, db)
-        corr_ppt = shifted - onto_ppt
-        shifted = onto_ppt + corr_den
-        onto_den = _project_density_arr(shifted)
-        corr_den = shifted - onto_den
-        delta = float(np.linalg.norm(onto_den - current))
-        current = onto_den
-        if delta < _DYKSTRA_TOL:
-            return current, sweep, True
-    return current, max_sweeps, False
-
-
-def dykstra_ppt_density(h: HermitianMatrix, dims, max_sweeps: int = 500) -> DensityMatrix:
-    """Project onto the set of PPT density matrices.
-
-    A sweep that moves the iterate by less than _DYKSTRA_TOL ends the
-    projection.  Non-convergence within max_sweeps sweeps, which must be
-    positive, is reported through a ConvergenceWarning; the last iterate
-    is still returned so the caller can decide what to do with it.
-    """
-    if not max_sweeps > 0:
-        raise InputError(f"max_sweeps must be positive, got {max_sweeps!r}")
-    bdims = _as_dims(dims)
-    if bdims is None:
-        raise ShapeError("bipartite dimensions are required")
-    if bdims.total != h.dim:
-        raise ShapeError(f"dims {bdims.da}x{bdims.db} do not match dimension {h.dim}")
-    out, sweeps, ok = _dykstra_arr(h.mat, bdims.da, bdims.db, max_sweeps)
-    if not ok:
-        warnings.warn(
-            f"alternating projection stopped on budget after {sweeps} sweeps",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return DensityMatrix(out, dims=bdims)
+    lower_bits: float
 
 
 def _entropy_term_nat(mat: np.ndarray) -> float:
@@ -162,8 +91,7 @@ def _objective_and_spec(sig: np.ndarray, rho: np.ndarray, sigma_term: float, da:
 
 def _gradient(w: np.ndarray, u: np.ndarray, overlaps_full: np.ndarray) -> np.ndarray:
     """Gradient of rho -> -tr{sigma ln rho} at the current spectral data."""
-    ladder = _log_divided_differences(w)
-    g = -(u @ (ladder * overlaps_full) @ u.conj().T)
+    g = -_log_adjoint(w, u, overlaps_full)
     return (g + g.conj().T) / 2.0
 
 
@@ -177,10 +105,8 @@ _MU_SHRINK = 0.2
 _DECREMENT_FLOOR = 1e-14
 # sufficient-decrease fraction of the line search's Armijo test
 _ARMIJO_SLOPE = 1e-4
-# a solve has converged when one unit gradient step, projected back onto
-# the PPT states within _STATIONARY_SWEEPS sweeps, moves rho less than this
-_STATIONARY_TOL = 1e-7
-_STATIONARY_SWEEPS = 500
+# a solve has converged when its certified gap, in bits, is at most this
+_GAP_TOL = 1e-9
 
 
 def _neg_log_dd2(w: np.ndarray) -> np.ndarray:
@@ -314,15 +240,39 @@ def _start_point(sig: np.ndarray, da: int, db: int) -> np.ndarray:
     return (1.0 - t) * sig + t * (np.eye(d, dtype=complex) / d)
 
 
-def _stationarity(rho: np.ndarray, grad: np.ndarray, da: int, db: int) -> float:
-    """Displacement of rho by one unit gradient step projected back onto the PPT states."""
-    reference = _dykstra_arr(rho - grad, da, db, _STATIONARY_SWEEPS)[0]
-    return float(np.linalg.norm(reference - rho))
+def _dual_bound(
+    f: float,
+    rho: np.ndarray,
+    grad: np.ndarray,
+    s: np.ndarray,
+    v: np.ndarray,
+    direction: np.ndarray | None,
+    mu: float,
+    da: int,
+    db: int,
+) -> float:
+    """Weak-duality lower bound, in nats, on f over the PPT states.
+
+    By convexity, for any B >= 0 and PPT state x with tr x = 1,
+    f(x) >= f(rho) + <G, x - rho> - <B^PT, x> >= f(rho) - <G, rho> + lam_min(G - B^PT),
+    with G = grad at rho.  B is the Newton step's estimate of the PPT
+    multiplier, [mu tau^-1 - mu tau^-1 direction^PT tau^-1]_+ with tau = rho^PT
+    of eigenpairs (s, v), or 0 when the step failed.  d eps ||G - B^PT||_F
+    is subtracted for the rounding of lam_min.
+    """
+    dual = grad
+    if direction is not None:
+        tau_inv = (v * (1.0 / s)) @ v.conj().T
+        w_mult, q = _eigh(mu * tau_inv - mu * (tau_inv @ _partial_transpose_b(direction, da, db) @ tau_inv))
+        dual = grad - _partial_transpose_b((q * np.clip(w_mult, 0.0, None)) @ q.conj().T, da, db)
+    lam = float(_eigh(dual)[0][0])
+    slack = da * db * float(np.finfo(float).eps * np.linalg.norm(dual))
+    return f - float(np.real(np.vdot(grad, rho))) + lam - slack
 
 
 def _barrier_path(
     sig: np.ndarray, sigma_term: float, rho: np.ndarray, da: int, db: int, max_iters: int
-) -> tuple[np.ndarray, float, np.ndarray, int]:
+) -> tuple[np.ndarray, float, int, float]:
     """Follow the logarithmic-barrier path of both cones from a strictly feasible rho.
 
     At each barrier weight mu, damped Newton steps run until the decrement
@@ -334,13 +284,14 @@ def _barrier_path(
     only points where rho and rho^PT are both positive definite, so every
     iterate is strictly feasible and no projection is needed; the spectra
     of the accepted point serve the next step.  Returns the best iterate
-    with its objective value and gradient, and the step count.
+    with its objective value, the step count, and the lower bound of
+    _dual_bound from the last Newton step.
     """
     # the closed-form start is strictly feasible by construction
     f_cur, w, u, overlaps, s, v = _objective_and_spec(sig, rho, sigma_term, da, db)
     grad = _gradient(w, u, overlaps)
     best_f = f_cur
-    best = (rho, f_cur, grad)
+    best = (rho, f_cur)
     rounding = _DECREMENT_FLOOR * max(1.0, abs(sigma_term))
     mu = _MU_INIT
     mu_curv = None
@@ -348,6 +299,7 @@ def _barrier_path(
     while iterations < max_iters:
         iterations += 1
         direction, decrement = _newton_step(w, u, overlaps, s, v, grad, mu, da, db, mu_curv)
+        last_step = (f_cur, rho, grad, s, v, direction, mu)
         mu_curv = None
         moved = False
         # a decrement at the rounding level of the objective cannot pass
@@ -375,7 +327,7 @@ def _barrier_path(
                 # further along the path, wins
                 if f_cur <= best_f + rounding:
                     best_f = min(best_f, f_cur)
-                    best = (rho, f_cur, grad)
+                    best = (rho, f_cur)
         # centred for mu once the decrement is small on the barrier scale
         # or no step was possible
         if (not moved) or decrement < 0.25 * mu:
@@ -386,7 +338,7 @@ def _barrier_path(
             if moved:
                 mu_curv = mu
             mu = max(_MU_SHRINK * mu, _MU_FLOOR)
-    return (*best, iterations)
+    return (*best, iterations, _dual_bound(*last_step, da, db))
 
 
 def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
@@ -400,10 +352,10 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     The reported value is in bits, evaluated at the best iterate of the
     path, which is the returned closest state; it is positive definite
     with a positive definite partial transpose, so the value is always an
-    upper bound on the minimum.  max_iters, which must be positive,
-    bounds the Newton steps.  Convergence means that one unit gradient
-    step from that state, projected back onto the PPT states, moves it
-    less than _STATIONARY_TOL.
+    upper bound on the minimum.  The lower bound comes from the last
+    Newton step (_dual_bound), and convergence means the gap between the
+    two is at most _GAP_TOL bits.  max_iters, which must be positive,
+    bounds the Newton steps.
     """
     if not max_iters > 0:
         raise InputError(f"max_iters must be positive, got {max_iters!r}")
@@ -417,11 +369,12 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
 
     sig = sigma.mat
     sigma_term = _entropy_term_nat(sig)
-    best_rho, f_best, grad, iterations = _barrier_path(
+    best_rho, f_best, iterations, lower = _barrier_path(
         sig, sigma_term, _start_point(sig, da, db), da, db, max_iters
     )
-    grad_norm = _stationarity(best_rho, grad, da, db)
-    converged = grad_norm < _STATIONARY_TOL
+    value_bits = max(0.0, f_best) / _LN2
+    lower_bits = max(0.0, lower) / _LN2
+    converged = value_bits - lower_bits <= _GAP_TOL
     if iterations >= max_iters and not converged:
         warnings.warn(
             f"ree_ppt stopped on the iteration budget after {iterations} steps",
@@ -430,11 +383,11 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
         )
 
     return ReeResult(
-        value_bits=max(0.0, f_best) / _LN2,
+        value_bits=value_bits,
         closest_state=DensityMatrix(best_rho, dims=bdims),
         iterations=iterations,
         converged=converged,
-        final_grad_norm=grad_norm,
+        lower_bits=lower_bits,
     )
 
 

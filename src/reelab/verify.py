@@ -210,7 +210,8 @@ def _trial_lemma2(rng, dims, tol, trial):
     bound = lemma2_bound(sigma)
     quantities = {"bound": bound, "rank": float(rank), "ree": res.value_bits}
     quantities.update(_solve_diagnostics(res))
-    return quantities, min(res.value_bits - bound, res.value_bits)
+    # the certified lower bound, not the value, must clear the bound
+    return quantities, min(res.lower_bits - bound, res.lower_bits)
 
 
 def _trial_corollary1(rng, dims, tol, trial):

@@ -7,11 +7,9 @@ from reelab.entropy import lemma2_bound, relative_entropy, von_neumann_entropy
 from reelab.criteria import ppt_criterion
 from reelab.errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
 from reelab import solver
-from reelab.hermitian import HermitianMatrix
 from reelab.solver import (
     bell_diagonal_ree_oracle,
     closest_state_for_pure,
-    dykstra_ppt_density,
     eof_two_qubit,
     ree_ppt,
 )
@@ -47,65 +45,9 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
-def test_dykstra_fixed_point_and_idempotence():
-    sep = random_separable((2, 2), seed=11)
-    out = dykstra_ppt_density(HermitianMatrix(sep.mat), (2, 2))
-    assert np.linalg.norm(out.mat - sep.mat) < 1e-9
-
-    first = dykstra_ppt_density(HermitianMatrix(singlet().mat), (2, 2))
-    second = dykstra_ppt_density(HermitianMatrix(first.mat), (2, 2))
-    assert np.linalg.norm(second.mat - first.mat) < 1e-9
-
-
-def test_dykstra_output_satisfies_both_constraints():
-    for seed in range(8):
-        h = HermitianMatrix(random_density(4, 4, 40 + seed).mat - 0.1 * np.eye(4))
-        out = dykstra_ppt_density(h, (2, 2))
-        w = np.linalg.eigvalsh(out.mat)
-        assert w[0] >= -1e-8
-        assert abs(float(np.trace(out.mat).real) - 1.0) < 1e-8
-        assert ppt_criterion(out, 1e-8).holds
-
-
-def test_dykstra_is_frobenius_nearest_for_bell_diagonal():
-    # on Bell-diagonal inputs the projection stays Bell diagonal, where
-    # Frobenius distance reduces to euclidean distance between weight
-    # vectors and PPT to a 1/2 cap; an exhaustive simplex grid brackets
-    # the attainable minimum
-    p = np.array([0.80, 0.10, 0.06, 0.04])
-    state = bell_diagonal(p)
-    out = dykstra_ppt_density(HermitianMatrix(state.mat), (2, 2))
-    dist = np.linalg.norm(out.mat - state.mat)
-
-    n = 200
-    axis = np.arange(n // 2 + 1)
-    i, j, k = np.meshgrid(axis, axis, axis, indexing="ij")
-    m = n - i - j - k
-    ok = (m >= 0) & (m <= n // 2)
-    q = np.stack([i[ok], j[ok], k[ok], m[ok]], axis=1) / n
-    best = float(np.min(np.linalg.norm(q - p, axis=1)))
-    assert dist <= best + 1e-9
-    assert dist >= best - 2.0 / n
-
-
-def test_dykstra_requires_matching_dims():
-    h = HermitianMatrix(singlet().mat)
-    with pytest.raises(ShapeError):
-        dykstra_ppt_density(h, None)
-    with pytest.raises(ShapeError):
-        dykstra_ppt_density(h, (3, 3))
-
-
-def test_dykstra_warns_on_budget():
-    with pytest.warns(ConvergenceWarning):
-        dykstra_ppt_density(HermitianMatrix(singlet().mat), (2, 2), max_sweeps=1)
-
-
 def test_ree_options_validation():
     with pytest.raises(InputError):
         ree_ppt(singlet(), max_iters=0)
-    with pytest.raises(InputError):
-        dykstra_ppt_density(HermitianMatrix(singlet().mat), (2, 2), max_sweeps=0)
 
 
 def test_ree_singlet():
@@ -204,8 +146,9 @@ def test_ree_budget_exhaustion_flagged():
 
 def test_ree_eigh_budget(monkeypatch):
     # the barrier path decomposes each point once, in its line search,
-    # and takes 94 and 110 calls on these inputs; decomposing the
-    # returned point again took 96 and 112, a Cholesky step cap and a
+    # and the dual bound adds two calls: 92 and 108 on these inputs; a
+    # projected-gradient stationarity test took 94 and 110, decomposing
+    # the returned point again 96 and 112, a Cholesky step cap and a
     # second decomposition in the Newton step 200 and 228, and descent
     # steps mixed in up to 1,351 and 27,528
     calls = 0
@@ -218,8 +161,8 @@ def test_ree_eigh_budget(monkeypatch):
 
     monkeypatch.setattr(solver, "_eigh", counted)
     cases = [
-        (random_density(4, 4, 3).tagged(2, 2), 150),
-        (random_density(6, 2, 0).tagged(2, 3), 170),
+        (random_density(4, 4, 3).tagged(2, 2), 92),
+        (random_density(6, 2, 0).tagged(2, 3), 108),
     ]
     for sigma, budget in cases:
         calls = 0
@@ -246,24 +189,43 @@ def test_ree_newton_step_budget(monkeypatch):
     assert calls <= 40
 
 
-def test_ree_barrier_path_makes_no_projections(monkeypatch):
-    # the only projection is the stationarity test; handing the barrier
-    # point to descent took 44 and 95 projections on these inputs, and a
-    # projected start and returned point 3
-    calls = 0
-    inner = solver._dykstra_arr
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return inner(*args)
-
-    monkeypatch.setattr(solver, "_dykstra_arr", counted)
+def test_ree_barrier_path_makes_no_projections():
+    # the solver has no projection left: it certifies its answer with the
+    # dual bound, which lemma 2 bounds from below like the REE itself
     for sigma in (random_density(4, 2, 0).tagged(2, 2), random_density(6, 2, 0).tagged(2, 3)):
-        calls = 0
         res = ree_ppt(sigma)
-        assert calls <= 1
-        assert res.value_bits >= lemma2_bound(sigma) - 1e-9
+        assert res.lower_bits >= lemma2_bound(sigma) - 1e-9
+        assert res.lower_bits <= res.value_bits
+
+
+def test_ree_certifies_rank_deficient_inputs():
+    # the projected-gradient stationarity test left these unconverged
+    # although each value was exact to 1e-11 bits
+    for seed in (0, 4):
+        res = ree_ppt(random_density(4, 2, seed).tagged(2, 2))
+        assert res.converged
+        assert 0.0 <= res.value_bits - res.lower_bits <= 1e-9
+
+
+def _pure_with_exact(dims, seed):
+    psi = random_pure(dims, seed=seed)
+    return psi.density(), von_neumann_entropy(partial_trace_B(psi.density()))
+
+
+@pytest.mark.parametrize("budget", [1, 3, 8, 15, 5000])
+def test_ree_lower_bound_never_exceeds_exact(budget):
+    rng = np.random.default_rng(61)
+    bell = [rng.dirichlet(np.ones(4)) for _ in range(3)]
+    cases = [(singlet(), 1.0), (werner(0.75), WERNER75_REE)]
+    cases += [(bell_diagonal(p), bell_diagonal_ree_oracle(p)) for p in bell]
+    cases.append((pure_from_schmidt([np.sqrt(0.9), np.sqrt(0.1)], (2, 2)).density(), H09))
+    cases += [_pure_with_exact(dims, 620 + k) for k, dims in enumerate([(2, 2), (2, 3), (3, 3)])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        for sigma, exact in cases:
+            res = ree_ppt(sigma, max_iters=budget)
+            assert res.lower_bits <= exact + 1e-10
+            assert res.lower_bits <= res.value_bits
 
 
 def test_ree_rank2_2x3_no_worse_than_frozen():
