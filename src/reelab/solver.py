@@ -12,8 +12,12 @@ is the only feasibility test: it accepts a point only when the
 eigenvalues of rho and rho^PT are all positive, so every iterate is
 strictly inside both cones and the path needs no projection.  Each point
 is decomposed once: the two eigh calls of its trial serve the next
-Newton step, which costs O(d^5) to assemble its d^2 x d^2 Hessian from
-eigenframe factors and O(d^6) for the dense bordered solve.  The best
+Newton step.  A Hermitian step Delta has d^2 real coordinates
+r = vec(Re Delta + Im Delta), in which the Hessian H is the real
+symmetric K = Re H + Im(H F), F the permutation that transposes vec, so
+each step costs O(d^5) to assemble K from eigenframe factors with one
+fused complex product and O(d^6) for one real bordered solve of size
+d^2 + 1, at half the memory of the complex system.  The best
 iterate gives an upper bound; the last Newton step, read as a
 primal-dual estimate of the PPT multiplier, gives a weak-duality lower
 bound (Boyd & Vandenberghe, 5.9 and 11.7), and the gap between the two
@@ -32,7 +36,7 @@ import numpy as np
 
 from .entropy import EIG_ZERO_TOL, _LN2
 from .errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
-from .hermitian import _eigh, _log_adjoint, _log_divided_differences
+from .hermitian import DEGENERACY_RTOL, _eigh, _log_adjoint, _log_divided_differences
 from .states import DensityMatrix, PureState, _partial_transpose_b
 
 _YY_FLIP = np.array(
@@ -114,19 +118,19 @@ def _neg_log_dd2(w: np.ndarray) -> np.ndarray:
 
     These are the second divided differences of -ln evaluated on the
     eigenvalues, with the degenerate limits filled in:
-    T(x,y,x) = (dd1(x,y) - 1/x)/(x - y) and T(x,x,x) = 1/(2 x^2).
-    Every entry is positive for positive eigenvalues.
+    T(x,y,x) = (dd1(x,y) - 1/x)/(x - y) and T(x,x,x) = 1/(2 x^2).  A pair
+    is degenerate when it differs by less than DEGENERACY_RTOL times its
+    larger member, the rule of _log_divided_differences.  Every entry is
+    positive for positive eigenvalues.
     """
     L = _log_divided_differences(w)
-    scale = max(float(w[-1]), 1e-300)
     inv_w = 1.0 / w
     diff = w[:, None] - w[None, :]
-    near = np.abs(diff) < 1e-12 * scale
+    near = np.abs(diff) < DEGENERACY_RTOL * np.maximum(w[:, None], w[None, :])
     pair = (L - inv_w[:, None]) / np.where(near, 1.0, diff)
     pair = np.where(near, (0.5 * inv_w * inv_w)[:, None], pair)
-    xz = w[:, None, None] - w[None, None, :]
-    near_xz = np.abs(xz) < 1e-12 * scale
-    generic = -(L[:, :, None] - L[None, :, :]) / np.where(near_xz, 1.0, xz)
+    near_xz = near[:, None, :]
+    generic = -(L[:, :, None] - L[None, :, :]) / np.where(near_xz, 1.0, diff[:, None, :])
     return np.where(near_xz, np.broadcast_to(pair[:, :, None], generic.shape), generic)
 
 
@@ -140,31 +144,54 @@ def _newton_hessian(
     da: int,
     db: int,
 ) -> np.ndarray:
-    """Newton-model Hessian on row-major vec(rho), entry [(p q),(r s)].
+    """Bordered real Newton matrix [[K, t], [t^T, 0]] of size d^2 + 1, t = vec I.
+
+    A Hermitian step Delta is the real vector r = vec(Re Delta + Im Delta)
+    (row-major vec, n = d^2): vec Delta = T r with T = ((1+i) I + (1-i) F)/2
+    unitary and F the permutation that transposes vec.  The complex Hessian
+    H on vec(rho) maps Hermitian matrices to Hermitian matrices, so
+    K = T^H H T = Re H + Im(H F) is real and symmetric, entry
+    K[(p q),(r s)] = Re H[(p q),(r s)] + Im H[(p q),(s r)].
 
     The second derivative of -tr{sigma ln rho} in rho's eigenframe is
     sum_j u_pj conj(u_rj) conj(B_j)[q,s] + B_j[p,r] conj(u_qj) u_sj with
     B_j = u (O o T_j) u^H, where O is overlaps_full and T the fully
     symmetric table of _neg_log_dd2.  Laid out as [(p r),(q s)] it is
-    X + X^H with X = P conj(B), P[(p r),j] = u_pj conj(u_rj): one
-    (d^2 x d)(d x d^2) product, so the assembly costs O(d^5).  The barrier
-    curvatures mu_curv (rho^-1 x rho^-T) and its partial-transpose image
-    are outer products in that layout, and one transpose returns the
-    [(p q),(r s)] layout.
+    X + X^H with X = P conj(B), P[(p r),j] = u_pj conj(u_rj), and the
+    curvature mu_curv (rho^-1 x rho^-T) of the rho barrier is the outer
+    product of vec rho^-1 and vec rho^-T in that layout, so one product of
+    inner dimension 2d + 1, [P, B^T, mu_curv vec rho^-1] times
+    [conj B; P^H; vec(rho^-T)^T], builds both: the assembly costs O(d^5).
+    The partial-transpose image of the rho^PT barrier is added in place,
+    and both terms of K are transposed views of the result.
     """
     d = len(w)
     n = d * d
-    frames = u @ (overlaps_full * _neg_log_dd2(w)) @ u.conj().T
+    frames = (u @ (overlaps_full * _neg_log_dd2(w)) @ u.conj().T).reshape(d, n)
     pairs = (u[:, None, :] * u.conj()[None, :, :]).reshape(n, d)
-    half = pairs @ frames.conj().reshape(d, n)
-    buf = half + half.conj().T
-    buf += np.outer(mu_curv * rho_inv, rho_inv.T)
+    left = np.concatenate([pairs, frames.T, (mu_curv * rho_inv).reshape(n, 1)], axis=1)
+    right = np.concatenate([frames.conj(), pairs.conj().T, rho_inv.T.reshape(1, n)], axis=0)
+    buf = left @ right
     # split into axes (a1 b1 a3 b3 a2 b2 a4 b4) for p = (a1 b1), r, q, s:
     # partial transposition swaps b1 with b2 and b3 with b4
     tau_pair = np.multiply.outer(mu_curv * tau_inv, tau_inv.T).reshape((da, db) * 4)
     split = buf.reshape((da, db) * 4)
     split += tau_pair.transpose(0, 5, 2, 7, 4, 1, 6, 3)
-    return buf.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
+    del tau_pair, split
+    # allocated once tau_pair is freed: at d = 64 each complex d^2 x d^2
+    # buffer is 268 MB and the real matrix 134 MB
+    bordered = np.zeros((n + 1, n + 1))
+    # buf[p,r,q,s] = H[(p q),(r s)]
+    buf = buf.reshape(d, d, d, d)
+    np.add(
+        buf.real.transpose(0, 2, 1, 3),
+        buf.imag.transpose(0, 2, 3, 1),
+        out=bordered[:n, :n].reshape(d, d, d, d),
+    )
+    tvec = np.eye(d).reshape(n)
+    bordered[:n, n] = tvec
+    bordered[n, :n] = tvec
+    return bordered
 
 
 def _newton_step(
@@ -190,11 +217,17 @@ def _newton_step(
     weight mu.  With mu_curv the weight before a cut to mu, at a point
     centred for it, the direction is the tangent (mu - mu_curv) d rho/d mu
     of the central path, which predicts the new centre instead of
-    overshooting into the cone boundary.  The direction solves the
-    trace-zero Newton system through one bordered linear solve.  Assembly
-    costs O(d^5) (_newton_hessian), the dense complex solve of size
-    d^2 + 1 costs O(d^6).  Returns (direction, decrement); direction is
-    None when the solve fails.
+    overshooting into the cone boundary.
+
+    The trace-zero Newton system is solved in the real coordinates
+    r = vec(Re Delta + Im Delta) of _newton_hessian as one real symmetric
+    bordered system of size d^2 + 1: T is unitary and fixes vec I, so the
+    right-hand side is -vec(Re g + Im g) for the barrier gradient g, the
+    border is vec I, and the decrement is the real dot product of the two.
+    The direction T r = (R + R^T)/2 + i (R - R^T)/2, with R the solution
+    reshaped to d x d, is Hermitian by construction.
+    Assembly costs O(d^5) (_newton_hessian), the dense real solve O(d^6).
+    Returns (direction, decrement); direction is None when the solve fails.
     """
     d = len(w)
     n = d * d
@@ -202,24 +235,17 @@ def _newton_step(
         mu_curv = mu
     rho_inv = (u * (1.0 / w)) @ u.conj().T
     tau_inv = (v * (1.0 / s)) @ v.conj().T
-    hess = _newton_hessian(w, u, overlaps_full, rho_inv, tau_inv, mu_curv, da, db)
-
+    bordered = _newton_hessian(w, u, overlaps_full, rho_inv, tau_inv, mu_curv, da, db)
     g_mu = grad - mu * rho_inv - mu * _partial_transpose_b(tau_inv, da, db)
-
-    bordered = np.zeros((n + 1, n + 1), dtype=complex)
-    bordered[:n, :n] = hess
-    tvec = np.eye(d).reshape(n)
-    bordered[:n, n] = tvec
-    bordered[n, :n] = tvec
-    rhs = np.zeros(n + 1, dtype=complex)
-    rhs[:n] = -g_mu.reshape(n)
+    rhs = np.zeros(n + 1)
+    rhs[:n] = -(g_mu.real + g_mu.imag).reshape(n)
     try:
         sol = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         return None, -1.0
-    direction = sol[:n].reshape(d, d)
-    direction = (direction + direction.conj().T) / 2.0
-    decrement = -float(np.real(np.vdot(g_mu, direction)))
+    step = sol[:n].reshape(d, d)
+    direction = (0.5 + 0.5j) * step + (0.5 - 0.5j) * step.T
+    decrement = float(rhs[:n] @ sol[:n])
     if not np.isfinite(decrement):
         return None, -1.0
     return direction, decrement

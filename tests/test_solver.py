@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -254,21 +255,66 @@ def _kron_newton_hessian(w, u, overlaps_full, rho_inv, tau_inv, mu_curv, da, db)
     return (hess + hess.conj().T) / 2.0
 
 
+def _real_coords(d):
+    # T = ((1+i) I + (1-i) F)/2, F the permutation that transposes vec:
+    # vec X = T vec(Re X + Im X) for Hermitian X
+    n = d * d
+    flip = np.eye(n)[np.arange(n).reshape(d, d).T.reshape(n)]
+    return ((1.0 + 1.0j) * np.eye(n) + (1.0 - 1.0j) * flip) / 2.0
+
+
+def _real_vec(x):
+    return (x.real + x.imag).reshape(-1)
+
+
+def _complex_newton_step(w, u, overlaps, s, v, grad, mu, da, db):
+    # the complex bordered solve on vec(rho), of size d^2 + 1
+    d = len(w)
+    n = d * d
+    rho_inv = (u * (1.0 / w)) @ u.conj().T
+    tau_inv = (v * (1.0 / s)) @ v.conj().T
+    g_mu = grad - mu * rho_inv - mu * solver._partial_transpose_b(tau_inv, da, db)
+    bordered = np.zeros((n + 1, n + 1), dtype=complex)
+    bordered[:n, :n] = _kron_newton_hessian(w, u, overlaps, rho_inv, tau_inv, mu, da, db)
+    tvec = np.eye(d).reshape(n)
+    bordered[:n, n] = tvec
+    bordered[n, :n] = tvec
+    rhs = np.zeros(n + 1, dtype=complex)
+    rhs[:n] = -g_mu.reshape(n)
+    direction = np.linalg.solve(bordered, rhs)[:n].reshape(d, d)
+    direction = (direction + direction.conj().T) / 2.0
+    return direction, -float(np.real(np.vdot(g_mu, direction)))
+
+
+NEWTON_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4)]
+
+
+def _newton_point(da, db):
+    d = da * db
+    sig = random_density(d, 2, 40 + d).mat
+    rho = 0.5 * random_density(d, d, 60 + d).mat + 0.5 * np.eye(d) / d
+    spec = solver._objective_and_spec(sig, rho, 0.0, da, db)
+    assert spec is not None
+    return sig, rho, spec[1:]
+
+
 def test_newton_hessian_matches_dense_reference():
     rng = np.random.default_rng(17)
-    for da, db in [(2, 2), (2, 3), (3, 3), (4, 4)]:
+    for da, db in NEWTON_DIMS:
         d = da * db
-        sig = random_density(d, 2, 40 + d).mat
-        rho = 0.5 * random_density(d, d, 60 + d).mat + 0.5 * np.eye(d) / d
-        spec = solver._objective_and_spec(sig, rho, 0.0, da, db)
-        assert spec is not None
-        _, w, u, overlaps, s, v = spec
+        n = d * d
+        sig, rho, (w, u, overlaps, s, v) = _newton_point(da, db)
         rho_inv = (u * (1.0 / w)) @ u.conj().T
         tau_inv = (v * (1.0 / s)) @ v.conj().T
         mu = 3e-3
-        hess = solver._newton_hessian(w, u, overlaps, rho_inv, tau_inv, mu, da, db)
-        want = _kron_newton_hessian(w, u, overlaps, rho_inv, tau_inv, mu, da, db)
-        assert np.linalg.norm(hess - want) <= 1e-12 * np.linalg.norm(want)
+        hess = solver._newton_hessian(w, u, overlaps, rho_inv, tau_inv, mu, da, db)[:n, :n]
+        coords = _real_coords(d)
+        want = coords.conj().T @ _kron_newton_hessian(w, u, overlaps, rho_inv, tau_inv, mu, da, db) @ coords
+        # the Hessian preserves Hermiticity, so it is real in these coordinates
+        assert np.linalg.norm(want.imag) <= 1e-14 * np.linalg.norm(want)
+        assert hess.dtype == np.float64
+        assert np.linalg.norm(hess - hess.T) <= 1e-14 * np.linalg.norm(hess)
+        assert np.linalg.norm(hess - want.real) <= 1e-12 * np.linalg.norm(want)
 
         # the sigma part is the derivative of the gradient of -tr{sigma ln rho}
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -280,10 +326,39 @@ def test_newton_hessian_matches_dense_reference():
                 sig, rho + sign * h * dirn, 0.0, da, db
             )
             grads.append(solver._gradient(w2, u2, overlaps2))
-        fd = (grads[0] - grads[1]) / (2.0 * h)
-        sigma_part = solver._newton_hessian(w, u, overlaps, rho_inv, tau_inv, 0.0, da, db)
-        applied = (sigma_part @ dirn.reshape(d * d)).reshape(d, d)
+        fd = _real_vec((grads[0] - grads[1]) / (2.0 * h))
+        sigma_part = solver._newton_hessian(w, u, overlaps, rho_inv, tau_inv, 0.0, da, db)[:n, :n]
+        applied = sigma_part @ _real_vec(dirn)
         assert np.linalg.norm(applied - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+def test_newton_step_matches_complex_solve():
+    for da, db in NEWTON_DIMS:
+        _, _, (w, u, overlaps, s, v) = _newton_point(da, db)
+        grad = solver._gradient(w, u, overlaps)
+        mu = 3e-3
+        direction, decrement = solver._newton_step(w, u, overlaps, s, v, grad, mu, da, db)
+        want, want_decrement = _complex_newton_step(w, u, overlaps, s, v, grad, mu, da, db)
+        assert np.linalg.norm(direction - want) <= 1e-12 * np.linalg.norm(want)
+        assert abs(decrement - want_decrement) <= 1e-12 * abs(want_decrement)
+        assert np.array_equal(direction, direction.conj().T)
+        assert abs(np.trace(direction)) <= 1e-14
+
+
+def _log_dd(x, y):
+    return (math.log(x) - math.log(y)) / (x - y)
+
+
+def test_neg_log_dd2_pairs_degenerate_by_their_own_scale():
+    # 1e-14 and 3e-13 differ by less than 1e-12 times the largest
+    # eigenvalue but not times their own larger member: a rule scaled by
+    # max(w) took the degenerate limit 1/(2 x^2) for T(x,y,x) and T(x,y,y)
+    x, y = 1e-14, 3e-13
+    table = solver._neg_log_dd2(np.array([x, y, 0.4, 0.6]))
+    assert table[0, 1, 0] == pytest.approx((1.0 / x - _log_dd(x, y)) / (y - x), rel=1e-12)
+    assert table[0, 1, 1] == pytest.approx((1.0 / y - _log_dd(x, y)) / (x - y), rel=1e-12)
+    z = 0.4
+    assert table[0, 1, 2] == pytest.approx((_log_dd(y, z) - _log_dd(x, y)) / (x - z), rel=1e-12)
 
 
 def test_ree_4x4_pure_product(monkeypatch):

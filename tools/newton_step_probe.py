@@ -1,0 +1,53 @@
+"""Time d = 64 Newton steps and check the peak memory of the process.
+
+Runs ree_ppt with a budget of a few Newton steps on the 4x16 product of
+random_pure((2, 4), 1) and random_pure((2, 4), 2), times each call of
+_newton_step, and reads the peak resident set size of the process
+(ru_maxrss, in KiB on Linux).  Exits with status 1 when the peak exceeds
+--max-rss-mb.  Run it in a fresh process, from the repository root:
+
+    PYTHONPATH=src python3 tools/newton_step_probe.py --max-iters 3 --max-rss-mb 800
+"""
+
+from __future__ import annotations
+
+import argparse
+import resource
+import sys
+import warnings
+from time import perf_counter
+
+from reelab import solver
+from reelab.errors import ConvergenceWarning
+from reelab.states import random_pure, tensor_bipartite
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-iters", type=int, default=3, help="Newton steps to take")
+    parser.add_argument("--max-rss-mb", type=float, default=800.0, help="fail above this peak RSS")
+    args = parser.parse_args()
+
+    sigma = tensor_bipartite(random_pure((2, 4), 1).density(), random_pure((2, 4), 2).density())
+    times = []
+    inner = solver._newton_step
+
+    def timed(*a, **kw):
+        start = perf_counter()
+        out = inner(*a, **kw)
+        times.append(perf_counter() - start)
+        return out
+
+    solver._newton_step = timed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        solver.ree_ppt(sigma, max_iters=args.max_iters)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    dims = sigma.dims
+    print(f"dims {dims.da}x{dims.db}: steps " + ", ".join(f"{t:.2f} s" for t in times))
+    print(f"peak RSS {peak_mb:.0f} MB (limit {args.max_rss_mb:.0f} MB)")
+    return 0 if peak_mb <= args.max_rss_mb else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
