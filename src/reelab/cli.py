@@ -25,8 +25,9 @@ from .errors import (
     StateFileParseError,
     StateInvariantError,
 )
+from .hermitian import PSD_TOL
 from .solver import ree_ppt
-from .statefile import dumps_state, load_state
+from .statefile import _fmt, dumps_state, load_state
 from .states import (
     BipartiteDims,
     bell_diagonal,
@@ -68,10 +69,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _bool(x: bool) -> str:
     return "true" if x else "false"
 
@@ -101,7 +98,7 @@ def _build_parser() -> _Parser:
     p_compute.add_argument("state", help="path to a state file")
     p_compute.add_argument("--ree", action="store_true", help="also run the REE solver")
     p_compute.add_argument(
-        "--tol-criteria", type=float, default=1e-9, metavar="X",
+        "--tol-criteria", type=float, default=PSD_TOL, metavar="X",
         help="PSD tolerance for the criterion verdicts",
     )
 

@@ -15,9 +15,11 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .hermitian import (
+    PSD_TOL,
     HermitianMatrix,
     ScalarFunction,
     _eigh,
+    _spectral_apply,
     loewner_geq,
 )
 from .states import DensityMatrix, _ginibre, partial_transpose_B, reduction_operator
@@ -25,8 +27,6 @@ from .states import DensityMatrix, _ginibre, partial_transpose_B, reduction_oper
 # Violation threshold for the monotone search; loose enough that
 # round-off on well-conditioned spectra cannot fake a counterexample.
 MONOTONE_TOL = 1e-8
-
-_RESAMPLE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,12 @@ def _verdict(op: HermitianMatrix, tol: float) -> CriterionVerdict:
     )
 
 
-def reduction_criterion(rho: DensityMatrix, tol: float = 1e-9) -> CriterionVerdict:
+def reduction_criterion(rho: DensityMatrix, tol: float = PSD_TOL) -> CriterionVerdict:
     """Is rho_A (x) 1 - rho PSD? Violation certifies distillability."""
     return _verdict(reduction_operator(rho), tol)
 
 
-def ppt_criterion(rho: DensityMatrix, tol: float = 1e-9) -> CriterionVerdict:
+def ppt_criterion(rho: DensityMatrix, tol: float = PSD_TOL) -> CriterionVerdict:
     """Is the partial transpose of rho PSD?"""
     return _verdict(partial_transpose_B(rho), tol)
 
@@ -100,13 +100,27 @@ def _sample_scaled_psd(rng: np.random.Generator, dim: int, lo: float, hi: float)
     return w, u
 
 
+def _sample_monotone_pair(rng: np.random.Generator, dim: int, b_range, delta_range):
+    """(A, B, spectrum of B, eigenvectors of B) with A = B + Delta, Delta >= 0.
+
+    B and Delta are drawn in that order by _sample_scaled_psd, their
+    spectra mapped into b_range and delta_range.
+    """
+    wb, ub = _sample_scaled_psd(rng, dim, *b_range)
+    wd, ud = _sample_scaled_psd(rng, dim, *delta_range)
+    b = (ub * wb) @ ub.conj().T
+    return b + (ud * wd) @ ud.conj().T, b, wb, ub
+
+
 def operator_monotone_search(
     f: ScalarFunction, dim: int, trials: int, seed: int
 ) -> MonotoneCounterexample | None:
     """Randomized falsification of operator monotonicity for f.
 
-    Each trial samples B PSD and Delta PSD with spectra scaled into f's
-    domain, sets A = B + Delta (so A >= B by construction) and tests
+    Each trial samples B with its spectrum in [edge + 0.1, edge + 10],
+    edge being f's finite domain edge or else 0, and Delta with its
+    spectrum in [0.1, 10]; A = B + Delta is then >= B by construction
+    and its spectrum lies inside the domain too. The trial tests
     loewner_geq(f(A), f(B), 1e-8). The known squaring counterexample is
     injected as trial 0 whenever f's domain admits it, so regressions do
     not hinge on sampling luck. Trials draw from independent per-index
@@ -118,31 +132,17 @@ def operator_monotone_search(
     if trials < 1:
         raise InputError("trials must be at least 1")
     base = f.domain_lower if math.isfinite(f.domain_lower) else 0.0
-    lo, hi = base + 0.1, base + 10.0
+    b_range = (base + 0.1, base + 10.0)
 
     for trial in range(trials):
         if trial == 0 and f.domain_lower < 0:
             a_mat, b_mat = _canonical_pair(dim)
             wb, ub = _eigh(b_mat)
-            fa = _matrix_apply(f, *_eigh(a_mat))
-            fb = _matrix_apply(f, wb, ub)
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-            for attempt in range(_RESAMPLE_LIMIT + 1):
-                wb, ub = _sample_scaled_psd(rng, dim, lo, hi)
-                wd, ud = _sample_scaled_psd(rng, dim, lo, hi)
-                b_mat = (ub * wb) @ ub.conj().T
-                a_mat = b_mat + (ud * wd) @ ud.conj().T
-                wa, ua = _eigh((a_mat + a_mat.conj().T) / 2)
-                if wa[0] > f.domain_lower and wb[0] > f.domain_lower:
-                    break
-                if attempt == _RESAMPLE_LIMIT:
-                    raise DomainError(
-                        f"could not sample spectra inside the domain of '{f.name}' "
-                        f"after {_RESAMPLE_LIMIT} retries"
-                    )
-            fa = _matrix_apply(f, wa, ua)
-            fb = _matrix_apply(f, wb, ub)
+            a_mat, b_mat, wb, ub = _sample_monotone_pair(rng, dim, b_range, (0.1, 10.0))
+        fa = _spectral_apply(f, *_eigh((a_mat + a_mat.conj().T) / 2))
+        fb = _spectral_apply(f, wb, ub)
         wmin = float(_eigh(fa - fb)[0][0])
         if wmin < -MONOTONE_TOL:
             return MonotoneCounterexample(
@@ -154,18 +154,15 @@ def operator_monotone_search(
     return None
 
 
-def _matrix_apply(f: ScalarFunction, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    fw = np.asarray(f.evaluate(w), dtype=float)
-    return (u * fw) @ u.conj().T
-
-
 def loewner_matrix_psd_check(
-    f: ScalarFunction, sample_points, tol: float = 1e-9
+    f: ScalarFunction, sample_points, tol: float = PSD_TOL
 ) -> tuple[bool, float]:
     """Divided-difference matrix test at the given points.
 
     M_ij = (f(x_i) - f(x_j))/(x_i - x_j) off the diagonal and f'(x_i)
-    by central finite difference on it. Positive semidefiniteness of M
+    by central finite difference on it, with a step of 1e-6 times the
+    distance to a finite domain edge (else 1e-6 |x_i|) so that the
+    stencil stays inside the domain. Positive semidefiniteness of M
     on every point set is Loewner's necessary condition for operator
     monotonicity; a negative eigenvalue here is a concrete disproof.
     Returns (verdict, min eigenvalue).
@@ -184,7 +181,7 @@ def loewner_matrix_psd_check(
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
     m = (fx[:, None] - fx[None, :]) / diff
-    h = 1e-6 * np.abs(x)
+    h = 1e-6 * (x - f.domain_lower if math.isfinite(f.domain_lower) else np.abs(x))
     h[h == 0.0] = 1e-6
     deriv = (np.asarray(f.evaluate(x + h), dtype=float) - np.asarray(f.evaluate(x - h), dtype=float)) / (2 * h)
     np.fill_diagonal(m, deriv)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .hermitian import HermitianMatrix, _eigh, loewner_geq, matrix_log
+from .hermitian import PSD_TOL, HermitianMatrix, _eigh, loewner_geq, matrix_log
 from .states import DensityMatrix, partial_trace_A, partial_trace_B
 
 EIG_ZERO_TOL = 1e-12
@@ -96,7 +96,7 @@ def theorem1_gap(sigma: DensityMatrix, rho: DensityMatrix, side: str = "A") -> f
     return joint - reduced - lhs
 
 
-def log_order_check(rho: DensityMatrix, tol: float = 1e-9) -> bool:
+def log_order_check(rho: DensityMatrix, tol: float = PSD_TOL) -> bool:
     """Does log(rho_A) (x) 1_B >= log(rho_AB) hold at tolerance tol?
 
     Natural logs; the verdict is base-independent. Requires rho_AB full

@@ -171,9 +171,18 @@ def matrix_function(h: HermitianMatrix, f: ScalarFunction) -> HermitianMatrix:
             f"eigenvalue {w[0]:.6g} outside the domain of '{f.name}' (requires > {f.domain_lower:g})",
             eigenvalue=float(w[0]),
         )
+    return HermitianMatrix(_spectral_apply(f, w, dec.eigenvectors))
+
+
+def _spectral_apply(f: ScalarFunction, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U f(w) U' for a spectrum w with eigenvectors u, without domain checks."""
     fw = np.asarray(f.evaluate(w), dtype=float)
-    u = dec.eigenvectors
-    return HermitianMatrix((u * fw) @ u.conj().T)
+    return (u * fw) @ u.conj().T
+
+
+# log with its domain edge at PSD_TOL: eigenvalues that round-off could
+# have pushed to either side of zero are rejected, not logged
+_LOG_PD = ScalarFunction("log", np.log, PSD_TOL)
 
 
 def matrix_log(h: HermitianMatrix) -> HermitianMatrix:
@@ -182,15 +191,7 @@ def matrix_log(h: HermitianMatrix) -> HermitianMatrix:
     Requires a positive definite input: the min eigenvalue must exceed
     PSD_TOL (1e-9), otherwise DomainError.
     """
-    dec = eig_hermitian(h)
-    w = dec.eigenvalues
-    if w[0] <= PSD_TOL:
-        raise DomainError(
-            f"matrix log needs a positive definite input; min eigenvalue {w[0]:.6g}",
-            eigenvalue=float(w[0]),
-        )
-    u = dec.eigenvectors
-    return HermitianMatrix((u * np.log(w)) @ u.conj().T)
+    return matrix_function(h, _LOG_PD)
 
 
 def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import EIG_ZERO_TOL, _LN2
-from .errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
+from .errors import ConvergenceWarning, InputError, ShapeError
 from .hermitian import DEGENERACY_RTOL, _eigh, _log_adjoint, _log_divided_differences
-from .states import DensityMatrix, PureState, _partial_transpose_b
+from .states import DensityMatrix, PureState, _bell_weights, _partial_transpose_b
 
 _YY_FLIP = np.array(
     [
@@ -471,14 +471,7 @@ def bell_diagonal_ree_oracle(p) -> float:
     for p_max > 1/2, h the binary entropy, and 0 otherwise, where the
     state is PPT (Vedral & Plenio, PRA 57, 1619 (1998)).
     """
-    weights = np.asarray(p, dtype=float).ravel()
-    if weights.shape != (4,):
-        raise ShapeError(f"expected 4 weights, got shape {weights.shape}")
-    if np.any(weights < 0):
-        raise NormalizationError("weights must be nonnegative")
-    if abs(float(np.sum(weights)) - 1.0) > 1e-10:
-        raise NormalizationError("weights must sum to one")
-    p_max = float(np.max(weights))
+    p_max = float(np.max(_bell_weights(p)))
     if p_max <= 0.5:
         return 0.0
     return 1.0 - _binary_entropy_bits(p_max)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import StateFileParseError, StateInvariantError
-from .states import BipartiteDims, DensityMatrix
+from .states import DENSITY_PSD_TOL, TRACE_TOL, BipartiteDims, DensityMatrix
 
 # Load-time acceptance bands, looser than the DensityMatrix constructor
 # tolerances; loads inside the band but outside the constructor band are
@@ -145,9 +145,9 @@ def loads_state(text: str) -> DensityMatrix:
 
     # repair only when the strict constructor bands would reject; exact
     # inputs pass through untouched, keeping round-trips byte-identical
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > TRACE_TOL:
         mat = mat / tr
-    if float(np.linalg.eigvalsh(mat)[0]) < -1e-9:
+    if float(np.linalg.eigvalsh(mat)[0]) < -DENSITY_PSD_TOL:
         w, u = np.linalg.eigh(mat)
         w = np.clip(w, 0.0, None)
         mat = (u * (w / float(np.sum(w)))) @ u.conj().T

@@ -162,11 +162,6 @@ def partial_transpose_B(rho: DensityMatrix) -> HermitianMatrix:
     return HermitianMatrix(_partial_transpose_b(rho.mat, da, db))
 
 
-def reduction_map(rho: DensityMatrix) -> HermitianMatrix:
-    """identity * tr(rho) - rho, the positive-but-not-completely-positive map."""
-    return HermitianMatrix(np.eye(rho.dim) * rho.matrix.trace() - rho.mat)
-
-
 def reduction_operator(rho: DensityMatrix) -> HermitianMatrix:
     """rho_A (x) 1_B - rho, whose positivity the reduction criterion asserts."""
     da, db = _require_dims(rho)
@@ -208,13 +203,19 @@ BELL_VECTORS = np.array(
 ).T  # columns are the Bell vectors
 
 
-def bell_diagonal(p) -> DensityMatrix:
-    """Mixture sum_k p_k |Bell_k><Bell_k| with p on the simplex."""
+def _bell_weights(p) -> np.ndarray:
+    """The four Bell-diagonal weights as an array, checked to lie on the simplex."""
     w = np.asarray(p, dtype=float).ravel()
     if w.shape != (4,):
         raise ShapeError("bell_diagonal takes exactly 4 weights")
     if np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > TRACE_TOL:
         raise NormalizationError("weights must be nonnegative and sum to 1")
+    return w
+
+
+def bell_diagonal(p) -> DensityMatrix:
+    """Mixture sum_k p_k |Bell_k><Bell_k| with p on the simplex."""
+    w = _bell_weights(p)
     mat = (BELL_VECTORS * w) @ BELL_VECTORS.conj().T
     return DensityMatrix(mat, BipartiteDims(2, 2))
 

@@ -27,7 +27,7 @@ import numpy as np
 from .criteria import (
     MONOTONE_TOL,
     _canonical_pair,
-    _sample_scaled_psd,
+    _sample_monotone_pair,
     ppt_criterion,
     reduction_criterion,
 )
@@ -38,8 +38,9 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .errors import InputError
-from .hermitian import HermitianMatrix, matrix_log
+from .hermitian import PSD_TOL, HermitianMatrix, matrix_log
 from .solver import closest_state_for_pure, eof_two_qubit, ree_ppt
+from .statefile import _fmt
 from .states import (
     BipartiteDims,
     DensityMatrix,
@@ -55,13 +56,13 @@ from .states import (
 
 DEFAULT_TOLERANCES = {
     "theorem1": 1e-8,
-    "lemma2": 1e-6,
-    "corollary1": 1e-3,
-    "corollary2": 5e-3,
-    "lemma3": 1e-4,
-    "lemma4": 1e-3,
+    "lemma2": 1e-8,
+    "corollary1": 1e-8,
+    "corollary2": 1e-8,
+    "lemma3": 1e-8,
+    "lemma4": 1e-8,
     "monotone": MONOTONE_TOL,
-    "reduction": 1e-9,
+    "reduction": PSD_TOL,
 }
 
 # lemma4 only applies where the lower bound is tight; trials farther from
@@ -88,7 +89,7 @@ def _fmt_float(x: float) -> str:
         return '"nan"'
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
-    return f"{x:.17g}"
+    return _fmt(x)
 
 
 def _json_scalar(value) -> str:
@@ -293,10 +294,7 @@ def _trial_monotone(rng, dims, tol, trial):
         a, b = _canonical_pair(d)
         viol = float(np.linalg.eigvalsh(a @ a - b @ b)[0])
         return {"square_violation": viol}, -viol
-    wb, ub = _sample_scaled_psd(rng, d, 0.1, 10.0)
-    wd, ud = _sample_scaled_psd(rng, d, 0.0, 1.0)
-    b = (ub * wb) @ ub.conj().T
-    a = b + (ud * wd) @ ud.conj().T
+    a, b, _, _ = _sample_monotone_pair(rng, d, (0.1, 10.0), (0.0, 1.0))
     log_gap = matrix_log(HermitianMatrix(a)).mat - matrix_log(HermitianMatrix(b)).mat
     slack = float(np.linalg.eigvalsh(log_gap)[0])
     square_slack = float(np.linalg.eigvalsh(a @ a - b @ b)[0])

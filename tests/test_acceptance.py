@@ -126,16 +126,19 @@ def test_criterion_02_log_order_proof_step():
 def test_criterion_03_pure_state_value(pure_trials):
     t0 = time.time()
     worst_solver = 0.0
+    worst_lower = 0.0
     worst_closed = 0.0
     for psi, sigma, res in pure_trials:
         reduced = von_neumann_entropy(partial_trace_B(sigma))
         worst_solver = max(worst_solver, abs(res.value_bits - reduced))
+        worst_lower = max(worst_lower, abs(res.lower_bits - reduced))
         closed = relative_entropy(sigma, closest_state_for_pure(psi))
         worst_closed = max(worst_closed, abs(closed - reduced))
     assert worst_solver <= 1e-8
+    assert worst_lower <= 1e-8
     assert worst_closed <= 1e-9
     print(
-        f"criterion 3: PASS solver dev {worst_solver:.3e}, "
+        f"criterion 3: PASS solver dev {worst_solver:.3e}, lower-bound dev {worst_lower:.3e}, "
         f"closed-form dev {worst_closed:.3e}, {time.time() - t0:.1f}s"
     )
 
@@ -143,32 +146,46 @@ def test_criterion_03_pure_state_value(pure_trials):
 def test_criterion_04_lower_bound_ensemble():
     t0 = time.time()
     worst = math.inf
+    worst_lower = math.inf
     for i in range(1000):
         rank = (i % 4) + 1
         sigma = random_density(4, rank, 60_000_000 + i).tagged(2, 2)
         res = ree_ppt(sigma)
         assert res.value_bits >= 0.0
-        worst = min(worst, res.value_bits - lemma2_bound(sigma))
+        bound = lemma2_bound(sigma)
+        worst = min(worst, res.value_bits - bound)
+        worst_lower = min(worst_lower, res.lower_bits - bound)
     assert worst >= -1e-9
-    print(f"criterion 4: PASS worst bound slack {worst:.3e}, {time.time() - t0:.1f}s")
+    assert worst_lower >= -1e-9
+    print(
+        f"criterion 4: PASS worst bound slack {worst:.3e}, "
+        f"lower-bound slack {worst_lower:.3e}, {time.time() - t0:.1f}s"
+    )
 
 
 def test_criterion_05_formation_entropy_bound():
     t0 = time.time()
     worst = math.inf
+    worst_lower = math.inf
     for i in range(200):
         rank = (i % 4) + 1
         sigma = random_density(4, rank, 70_000_000 + i).tagged(2, 2)
         res = ree_ppt(sigma)
-        slack = res.value_bits - (eof_two_qubit(sigma) - von_neumann_entropy(sigma))
-        worst = min(worst, slack)
+        bound = eof_two_qubit(sigma) - von_neumann_entropy(sigma)
+        worst = min(worst, res.value_bits - bound)
+        worst_lower = min(worst_lower, res.lower_bits - bound)
     assert worst >= -1e-9
-    print(f"criterion 5: PASS worst slack {worst:.3e}, {time.time() - t0:.1f}s")
+    assert worst_lower >= -1e-9
+    print(
+        f"criterion 5: PASS worst slack {worst:.3e}, "
+        f"lower-bound slack {worst_lower:.3e}, {time.time() - t0:.1f}s"
+    )
 
 
 def test_criterion_06_additivity_on_pure_pairs():
     t0 = time.time()
     worst = 0.0
+    worst_cross = -math.inf
     for i in range(10):
         psi1 = random_pure((2, 2), seed=80_000_000 + 2 * i)
         psi2 = random_pure((2, 2), seed=80_000_000 + 2 * i + 1)
@@ -177,12 +194,22 @@ def test_criterion_06_additivity_on_pure_pairs():
             (0, 2, 1, 3),
             (2, 2, 2, 2),
         ).tagged(4, 4)
-        r1 = ree_ppt(psi1.density()).value_bits
-        r2 = ree_ppt(psi2.density()).value_bits
-        r12 = ree_ppt(joint).value_bits
-        worst = max(worst, abs(r12 - r1 - r2))
+        r1 = ree_ppt(psi1.density())
+        r2 = ree_ppt(psi2.density())
+        r12 = ree_ppt(joint)
+        worst = max(worst, abs(r12.value_bits - r1.value_bits - r2.value_bits))
+        # each side's certified lower bound stays below the other side's value
+        worst_cross = max(
+            worst_cross,
+            r12.lower_bits - r1.value_bits - r2.value_bits,
+            r1.lower_bits + r2.lower_bits - r12.value_bits,
+        )
     assert worst <= 1e-8
-    print(f"criterion 6: PASS worst additivity dev {worst:.3e}, {time.time() - t0:.1f}s")
+    assert worst_cross <= 1e-8
+    print(
+        f"criterion 6: PASS worst additivity dev {worst:.3e}, "
+        f"lower-bound excess {worst_cross:.3e}, {time.time() - t0:.1f}s"
+    )
 
 
 def test_criterion_07_closest_state_reduction(pure_trials):
@@ -257,7 +284,7 @@ def test_criterion_09_solver_vs_oracle():
     for w in weight_sets:
         res = ree_ppt(bell_diagonal(w))
         want = bell_diagonal_ree_oracle(w)
-        worst = max(worst, abs(res.value_bits - want))
+        worst = max(worst, abs(res.value_bits - want), abs(res.lower_bits - want))
     assert worst <= tol
     print(
         f"criterion 9: PASS worst oracle dev {worst:.3e} over {len(weight_sets)} states "

@@ -108,6 +108,19 @@ def test_monotone_search_deterministic():
     assert a.violation == b.violation and a.trials_used == b.trials_used
 
 
+def test_monotone_search_negative_domain_edge():
+    # log(1+x) and sqrt(x+2) are operator monotone on domains with a
+    # finite negative edge; the sampled pair must stay ordered there
+    log1p = ScalarFunction("log1p", np.log1p, -1.0)
+    sqrt_shift = ScalarFunction("sqrt-shift", lambda x: np.sqrt(x + 2.0), -2.0)
+    for dim in (2, 3, 4):
+        assert operator_monotone_search(log1p, dim, 200, seed=dim) is None
+        assert operator_monotone_search(sqrt_shift, dim, 200, seed=dim) is None
+    square_shift = ScalarFunction("square-shift", lambda x: (x + 1.0) ** 2, -1.0)
+    found = operator_monotone_search(square_shift, 3, 200, seed=0)
+    assert found is not None and found.trials_used == 1
+
+
 def test_monotone_search_input_validation():
     with pytest.raises(InputError):
         operator_monotone_search(LOG, 1, 10, seed=0)
@@ -151,3 +164,13 @@ def test_loewner_matrix_domain():
     shifted = ScalarFunction("log-above-one", lambda x: np.log(x - 1.0), 1.0)
     ok, _ = loewner_matrix_psd_check(shifted, [1.5, 2.0, 3.0])
     assert ok
+
+
+def test_loewner_matrix_near_domain_edge():
+    # the finite-difference stencil must not cross a finite domain edge
+    log1p = ScalarFunction("log1p", np.log1p, -1.0)
+    ok, wmin = loewner_matrix_psd_check(log1p, [-0.9999999, 0.5])
+    assert ok and wmin > 0.0
+    shifted = ScalarFunction("log-above-one", lambda x: np.log(x - 1.0), 1.0)
+    ok, wmin = loewner_matrix_psd_check(shifted, [1.0000001, 2.0])
+    assert ok and wmin > 0.0

@@ -23,7 +23,6 @@ from reelab.states import (
     random_density,
     random_pure,
     random_separable,
-    reduction_map,
     reduction_operator,
     singlet,
     tensor_bipartite,
@@ -86,16 +85,6 @@ def test_partial_transpose_product_and_involution():
 def test_partial_transpose_singlet_witness():
     _, witness = is_psd(partial_transpose_B(singlet()), 1e-9)
     assert witness == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_reduction_map():
-    d = 3
-    out = reduction_map(DensityMatrix(np.eye(d) / d))
-    assert np.allclose(out.mat, (1 - 1 / d) * np.eye(d))
-    psi = pure_from_schmidt([1.0], (2, 2))
-    out = reduction_map(psi.density())
-    assert np.allclose(np.sort(np.linalg.eigvalsh(out.mat)), [0.0, 1.0, 1.0, 1.0], atol=1e-12)
-    assert out.trace() == pytest.approx(4 - 1)
 
 
 def test_reduction_operator():
