@@ -152,8 +152,14 @@ def partial_trace_A(rho: DensityMatrix) -> DensityMatrix:
 
 
 def _partial_transpose_b(mat: np.ndarray, da: int, db: int) -> np.ndarray:
-    t = mat.reshape(da, db, da, db)
-    return np.ascontiguousarray(t.transpose(0, 3, 2, 1).reshape(da * db, da * db))
+    """Partial transpose over B of one matrix or of a stack of them."""
+    lead = mat.shape[:-2]
+    t = mat.reshape(*lead, da, db, da, db)
+    return np.ascontiguousarray(t.swapaxes(-1, -3).reshape(*lead, da * db, da * db))
+
+
+def _is_ppt(mat: np.ndarray, da: int, db: int) -> bool:
+    return float(np.linalg.eigvalsh(_partial_transpose_b(mat, da, db))[0]) >= 0.0
 
 
 def partial_transpose_B(rho: DensityMatrix) -> HermitianMatrix:
@@ -250,6 +256,37 @@ def _random_density_arr(dim: int, rank: int, seed: int) -> np.ndarray:
     m = g @ g.conj().T
     m = m / np.real(np.trace(m))
     return (m + m.conj().T) / 2.0
+
+
+# A screened least eigenvalue lies within about 1e-15 of the exact one,
+# so a candidate screened below minus this guard cannot pass _is_ppt.
+_PPT_SCREEN_GUARD = 1e-12
+
+
+def _first_ppt(specs, da: int, db: int) -> np.ndarray | None:
+    """The array of the first (rank, seed) candidate that passes _is_ppt, or None.
+
+    Candidate k is _random_density_arr(da * db, *specs[k]).  All of them
+    are built as one zero-padded Ginibre stack and screened by one
+    stacked eigvalsh of their partial transposes.  The screen only
+    discards: each candidate within the guard of PSD is rebuilt exactly
+    and decided by _is_ppt, in order, so the answer is the one a loop
+    over the candidates gives.
+    """
+    d = da * db
+    # the real and imaginary parts that _ginibre draws, combined as it does
+    parts = np.zeros((len(specs), 2, d, d))
+    for k, (rank, seed) in enumerate(specs):
+        parts[k, :, :, :rank] = np.random.default_rng(seed).standard_normal((2, d, rank))
+    g = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+    m = g @ g.conj().swapaxes(1, 2)
+    m /= np.real(np.trace(m, axis1=1, axis2=2))[:, None, None]
+    least = np.linalg.eigvalsh(_partial_transpose_b(m, da, db))[:, 0]
+    for k in np.flatnonzero(least >= -_PPT_SCREEN_GUARD):
+        mat = _random_density_arr(d, *specs[k])
+        if _is_ppt(mat, da, db):
+            return mat
+    return None
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:

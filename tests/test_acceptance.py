@@ -41,7 +41,7 @@ from reelab.solver import (
 )
 from reelab.states import (
     DensityMatrix,
-    _partial_transpose_b,
+    _first_ppt,
     bell_diagonal,
     partial_trace_A,
     partial_trace_B,
@@ -56,16 +56,16 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
-def is_ppt_arr(mat: np.ndarray, da: int, db: int) -> bool:
-    return float(np.linalg.eigvalsh(_partial_transpose_b(mat, da, db))[0]) >= 0.0
-
-
 def next_ppt_full_rank(da: int, db: int, seed0: int) -> DensityMatrix:
+    """random_density(d, d, s) for the first s from seed0 on whose state is PPT."""
     d = da * db
-    for s in range(seed0, seed0 + 1000):
-        cand = random_density(d, d, s)
-        if is_ppt_arr(cand.mat, da, db):
-            return cand.tagged(da, db)
+    start = seed0
+    # 1000 consecutive seeds in doubling chunks, screened as stacks
+    for size in (8, 16, 32, 64, 128, 256, 496):
+        mat = _first_ppt([(d, s) for s in range(start, start + size)], da, db)
+        if mat is not None:
+            return DensityMatrix(mat, (da, db))
+        start += size
     raise AssertionError("rejection sampling budget exhausted")
 
 

@@ -6,11 +6,20 @@ import pytest
 
 from reelab import states
 from reelab.errors import InputError
-from reelab.states import BipartiteDims
+from reelab.states import (
+    BipartiteDims,
+    DensityMatrix,
+    _is_ppt,
+    _partial_transpose_b,
+    _random_density_arr,
+    random_separable,
+)
 from reelab.verify import (
     DEFAULT_TOLERANCES,
     SUITE_NAMES,
     _random_nondistillable,
+    _state_seeds,
+    _trial_rng,
     record_to_json,
     run_suite,
     summary_to_json,
@@ -57,6 +66,8 @@ def test_reports_are_deterministic():
 FROZEN_REPORT_DIGESTS = {
     ("theorem1", 60, 7, (2, 2)): "c76526584d141657aacb0fb3023faace9921ec29cd43df40824844d8293d5635",
     ("theorem1", 60, 7, (2, 3)): "fc2cc38336ada0aaa616d6b42746dffd8d79cf6df29090ea4fa1427961ec9007",
+    # every Ginibre trial at 3x3 exhausts the rejection budget and bisects
+    ("theorem1", 20, 7, (3, 3)): "751b77309005868440d5163a78e31169c6123675c9cfffea0e4767d9d44e49dd",
     ("reduction", 60, 7, (2, 2)): "5f67b1fd96b4814824394c642426c253ee5347a49af616fd3f0664e26cbcf2cc",
     ("reduction", 60, 7, (2, 3)): "73774b2314c3870a1e15bfad63d839fbfbdfc162b32910069d4e7e0395bb1362",
     ("monotone", 30, 7, (2, 2)): "85078f2e38855a8fbd49d2967cf4d52c941944c64c5ae733627a1b436eef805c",
@@ -86,6 +97,101 @@ def test_nondistillable_draw_validates_once(monkeypatch):
         rho = _random_nondistillable(rng, dims)
         assert len(calls) - before == 1
         assert rho.dims == dims
+
+
+def sequential_nondistillable(rng, dims):
+    """The sampler as a plain loop: one candidate drawn and tested at a time.
+
+    Returns the state and the branch that made it.
+    """
+    d = dims.total
+    da, db = dims.da, dims.db
+    if rng.integers(0, 4) == 0:
+        k = int(rng.integers(1, 4))
+        (s1,) = _state_seeds(rng, 1)
+        return random_separable(dims, s1, k=k), "separable"
+    for _ in range(200):
+        rank = int(rng.integers(1, d + 1))
+        (s1,) = _state_seeds(rng, 1)
+        last = _random_density_arr(d, rank, s1)
+        if _is_ppt(last, da, db):
+            return DensityMatrix(last, dims), "accepted"
+    uniform = np.eye(d) / d
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _is_ppt((1.0 - mid) * last + mid * uniform, da, db):
+            hi = mid
+        else:
+            lo = mid
+    return DensityMatrix((1.0 - hi) * last + hi * uniform, dims), "bisected"
+
+
+def assert_sampler_matches_loop(dims, seeds) -> dict:
+    """Check the sampler against the loop on trial 0 of each seed; count the branches."""
+    dims = BipartiteDims(*dims)
+    branches = {"separable": 0, "accepted": 0, "bisected": 0}
+    for seed in seeds:
+        got = _random_nondistillable(_trial_rng(seed, "theorem1", 0), dims)
+        want, branch = sequential_nondistillable(_trial_rng(seed, "theorem1", 0), dims)
+        assert got.mat.tobytes() == want.mat.tobytes(), (dims, seed, branch)
+        branches[branch] += 1
+    return branches
+
+
+def test_nondistillable_matches_sequential_loop():
+    assert assert_sampler_matches_loop((2, 2), range(80))["accepted"] > 40
+    # a third of the 2x3 Ginibre draws exhaust the budget and bisect
+    branches = assert_sampler_matches_loop((2, 3), range(80))
+    assert branches["accepted"] > 20 and branches["bisected"] > 10
+    assert assert_sampler_matches_loop((2, 4), range(40))["bisected"] > 10
+    # at 3x3 every Ginibre draw bisects
+    branches = assert_sampler_matches_loop((3, 3), range(16))
+    assert branches["accepted"] == 0 and branches["bisected"] > 8
+
+
+def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    screened = []
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        w = eigvalsh(a, *args, **kwargs)
+        if w.ndim == 2:
+            screened.append(w[:, 0].copy())
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for da, db in ((2, 2), (2, 3), (3, 3)):
+        d = da * db
+        specs = [(int(rng.integers(1, d + 1)), int(rng.integers(0, 2**63 - 1))) for _ in range(1000)]
+        screened.clear()
+        states._first_ppt(specs, da, db)
+        (least,) = screened
+        for spec, w in zip(specs, least):
+            exact = eigvalsh(_partial_transpose_b(_random_density_arr(d, *spec), da, db))[0]
+            worst = max(worst, abs(w - exact))
+    assert worst <= 1e-15
+
+
+def test_exact_test_alone_decides_inside_the_guard(monkeypatch):
+    # a screen that puts every candidate just inside the guard band, on
+    # either side of zero, must leave acceptance to the exact _is_ppt
+    eigvalsh = np.linalg.eigvalsh
+    sign = [1.0]
+
+    def guard_band_screen(a, *args, **kwargs):
+        w = eigvalsh(a, *args, **kwargs)
+        if w.ndim == 2:
+            w[:, 0] = sign[0] * 0.5 * states._PPT_SCREEN_GUARD
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", guard_band_screen)
+    for s in (1.0, -1.0):
+        sign[0] = s
+        assert_sampler_matches_loop((2, 2), range(20))
+        assert_sampler_matches_loop((2, 3), range(20))
 
 
 def test_trial_streams_are_prefix_stable():
