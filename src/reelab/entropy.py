@@ -9,6 +9,10 @@ Support convention: an eigenvalue below 1e-12 counts as an exact zero;
 a zero eigenvector of rho carrying sigma-overlap above 1e-10 makes the
 relative entropy infinite. The two thresholds separate genuine rank
 deficiency from eigensolver round-off.
+
+A state's spectrum is read from ``DensityMatrix.spectrum``, the
+decomposition its constructor made when it validated the state; no
+function here decomposes a state's matrix again.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .hermitian import PSD_TOL, HermitianMatrix, _eigh, loewner_geq, matrix_log
+from .hermitian import _LOG_PD, PSD_TOL, HermitianMatrix, _decomposed_function, loewner_geq
 from .states import DensityMatrix, partial_trace_A, partial_trace_B
 
 EIG_ZERO_TOL = 1e-12
@@ -29,7 +33,7 @@ _LN2 = math.log(2.0)
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum lambda_i log2 lambda_i, with 0 log 0 = 0."""
-    w = _eigh(rho.mat)[0]
+    w = rho.spectrum.eigenvalues
     w = w[w >= EIG_ZERO_TOL]
     return max(0.0, float(-np.sum(w * np.log2(w))))
 
@@ -43,11 +47,11 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     """
     if sigma.dim != rho.dim:
         raise ShapeError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
-    ws = _eigh(sigma.mat)[0]
+    ws = sigma.spectrum.eigenvalues
     ws = ws[ws >= EIG_ZERO_TOL]
     term_sigma = float(np.sum(ws * np.log2(ws)))
 
-    wr, vr = _eigh(rho.mat)
+    wr, vr = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
     # overlap of sigma with each eigenvector of rho
     overlaps = np.real(np.einsum("ij,ij->j", vr.conj(), sigma.mat @ vr))
     kernel = wr < EIG_ZERO_TOL
@@ -78,21 +82,25 @@ def theorem1_gap(sigma: DensityMatrix, rho: DensityMatrix, side: str = "A") -> f
     Returns the right side minus the left side; nonnegative whenever rho
     is non-distillable (the caller picks rho; PPT rho is the testable
     case). +inf propagates when only the joint relative entropy
-    diverges. When both relative entropies diverge the difference is
-    meaningless and None is returned; harnesses discard and count such
-    trials.
+    diverges. When the reduced relative entropy diverges the difference
+    is meaningless and None is returned; harnesses discard and count
+    such trials. Each reduction is built once, and the four spectra it
+    needs (sigma, rho and their reductions) are the ones their
+    constructors computed.
     """
     if sigma.dims is None or rho.dims is None or tuple(sigma.dims) != tuple(rho.dims):
         raise ShapeError("theorem1_gap needs matching bipartite dims on both states")
+    sigma_x = _reduce(sigma, side)
     joint = relative_entropy(sigma, rho)
-    reduced = relative_entropy(_reduce(sigma, side), _reduce(rho, side))
-    if math.isinf(joint) and math.isinf(reduced):
+    reduced = relative_entropy(sigma_x, _reduce(rho, side))
+    # support containment passes to the reductions only exactly: overlaps
+    # each within SUPPORT_OVERLAP_TOL on rho's kernel can add up past it on
+    # rho_side's, so a finite joint term may come with an infinite reduced one
+    if math.isinf(reduced):
         return None
     if math.isinf(joint):
         return math.inf
-    # sigma's support inside rho's forces the same containment reduced;
-    # a finite joint term therefore comes with a finite reduced term
-    lhs = negative_conditional_entropy(sigma, side)
+    lhs = von_neumann_entropy(sigma_x) - von_neumann_entropy(sigma)
     return joint - reduced - lhs
 
 
@@ -104,8 +112,8 @@ def log_order_check(rho: DensityMatrix, tol: float = PSD_TOL) -> bool:
     """
     # the partial trace comes first: it raises ShapeError on an untagged state
     rho_a = partial_trace_B(rho)
-    log_joint = matrix_log(rho.matrix)
-    log_a = matrix_log(rho_a.matrix)
+    log_joint = _decomposed_function(rho.spectrum, _LOG_PD)
+    log_a = _decomposed_function(rho_a.spectrum, _LOG_PD)
     lifted = HermitianMatrix(np.kron(log_a.mat, np.eye(rho.dims.db)))
     return loewner_geq(lifted, log_joint, tol)
 

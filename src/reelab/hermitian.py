@@ -94,10 +94,14 @@ def from_diag(values) -> HermitianMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
+    """Eigenvalues (ascending) and orthonormal eigenvectors (columns), both made read-only."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        self.eigenvalues.flags.writeable = False
+        self.eigenvectors.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -151,8 +155,6 @@ def eig_hermitian(h: HermitianMatrix) -> SpectralDecomposition:
     recon_err = np.max(np.abs((u * w) @ u.conj().T - h.mat))
     if recon_err > RECONSTRUCTION_TOL * max(1.0, h.max_abs()):
         raise EigensolverError(f"spectral reconstruction residual {recon_err:.3e} too large")
-    w.flags.writeable = False
-    u.flags.writeable = False
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
@@ -164,7 +166,11 @@ def matrix_function(h: HermitianMatrix, f: ScalarFunction) -> HermitianMatrix:
     domain edge (e.g. log at 0) is deliberately an error here; any
     regularization is the caller's decision.
     """
-    dec = eig_hermitian(h)
+    return _decomposed_function(eig_hermitian(h), f)
+
+
+def _decomposed_function(dec: SpectralDecomposition, f: ScalarFunction) -> HermitianMatrix:
+    """matrix_function of the operator whose decomposition is dec, same checks."""
     w = dec.eigenvalues
     if w[0] <= f.domain_lower:
         raise DomainError(

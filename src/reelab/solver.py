@@ -67,9 +67,8 @@ class ReeResult:
     lower_bits: float
 
 
-def _entropy_term_nat(mat: np.ndarray) -> float:
-    """tr{m ln m} over the support of m, natural log."""
-    w = _eigh(mat)[0]
+def _entropy_term_nat(w: np.ndarray) -> float:
+    """tr{m ln m} over the support of m, natural log, from m's eigenvalues w."""
     w = w[w >= EIG_ZERO_TOL]
     return float(np.sum(w * np.log(w)))
 
@@ -394,7 +393,7 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
         raise InputError(f"total dimension {d} exceeds the supported limit 64")
 
     sig = sigma.mat
-    sigma_term = _entropy_term_nat(sig)
+    sigma_term = _entropy_term_nat(sigma.spectrum.eigenvalues)
     best_rho, f_best, iterations, lower = _barrier_path(
         sig, sigma_term, _start_point(sig, da, db), da, db, max_iters
     )

@@ -144,10 +144,12 @@ def loads_state(text: str) -> DensityMatrix:
         raise StateInvariantError(f"matrix has eigenvalue {float(w[0]):.3e} below -{FILE_PSD_TOL:g}")
 
     # repair only when the strict constructor bands would reject; exact
-    # inputs pass through untouched, keeping round-trips byte-identical
+    # inputs pass through untouched, keeping round-trips byte-identical,
+    # and only a renormalised matrix needs its spectrum again
     if abs(tr - 1.0) > TRACE_TOL:
         mat = mat / tr
-    if float(np.linalg.eigvalsh(mat)[0]) < -DENSITY_PSD_TOL:
+        w = np.linalg.eigvalsh(mat)
+    if float(w[0]) < -DENSITY_PSD_TOL:
         w, u = np.linalg.eigh(mat)
         w = np.clip(w, 0.0, None)
         mat = (u * (w / float(np.sum(w)))) @ u.conj().T

@@ -16,7 +16,7 @@ from .errors import (
     ShapeError,
     StateInvariantError,
 )
-from .hermitian import HermitianMatrix, _eigh
+from .hermitian import HermitianMatrix, SpectralDecomposition, _eigh
 
 TRACE_TOL = 1e-10
 DENSITY_PSD_TOL = 1e-9
@@ -56,9 +56,14 @@ class DensityMatrix:
     Invariants checked at construction: trace within 1e-10 of one and
     min eigenvalue >= -1e-9. A small negative floor (rather than zero)
     keeps round-off from iterative algorithms from being rejected.
+
+    The eigendecomposition that checks positivity is kept as
+    ``spectrum`` (eigenvalues ascending, eigenvector columns, both
+    read-only), so the entropies and the solver read a state's spectrum
+    without decomposing its matrix again.
     """
 
-    __slots__ = ("matrix", "dims")
+    __slots__ = ("matrix", "dims", "spectrum")
 
     def __init__(self, matrix, dims=None) -> None:
         if not isinstance(matrix, HermitianMatrix):
@@ -69,11 +74,13 @@ class DensityMatrix:
         tr = matrix.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:g}")
-        wmin = float(_eigh(matrix.mat)[0][0])
+        w, u = _eigh(matrix.mat)
+        wmin = float(w[0])
         if wmin < -DENSITY_PSD_TOL:
             raise StateInvariantError(f"not positive semidefinite: min eigenvalue {wmin!r}")
         self.matrix = matrix
         self.dims = dims
+        self.spectrum = SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
     @property
     def mat(self) -> np.ndarray:
@@ -86,8 +93,8 @@ class DensityMatrix:
     def tagged(self, da: int, db: int) -> "DensityMatrix":
         """Same state with an A|B dimension tag attached.
 
-        The matrix was validated when this state was built, so only the
-        tag is checked.
+        The matrix was validated and decomposed when this state was
+        built, so only the tag is checked; the spectrum is shared.
         """
         dims = BipartiteDims(da, db)
         if dims.total != self.dim:
@@ -95,6 +102,7 @@ class DensityMatrix:
         out = object.__new__(DensityMatrix)
         out.matrix = self.matrix
         out.dims = dims
+        out.spectrum = self.spectrum
         return out
 
     def __repr__(self) -> str:

@@ -156,6 +156,38 @@ def test_theorem1_gap_infinities():
     # rank-one product rho: joint and reduced both diverge -> indeterminate
     rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
     assert theorem1_gap(singlet(), rho, "A") is None
+    # two sigma-overlaps of 6e-11 on rho's kernel each pass the support
+    # test, their sum on rho_A's kernel does not: only the reduced term
+    # diverges, which is indeterminate, not a violation (rho is separable)
+    sigma = DensityMatrix(np.diag([6e-11, 6e-11, 0.5 - 6e-11, 0.5 - 6e-11]), (2, 2))
+    rho = DensityMatrix(np.diag([1e-13, 1e-13, 0.5 - 1e-13, 0.5 - 1e-13]), (2, 2))
+    assert relative_entropy(sigma, rho) == 0.0
+    assert theorem1_gap(sigma, rho, "A") is None
+
+
+def test_entropies_read_the_stored_spectra(monkeypatch):
+    # the entropies read DensityMatrix.spectrum; only the constructors of
+    # the two reductions decompose anything
+    sigma = random_density(6, 6, 70).tagged(2, 3)
+    rho = random_ppt(6, (2, 3), 71)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(1)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for fn, args, expected in (
+        (von_neumann_entropy, (sigma,), 0),
+        (relative_entropy, (sigma, rho), 0),
+        (theorem1_gap, (sigma, rho, "A"), 2),
+        (theorem1_gap, (sigma, rho, "B"), 2),
+        (lemma2_bound, (sigma,), 2),
+    ):
+        calls.clear()
+        fn(*args)
+        assert len(calls) == expected, fn.__name__
 
 
 def test_log_order_maximally_mixed_and_ppt_ensemble():

@@ -112,6 +112,23 @@ def test_small_defects_are_repaired_not_rejected():
     assert float(np.linalg.eigvalsh(state.mat)[0]) >= 0.0
 
 
+def test_exact_file_is_decomposed_once(monkeypatch):
+    # one eigvalsh for the file's PSD band, one eigh in the constructor;
+    # the strict PSD check reuses the first spectrum
+    text = dumps_state(random_density(6, 3, 12).tagged(2, 3))
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        inner = getattr(np.linalg, name)
+
+        def counted(m, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(m)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    loads_state(text)
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
 def test_serialization_keeps_17_significant_digits():
     text = dumps_state(singlet())
     assert '"version": "1"' in text

@@ -201,9 +201,16 @@ def test_tagged_reuses_the_validated_matrix(monkeypatch):
     monkeypatch.setattr(states, "_eigh", counting_eigh)
     rho = DensityMatrix(mat)
     assert len(calls) == 1
+    # the validating decomposition is kept, bit for bit and read-only
+    w, u = np.linalg.eigh(rho.mat)
+    assert rho.spectrum.eigenvalues.tobytes() == w.tobytes()
+    assert rho.spectrum.eigenvectors.tobytes() == u.tobytes()
+    assert not rho.spectrum.eigenvalues.flags.writeable
+    assert not rho.spectrum.eigenvectors.flags.writeable
     tagged = rho.tagged(2, 3)
     assert len(calls) == 1
     assert tagged.matrix is rho.matrix
+    assert tagged.spectrum is rho.spectrum
     assert tagged.dims == BipartiteDims(2, 3)
     assert rho.dims is None
     with pytest.raises(ShapeError):
