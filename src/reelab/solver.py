@@ -37,7 +37,7 @@ import numpy as np
 from .entropy import EIG_ZERO_TOL, _LN2
 from .errors import ConvergenceWarning, InputError, ShapeError
 from .hermitian import DEGENERACY_RTOL, _eigh, _log_adjoint, _log_divided_differences
-from .states import DensityMatrix, PureState, _bell_weights, _partial_transpose_b
+from .states import DensityMatrix, PureState, _bell_weights, _partial_transpose_b, _ppt_edge_weight
 
 _YY_FLIP = np.array(
     [
@@ -251,16 +251,9 @@ def _newton_step(
 
 
 def _start_point(sig: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Strictly feasible mix (1 - t) sigma + t I/d, in closed form.
-
-    (I/d)^PT = I/d, so the least eigenvalue of the mix's partial transpose
-    is (1 - t) lam + t/d, with lam that of sigma^PT: linear in t and zero
-    at t* = -lam/(1/d - lam) when lam < 0 (t* = 0 otherwise).  The start
-    lies 5% of the way from t* to I/d, inside both cones.
-    """
+    """The mix (1 - t) sigma + t I/d 5% of the way from the PPT edge t* to I/d, inside both cones."""
     d = da * db
-    lam = float(_eigh(_partial_transpose_b(sig, da, db))[0][0])
-    edge = -lam / (1.0 / d - lam) if lam < 0.0 else 0.0
+    edge = _ppt_edge_weight(sig, da, db)
     t = edge + (1.0 - edge) * 0.05
     return (1.0 - t) * sig + t * (np.eye(d, dtype=complex) / d)
 

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import StateFileParseError, StateInvariantError
-from .states import DENSITY_PSD_TOL, TRACE_TOL, BipartiteDims, DensityMatrix
+from .states import PSD_TOL, TRACE_TOL, BipartiteDims, DensityMatrix
 
 # Load-time acceptance bands, looser than the DensityMatrix constructor
 # tolerances; loads inside the band but outside the constructor band are
@@ -149,7 +149,7 @@ def loads_state(text: str) -> DensityMatrix:
     if abs(tr - 1.0) > TRACE_TOL:
         mat = mat / tr
         w = np.linalg.eigvalsh(mat)
-    if float(w[0]) < -DENSITY_PSD_TOL:
+    if float(w[0]) < -PSD_TOL:
         w, u = np.linalg.eigh(mat)
         w = np.clip(w, 0.0, None)
         mat = (u * (w / float(np.sum(w)))) @ u.conj().T

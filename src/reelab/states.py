@@ -16,10 +16,9 @@ from .errors import (
     ShapeError,
     StateInvariantError,
 )
-from .hermitian import HermitianMatrix, SpectralDecomposition, _eigh
+from .hermitian import PSD_TOL, HermitianMatrix, SpectralDecomposition, _eigh
 
 TRACE_TOL = 1e-10
-DENSITY_PSD_TOL = 1e-9
 PURE_NORM_TOL = 1e-12
 
 
@@ -76,7 +75,7 @@ class DensityMatrix:
             raise StateInvariantError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:g}")
         w, u = _eigh(matrix.mat)
         wmin = float(w[0])
-        if wmin < -DENSITY_PSD_TOL:
+        if wmin < -PSD_TOL:
             raise StateInvariantError(f"not positive semidefinite: min eigenvalue {wmin!r}")
         self.matrix = matrix
         self.dims = dims
@@ -167,7 +166,18 @@ def _partial_transpose_b(mat: np.ndarray, da: int, db: int) -> np.ndarray:
 
 
 def _is_ppt(mat: np.ndarray, da: int, db: int) -> bool:
-    return float(np.linalg.eigvalsh(_partial_transpose_b(mat, da, db))[0]) >= 0.0
+    """Whether mat^PT has no eigenvalue below -PSD_TOL: the package's one PPT test."""
+    return float(np.linalg.eigvalsh(_partial_transpose_b(mat, da, db))[0]) >= -PSD_TOL
+
+
+def _ppt_edge_weight(mat: np.ndarray, da: int, db: int) -> float:
+    """The least t >= 0 for which (1 - t) mat + t I/d is PPT, in closed form.
+
+    (I/d)^PT = I/d, so the blend's partial transpose has least eigenvalue
+    (1 - t) lam + t/d, lam that of mat^PT: zero at t* = -lam/(1/d - lam).
+    """
+    lam = float(_eigh(_partial_transpose_b(mat, da, db))[0][0])
+    return -lam / (1.0 / (da * db) - lam) if lam < 0.0 else 0.0
 
 
 def partial_transpose_B(rho: DensityMatrix) -> HermitianMatrix:
@@ -266,8 +276,8 @@ def _random_density_arr(dim: int, rank: int, seed: int) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-# A screened least eigenvalue lies within about 1e-15 of the exact one,
-# so a candidate screened below minus this guard cannot pass _is_ppt.
+# A screened least eigenvalue lies within about 1e-15 of the exact one, so
+# a candidate screened below -PSD_TOL minus this guard cannot pass _is_ppt.
 _PPT_SCREEN_GUARD = 1e-12
 
 
@@ -277,9 +287,9 @@ def _first_ppt(specs, da: int, db: int) -> np.ndarray | None:
     Candidate k is _random_density_arr(da * db, *specs[k]).  All of them
     are built as one zero-padded Ginibre stack and screened by one
     stacked eigvalsh of their partial transposes.  The screen only
-    discards: each candidate within the guard of PSD is rebuilt exactly
-    and decided by _is_ppt, in order, so the answer is the one a loop
-    over the candidates gives.
+    discards: each candidate within the guard of the PPT test is rebuilt
+    exactly and decided by _is_ppt, in order, so the answer is the one a
+    loop over the candidates gives.
     """
     d = da * db
     # the real and imaginary parts that _ginibre draws, combined as it does
@@ -290,7 +300,7 @@ def _first_ppt(specs, da: int, db: int) -> np.ndarray | None:
     m = g @ g.conj().swapaxes(1, 2)
     m /= np.real(np.trace(m, axis1=1, axis2=2))[:, None, None]
     least = np.linalg.eigvalsh(_partial_transpose_b(m, da, db))[:, 0]
-    for k in np.flatnonzero(least >= -_PPT_SCREEN_GUARD):
+    for k in np.flatnonzero(least >= -PSD_TOL - _PPT_SCREEN_GUARD):
         mat = _random_density_arr(d, *specs[k])
         if _is_ppt(mat, da, db):
             return mat

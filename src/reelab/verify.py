@@ -45,7 +45,7 @@ from .states import (
     BipartiteDims,
     DensityMatrix,
     _first_ppt,
-    _is_ppt,
+    _ppt_edge_weight,
     _random_density_arr,
     partial_trace_A,
     partial_trace_B,
@@ -154,11 +154,11 @@ def _random_nondistillable(rng, dims) -> DensityMatrix:
     separable (hence PPT) and usually rank deficient; the rest are
     Ginibre states of random rank, rejection-sampled to a PSD partial
     transpose with a budget of 200 candidates.  When the budget runs
-    out, the 200th candidate is blended toward the uniform state, as far
-    as a 60-step bisection finds it must be to turn PPT.  That is not
-    rare: on the four seeds of the benchmark campaign's 2x3 theorem1
-    slot, 100 trials each, it happens in 0 of the 313 Ginibre trials at
-    2x2, 101 at 2x3 and all 313 at 3x3.
+    out, the 200th candidate is blended toward the uniform state onto
+    the PPT boundary, by the closed-form weight of
+    states._ppt_edge_weight.  That is not rare: on the four seeds of the
+    benchmark campaign's 2x3 theorem1 slot, 100 trials each, it happens
+    in 0 of the 313 Ginibre trials at 2x2, 101 at 2x3 and all 313 at 3x3.
 
     Candidates are drawn from rng in chunks and screened by
     states._first_ppt, so rng may be drawn past the accepted candidate:
@@ -177,15 +177,8 @@ def _random_nondistillable(rng, dims) -> DensityMatrix:
         if mat is not None:
             return DensityMatrix(mat, dims)
     last = _random_density_arr(d, *specs[-1])
-    uniform = np.eye(d) / d
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _is_ppt((1.0 - mid) * last + mid * uniform, da, db):
-            hi = mid
-        else:
-            lo = mid
-    return DensityMatrix((1.0 - hi) * last + hi * uniform, dims)
+    t = _ppt_edge_weight(last, da, db)
+    return DensityMatrix((1.0 - t) * last + t * (np.eye(d) / d), dims)
 
 
 def _trial_theorem1(rng, dims, tol, trial):
@@ -241,7 +234,9 @@ def _trial_corollary1(rng, dims, tol, trial):
         "ree": res.value_bits,
     }
     quantities.update(_solve_diagnostics(res))
-    return quantities, -abs(res.value_bits - reduced_entropy)
+    # both ends of the certified interval must meet the reduced entropy
+    gaps = (abs(res.value_bits - reduced_entropy), abs(res.lower_bits - reduced_entropy))
+    return quantities, -max(gaps)
 
 
 def _trial_corollary2(rng, dims, tol, trial):
@@ -259,7 +254,12 @@ def _trial_corollary2(rng, dims, tol, trial):
     }
     for name, res in (("ree_left", r1), ("ree_product", r12), ("ree_right", r2)):
         quantities.update(_solve_diagnostics(res, name))
-    return quantities, -abs(r12.value_bits - r1.value_bits - r2.value_bits)
+    # each side's certified lower bound stays below the other side's value
+    return quantities, -max(
+        abs(r12.value_bits - r1.value_bits - r2.value_bits),
+        r12.lower_bits - r1.value_bits - r2.value_bits,
+        r1.lower_bits + r2.lower_bits - r12.value_bits,
+    )
 
 
 def _trial_lemma3(rng, dims, tol, trial):
@@ -273,7 +273,8 @@ def _trial_lemma3(rng, dims, tol, trial):
     ent = von_neumann_entropy(sigma)
     quantities = {"eof": eof, "entropy": ent, "rank": float(rank), "ree": res.value_bits}
     quantities.update(_solve_diagnostics(res))
-    return quantities, res.value_bits - (eof - ent)
+    # the certified lower bound, not the value, must clear E_F - S
+    return quantities, res.lower_bits - (eof - ent)
 
 
 def _trial_lemma4(rng, dims, tol, trial):

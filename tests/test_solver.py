@@ -147,7 +147,9 @@ def test_ree_budget_exhaustion_flagged():
 
 def test_ree_eigh_budget(monkeypatch):
     # the barrier path decomposes each point once, in its line search,
-    # and the dual bound adds two calls: 92 and 108 on these inputs; a
+    # and the dual bound adds two calls: 92 and 108 on these inputs, of
+    # which the start point's and the returned state's run in states and
+    # are not counted here (90 and 106 are); a
     # projected-gradient stationarity test took 94 and 110, decomposing
     # the returned point again 96 and 112, a Cholesky step cap and a
     # second decomposition in the Newton step 200 and 228, and descent

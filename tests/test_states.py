@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reelab import states
+from reelab.criteria import ppt_criterion
 from reelab.errors import (
     InputError,
     NormalizationError,
@@ -104,6 +105,34 @@ def test_reduction_and_ppt_hold_on_separables():
     rho = random_separable((2, 3), 99, k=40)
     assert is_psd(reduction_operator(rho), 1e-9)[0]
     assert is_psd(partial_transpose_B(rho), 1e-9)[0]
+
+
+def tiles_state() -> DensityMatrix:
+    """The Tiles UPB bound-entangled state at 3x3 (Bennett et al., PRL 82, 5385 (1999)).
+
+    (I - sum_i |psi_i><psi_i|)/4 over the five Tiles product vectors: PPT,
+    entangled and of rank 4, with a partial transpose whose least
+    eigenvalue rounds to about -1e-16.
+    """
+    e = np.eye(3)
+    minus01, minus12 = (e[0] - e[1]) / np.sqrt(2.0), (e[1] - e[2]) / np.sqrt(2.0)
+    plus = e.sum(axis=0) / np.sqrt(3.0)
+    vecs = [
+        np.kron(e[0], minus01),
+        np.kron(minus01, e[2]),
+        np.kron(e[2], minus12),
+        np.kron(minus12, e[0]),
+        np.kron(plus, plus),
+    ]
+    upb = sum(np.outer(v, v.conj()) for v in vecs)
+    return DensityMatrix((np.eye(9) - upb) / 4.0, (3, 3))
+
+
+def test_tiles_state_is_ppt():
+    rho = tiles_state()
+    assert np.linalg.matrix_rank(rho.mat, tol=1e-12) == 4
+    assert states._is_ppt(rho.mat, 3, 3)
+    assert ppt_criterion(rho).holds
 
 
 def test_pure_from_schmidt():

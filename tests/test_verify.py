@@ -1,16 +1,19 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from reelab import states
+from reelab import states, verify
 from reelab.errors import InputError
+from reelab.hermitian import PSD_TOL
 from reelab.states import (
     BipartiteDims,
     DensityMatrix,
     _is_ppt,
     _partial_transpose_b,
+    _ppt_edge_weight,
     _random_density_arr,
     random_separable,
 )
@@ -58,19 +61,23 @@ def test_reports_are_deterministic():
     assert a == b
 
 
-# sha256 of campaign_text for (suite, trials, seed, dims), frozen from the
-# reports made while the theorem1 sampler still validated every candidate;
-# the digests pin the floating-point results of one numpy/BLAS build, so
-# another build may need them recomputed
+# sha256 of campaign_text for (suite, trials, seed, dims).  The theorem1
+# 2x3 and 3x3 digests date from the sampler's closed-form blend onto the
+# PPT boundary; the lemma2 digests pin the solver's records bit for bit.
+# They pin the floating-point results of one numpy/BLAS build, so another
+# build may need them recomputed.
 FROZEN_REPORT_DIGESTS = {
     ("theorem1", 60, 7, (2, 2)): "c76526584d141657aacb0fb3023faace9921ec29cd43df40824844d8293d5635",
-    ("theorem1", 60, 7, (2, 3)): "fc2cc38336ada0aaa616d6b42746dffd8d79cf6df29090ea4fa1427961ec9007",
-    # every Ginibre trial at 3x3 exhausts the rejection budget and bisects
-    ("theorem1", 20, 7, (3, 3)): "751b77309005868440d5163a78e31169c6123675c9cfffea0e4767d9d44e49dd",
+    ("theorem1", 60, 7, (2, 3)): "af9ed0c6b52421d46290629faac592480d2275410650ef447064e8a879c7f9aa",
+    # every Ginibre trial at 3x3 exhausts the rejection budget and blends
+    ("theorem1", 20, 7, (3, 3)): "cae106929ef25787052e53515740270047b12782036786af79780899b22d412b",
     ("reduction", 60, 7, (2, 2)): "5f67b1fd96b4814824394c642426c253ee5347a49af616fd3f0664e26cbcf2cc",
     ("reduction", 60, 7, (2, 3)): "73774b2314c3870a1e15bfad63d839fbfbdfc162b32910069d4e7e0395bb1362",
     ("monotone", 30, 7, (2, 2)): "85078f2e38855a8fbd49d2967cf4d52c941944c64c5ae733627a1b436eef805c",
     ("monotone", 30, 7, (2, 3)): "4337e06d87c859c4d9fb0415d1972681fbdc19a322a3d739504fe542fb2b809d",
+    # each record carries the solve's value, iterations and lower-bound margin
+    ("lemma2", 8, 7, (2, 2)): "f14b65554ab9ea93f5d91807e5eabe681565e2f64b3fc842425f5dd6c0e677e9",
+    ("lemma2", 4, 7, (2, 3)): "182095747fea94c7bda0007f01540573ccc14c3420909053623122b545282444",
 }
 
 
@@ -116,21 +123,14 @@ def sequential_nondistillable(rng, dims):
         last = _random_density_arr(d, rank, s1)
         if _is_ppt(last, da, db):
             return DensityMatrix(last, dims), "accepted"
-    uniform = np.eye(d) / d
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _is_ppt((1.0 - mid) * last + mid * uniform, da, db):
-            hi = mid
-        else:
-            lo = mid
-    return DensityMatrix((1.0 - hi) * last + hi * uniform, dims), "bisected"
+    t = _ppt_edge_weight(last, da, db)
+    return DensityMatrix((1.0 - t) * last + t * (np.eye(d) / d), dims), "blended"
 
 
 def assert_sampler_matches_loop(dims, seeds) -> dict:
     """Check the sampler against the loop on trial 0 of each seed; count the branches."""
     dims = BipartiteDims(*dims)
-    branches = {"separable": 0, "accepted": 0, "bisected": 0}
+    branches = {"separable": 0, "accepted": 0, "blended": 0}
     for seed in seeds:
         got = _random_nondistillable(_trial_rng(seed, "theorem1", 0), dims)
         want, branch = sequential_nondistillable(_trial_rng(seed, "theorem1", 0), dims)
@@ -141,13 +141,54 @@ def assert_sampler_matches_loop(dims, seeds) -> dict:
 
 def test_nondistillable_matches_sequential_loop():
     assert assert_sampler_matches_loop((2, 2), range(80))["accepted"] > 40
-    # a third of the 2x3 Ginibre draws exhaust the budget and bisect
+    # a third of the 2x3 Ginibre draws exhaust the budget and blend
     branches = assert_sampler_matches_loop((2, 3), range(80))
-    assert branches["accepted"] > 20 and branches["bisected"] > 10
-    assert assert_sampler_matches_loop((2, 4), range(40))["bisected"] > 10
-    # at 3x3 every Ginibre draw bisects
+    assert branches["accepted"] > 20 and branches["blended"] > 10
+    assert assert_sampler_matches_loop((2, 4), range(40))["blended"] > 10
+    # at 3x3 every Ginibre draw blends
     branches = assert_sampler_matches_loop((3, 3), range(16))
-    assert branches["accepted"] == 0 and branches["bisected"] > 8
+    assert branches["accepted"] == 0 and branches["blended"] > 8
+
+
+def test_nondistillable_states_pass_the_ppt_test():
+    # separable mixtures and boundary blends sit within rounding of the
+    # PPT edge, on either side of zero; the one PPT test accepts them all
+    rng = np.random.default_rng(11)
+    for dims in (BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3)):
+        for _ in range(20):
+            rho = _random_nondistillable(rng, dims)
+            assert _is_ppt(rho.mat, dims.da, dims.db), dims
+
+
+def bisected_edge_weight(mat, da, db):
+    """The blend weight a 60-step bisection on the exact PPT edge finds."""
+    d = da * db
+    uniform = np.eye(d) / d
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        blend = (1.0 - mid) * mat + mid * uniform
+        if np.linalg.eigvalsh(_partial_transpose_b(blend, da, db))[0] >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_ppt_edge_weight_matches_bisection():
+    rng = np.random.default_rng(3)
+    blended = 0
+    for da, db in ((2, 2), (2, 3), (3, 3), (2, 4)):
+        d = da * db
+        for _ in range(30):
+            mat = _random_density_arr(d, int(rng.integers(1, d + 1)), int(rng.integers(0, 2**63 - 1)))
+            t = _ppt_edge_weight(mat, da, db)
+            assert abs(t - bisected_edge_weight(mat, da, db)) <= 1e-14
+            if t > 0.0:
+                blended += 1
+                blend = (1.0 - t) * mat + t * (np.eye(d) / d)
+                assert abs(np.linalg.eigvalsh(_partial_transpose_b(blend, da, db))[0]) <= 1e-14
+    assert blended > 60
 
 
 def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
@@ -178,13 +219,14 @@ def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
 @pytest.mark.parametrize("offset", [0.5, -0.5])
 def test_exact_test_alone_decides_inside_the_guard(monkeypatch, offset):
     # a screen that puts every candidate just inside the guard band, on
-    # either side of zero, must leave acceptance to the exact _is_ppt
+    # either side of the PPT threshold -PSD_TOL, must leave acceptance to
+    # the exact _is_ppt
     eigvalsh = np.linalg.eigvalsh
 
     def guard_band_screen(a, *args, **kwargs):
         w = eigvalsh(a, *args, **kwargs)
         if w.ndim == 2:
-            w[:, 0] = offset * states._PPT_SCREEN_GUARD
+            w[:, 0] = -PSD_TOL + offset * states._PPT_SCREEN_GUARD
         return w
 
     monkeypatch.setattr(np.linalg, "eigvalsh", guard_band_screen)
@@ -286,6 +328,21 @@ def test_solver_suites_record_solve_diagnostics():
             quantities = record.quantities
             assert quantities["ree_converged"] in (0.0, 1.0)
             assert quantities["ree_iterations"] >= 1.0
+
+
+@pytest.mark.parametrize("suite, trials", [("lemma3", 8), ("corollary1", 3)])
+def test_solver_suites_read_the_certified_side(monkeypatch, suite, trials):
+    # a lower bound 1e-6 bits below each value leaves every value-side
+    # claim standing, so only the certified side can fail these suites
+    solve = verify.ree_ppt
+
+    def loose(sigma):
+        res = solve(sigma)
+        return dataclasses.replace(res, lower_bits=res.value_bits - 1e-6)
+
+    assert run_suite(suite, trials, 7).all_pass
+    monkeypatch.setattr(verify, "ree_ppt", loose)
+    assert not run_suite(suite, trials, 7).all_pass
 
 
 def test_corollary2_passes_at_2x3():
