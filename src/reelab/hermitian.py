@@ -236,9 +236,12 @@ def _log_divided_differences(w: np.ndarray) -> np.ndarray:
     return np.where(near, 1.0 / wi, table)
 
 
-def _log_adjoint(w: np.ndarray, u: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """frechet_log_adjoint on arrays: U (L o overlaps) U' with overlaps = U' sigma U."""
-    return u @ (_log_divided_differences(w) * overlaps) @ u.conj().T
+def _log_adjoint(table: np.ndarray, u: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """frechet_log_adjoint on arrays: U (table o overlaps) U' with overlaps = U' sigma U.
+
+    table is _log_divided_differences of the eigenvalues whose eigenvectors are u.
+    """
+    return u @ (table * overlaps) @ u.conj().T
 
 
 def frechet_log_adjoint(rho: SpectralDecomposition, sigma: HermitianMatrix) -> HermitianMatrix:
@@ -258,7 +261,7 @@ def frechet_log_adjoint(rho: SpectralDecomposition, sigma: HermitianMatrix) -> H
     if sigma.dim != rho.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     u = rho.eigenvectors
-    return HermitianMatrix(_log_adjoint(w, u, u.conj().T @ sigma.mat @ u))
+    return HermitianMatrix(_log_adjoint(_log_divided_differences(w), u, u.conj().T @ sigma.mat @ u))
 
 
 def hs_inner(a: HermitianMatrix, b: HermitianMatrix) -> float:

@@ -5,10 +5,10 @@ For every supported total dimension (d <= 64) it follows the
 logarithmic-barrier path of both positivity cones with damped Newton
 steps (Boyd & Vandenberghe, Convex Optimization, 11.6), from a closed-form
 strictly feasible mix of sigma with I/d, centring at each barrier weight
-before cutting it; the first step after each cut follows the tangent of
-that central path (a predictor step), so it lands near the new centre
-instead of running into the cone boundary.  The backtracking line search
-is the only feasibility test: it accepts a point only when the
+before cutting it twenty-fold; the first step after each cut follows the
+tangent of that central path (a predictor step), so it lands near the new
+centre instead of running into the cone boundary.  The backtracking line
+search is the only feasibility test: it accepts a point only when the
 eigenvalues of rho and rho^PT are all positive, so every iterate is
 strictly inside both cones and the path needs no projection.  Each point
 is decomposed once: the two eigh calls of its trial serve the next
@@ -18,12 +18,15 @@ symmetric K = Re H + Im(H F), F the permutation that transposes vec, so
 each step costs O(d^5) to assemble K from eigenframe factors with one
 fused complex product and O(d^6) for one real bordered solve of size
 d^2 + 1, at half the memory of the complex system.  The best
-iterate gives an upper bound; the last Newton step, read as a
-primal-dual estimate of the PPT multiplier, gives a weak-duality lower
-bound (Boyd & Vandenberghe, 5.9 and 11.7), and the gap between the two
-certifies the solve.  Every tolerance is a module constant; callers set
-only the iteration budget.  Internals work on raw ndarrays in natural-log
-units; results are converted to bits at the boundary.
+iterate gives an upper bound; a Newton step, read as a primal-dual
+estimate of the PPT multiplier, gives a weak-duality lower bound (Boyd &
+Vandenberghe, 5.9 and 11.7), and the gap between the best value and the
+best bound certifies the solve.  The path stops once that gap is within
+_GAP_TOL; bounds are taken only at centred points whose central-path gap
+2d mu, for barrier degree 2d (11.2.2), is already within it, since no
+earlier bound can certify.  Every tolerance is a module constant; callers
+set only the iteration budget.  Internals work on raw ndarrays in
+natural-log units; results are converted to bits at the boundary.
 """
 
 from __future__ import annotations
@@ -92,16 +95,21 @@ def _objective_and_spec(sig: np.ndarray, rho: np.ndarray, sigma_term: float, da:
     return value, w, u, overlaps_full, s, v
 
 
-def _gradient(w: np.ndarray, u: np.ndarray, overlaps_full: np.ndarray) -> np.ndarray:
-    """Gradient of rho -> -tr{sigma ln rho} at the current spectral data."""
-    g = -_log_adjoint(w, u, overlaps_full)
+def _bits(nats: float) -> float:
+    """A relative entropy in nats, floored at 0, in bits."""
+    return max(0.0, nats) / _LN2
+
+
+def _gradient(table: np.ndarray, u: np.ndarray, overlaps_full: np.ndarray) -> np.ndarray:
+    """Gradient of rho -> -tr{sigma ln rho} from rho's eigenvectors u and ln divided differences."""
+    g = -_log_adjoint(table, u, overlaps_full)
     return (g + g.conj().T) / 2.0
 
 
 # barrier path following with damped Newton steps
 _MU_INIT = 1e-3
 _MU_FLOOR = 1e-12
-_MU_SHRINK = 0.2
+_MU_SHRINK = 0.05
 # relative to max(1, S(sigma)), the rounding level of the objective: a
 # Newton decrement below it cannot pass the barrier model's Armijo test,
 # and objective values closer than it are ties
@@ -112,17 +120,17 @@ _ARMIJO_SLOPE = 1e-4
 _GAP_TOL = 1e-9
 
 
-def _neg_log_dd2(w: np.ndarray) -> np.ndarray:
+def _neg_log_dd2(w: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Fully symmetric table T[i,j,k] = integral dz/((w_i+z)(w_j+z)(w_k+z)).
 
     These are the second divided differences of -ln evaluated on the
-    eigenvalues, with the degenerate limits filled in:
+    eigenvalues, built from L = _log_divided_differences(w), with the
+    degenerate limits filled in:
     T(x,y,x) = (dd1(x,y) - 1/x)/(x - y) and T(x,x,x) = 1/(2 x^2).  A pair
     is degenerate when it differs by less than DEGENERACY_RTOL times its
     larger member, the rule of _log_divided_differences.  Every entry is
     positive for positive eigenvalues.
     """
-    L = _log_divided_differences(w)
     inv_w = 1.0 / w
     diff = w[:, None] - w[None, :]
     near = np.abs(diff) < DEGENERACY_RTOL * np.maximum(w[:, None], w[None, :])
@@ -135,6 +143,7 @@ def _neg_log_dd2(w: np.ndarray) -> np.ndarray:
 
 def _newton_hessian(
     w: np.ndarray,
+    table: np.ndarray,
     u: np.ndarray,
     overlaps_full: np.ndarray,
     rho_inv: np.ndarray,
@@ -155,7 +164,8 @@ def _newton_hessian(
     The second derivative of -tr{sigma ln rho} in rho's eigenframe is
     sum_j u_pj conj(u_rj) conj(B_j)[q,s] + B_j[p,r] conj(u_qj) u_sj with
     B_j = u (O o T_j) u^H, where O is overlaps_full and T the fully
-    symmetric table of _neg_log_dd2.  Laid out as [(p r),(q s)] it is
+    symmetric table of _neg_log_dd2 built from the first divided
+    differences in table.  Laid out as [(p r),(q s)] it is
     X + X^H with X = P conj(B), P[(p r),j] = u_pj conj(u_rj), and the
     curvature mu_curv (rho^-1 x rho^-T) of the rho barrier is the outer
     product of vec rho^-1 and vec rho^-T in that layout, so one product of
@@ -166,7 +176,7 @@ def _newton_hessian(
     """
     d = len(w)
     n = d * d
-    frames = (u @ (overlaps_full * _neg_log_dd2(w)) @ u.conj().T).reshape(d, n)
+    frames = (u @ (overlaps_full * _neg_log_dd2(w, table)) @ u.conj().T).reshape(d, n)
     pairs = (u[:, None, :] * u.conj()[None, :, :]).reshape(n, d)
     left = np.concatenate([pairs, frames.T, (mu_curv * rho_inv).reshape(n, 1)], axis=1)
     right = np.concatenate([frames.conj(), pairs.conj().T, rho_inv.T.reshape(1, n)], axis=0)
@@ -195,6 +205,7 @@ def _newton_hessian(
 
 def _newton_step(
     w: np.ndarray,
+    table: np.ndarray,
     u: np.ndarray,
     overlaps_full: np.ndarray,
     s: np.ndarray,
@@ -209,8 +220,9 @@ def _newton_step(
 
     (w, u, overlaps_full) and (s, v) are the spectral data of rho and of
     rho^PT from _objective_and_spec, which has checked that both are
-    positive definite.  The model Hessian is the exact second derivative of
-    -tr{sigma ln rho}, assembled in rho's eigenframe from second divided
+    positive definite, and table is _log_divided_differences(w), from
+    which the gradient grad was built.  The model Hessian is the exact
+    second derivative of -tr{sigma ln rho}, assembled in rho's eigenframe from second divided
     differences, plus the curvature of -ln det rho and -ln det rho^PT
     weighted by mu_curv (mu by default).  The gradient always carries the
     weight mu.  With mu_curv the weight before a cut to mu, at a point
@@ -234,7 +246,7 @@ def _newton_step(
         mu_curv = mu
     rho_inv = (u * (1.0 / w)) @ u.conj().T
     tau_inv = (v * (1.0 / s)) @ v.conj().T
-    bordered = _newton_hessian(w, u, overlaps_full, rho_inv, tau_inv, mu_curv, da, db)
+    bordered = _newton_hessian(w, table, u, overlaps_full, rho_inv, tau_inv, mu_curv, da, db)
     g_mu = grad - mu * rho_inv - mu * _partial_transpose_b(tau_inv, da, db)
     rhs = np.zeros(n + 1)
     rhs[:n] = -(g_mu.real + g_mu.imag).reshape(n)
@@ -294,29 +306,39 @@ def _barrier_path(
     """Follow the logarithmic-barrier path of both cones from a strictly feasible rho.
 
     At each barrier weight mu, damped Newton steps run until the decrement
-    falls below mu/4 or no step moves; the weight is then cut by
-    _MU_SHRINK, and the path ends once it is centred at _MU_FLOOR.  After
-    a cut, if the last step moved, the next step keeps the old weight on
-    the barrier curvature: that is the tangent step of the central path
-    toward the new weight.  The backtracking search from t = 1 accepts
-    only points where rho and rho^PT are both positive definite, so every
-    iterate is strictly feasible and no projection is needed; the spectra
-    of the accepted point serve the next step.  Returns the best iterate
-    with its objective value, the step count, and the lower bound of
-    _dual_bound from the last Newton step.
+    falls below mu/4 or no step moves; the point is then centred for mu
+    and the weight is cut by _MU_SHRINK.  After a cut, if the last step
+    moved, the next step keeps the old weight on the barrier curvature:
+    that is the tangent step of the central path toward the new weight.
+    The backtracking search from t = 1 accepts only points where rho and
+    rho^PT are both positive definite, so every iterate is strictly
+    feasible and no projection is needed; the spectra of the accepted
+    point, and its table of log divided differences, serve the next step.
+
+    At a centred point whose central-path gap 2d mu is at most _GAP_TOL
+    (in nats), _dual_bound of its last Newton step is taken, and the path
+    stops once the best value and the best bound so far are within
+    _GAP_TOL bits: the certificate of ree_ppt.  Otherwise it ends centred
+    at _MU_FLOOR or after max_iters steps, where the last step's bound is
+    taken too.  Every bound is a valid weak-duality bound, so the best
+    one is kept.  Returns the best iterate with its objective value, the
+    step count, and that best bound.
     """
     # the closed-form start is strictly feasible by construction
     f_cur, w, u, overlaps, s, v = _objective_and_spec(sig, rho, sigma_term, da, db)
-    grad = _gradient(w, u, overlaps)
+    table = _log_divided_differences(w)
+    grad = _gradient(table, u, overlaps)
     best_f = f_cur
     best = (rho, f_cur)
     rounding = _DECREMENT_FLOOR * max(1.0, abs(sigma_term))
+    d = da * db
+    lower = -math.inf
     mu = _MU_INIT
     mu_curv = None
     iterations = 0
     while iterations < max_iters:
         iterations += 1
-        direction, decrement = _newton_step(w, u, overlaps, s, v, grad, mu, da, db, mu_curv)
+        direction, decrement = _newton_step(w, table, u, overlaps, s, v, grad, mu, da, db, mu_curv)
         last_step = (f_cur, rho, grad, s, v, direction, mu)
         mu_curv = None
         moved = False
@@ -340,7 +362,8 @@ def _barrier_path(
             if moved:
                 rho = candidate
                 f_cur, w, u, overlaps, s, v = trial
-                grad = _gradient(w, u, overlaps)
+                table = _log_divided_differences(w)
+                grad = _gradient(table, u, overlaps)
                 # values within rounding are ties, which the later iterate,
                 # further along the path, wins
                 if f_cur <= best_f + rounding:
@@ -349,6 +372,12 @@ def _barrier_path(
         # centred for mu once the decrement is small on the barrier scale
         # or no step was possible
         if (not moved) or decrement < 0.25 * mu:
+            # no bound can certify before the central path's own gap 2d mu does
+            if 2 * d * mu <= _GAP_TOL * _LN2:
+                lower = max(lower, _dual_bound(*last_step, da, db))
+                last_step = None
+                if _bits(best[1]) - _bits(lower) <= _GAP_TOL:
+                    break
             if mu <= _MU_FLOOR:
                 break
             # a point that a step just moved sits near the centre for mu,
@@ -356,7 +385,9 @@ def _barrier_path(
             if moved:
                 mu_curv = mu
             mu = max(_MU_SHRINK * mu, _MU_FLOOR)
-    return (*best, iterations, _dual_bound(*last_step, da, db))
+    if last_step is not None:
+        lower = max(lower, _dual_bound(*last_step, da, db))
+    return (*best, iterations, lower)
 
 
 def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
@@ -364,16 +395,17 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
 
     The solve starts at the closed-form strictly feasible mix of sigma
     with I/d (_start_point) and follows the logarithmic-barrier path with
-    damped Newton steps, centring at every barrier weight down to its
-    floor (_barrier_path).
+    damped Newton steps, centring at each barrier weight, until the
+    certified gap closes or the weight is centred at its floor
+    (_barrier_path).
 
     The reported value is in bits, evaluated at the best iterate of the
     path, which is the returned closest state; it is positive definite
     with a positive definite partial transpose, so the value is always an
-    upper bound on the minimum.  The lower bound comes from the last
-    Newton step (_dual_bound), and convergence means the gap between the
-    two is at most _GAP_TOL bits.  max_iters, which must be positive,
-    bounds the Newton steps.
+    upper bound on the minimum.  The lower bound is the best weak-duality
+    bound the path took from its Newton steps (_dual_bound), and
+    convergence means the gap between the two is at most _GAP_TOL bits.
+    max_iters, which must be positive, bounds the Newton steps.
     """
     if not max_iters > 0:
         raise InputError(f"max_iters must be positive, got {max_iters!r}")
@@ -390,8 +422,8 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     best_rho, f_best, iterations, lower = _barrier_path(
         sig, sigma_term, _start_point(sig, da, db), da, db, max_iters
     )
-    value_bits = max(0.0, f_best) / _LN2
-    lower_bits = max(0.0, lower) / _LN2
+    value_bits = _bits(f_best)
+    lower_bits = _bits(lower)
     converged = value_bits - lower_bits <= _GAP_TOL
     if iterations >= max_iters and not converged:
         warnings.warn(
@@ -439,18 +471,21 @@ def _binary_entropy_bits(p: float) -> float:
 def eof_two_qubit(sigma: DensityMatrix) -> float:
     """Entanglement of formation of a two-qubit state, in bits.
 
-    Concurrence route: with R = sigma (Y x Y) sigma* (Y x Y), the square
-    roots of R's eigenvalues in decreasing order give
-    C = max(0, mu1 - mu2 - mu3 - mu4) and
-    E_F = h((1 + sqrt(1 - C^2)) / 2).
+    Concurrence route (Wootters, PRL 80, 2245 (1998)): the square roots
+    mu1 >= ... >= mu4 of the eigenvalues of sigma (Y x Y) sigma* (Y x Y)
+    are the singular values of tau = V^T (Y x Y) V, V = u sqrt(w) over the
+    eigenvalues w >= EIG_ZERO_TOL of sigma's spectrum (zero-padded to
+    four), so no square root is taken of a rounding-noise eigenvalue; then
+    C = max(0, mu1 - mu2 - mu3 - mu4) and E_F = h((1 + sqrt(1 - C^2)) / 2).
     """
     dims = getattr(sigma, "dims", None)
     if dims is None or (dims.da, dims.db) != (2, 2):
         raise ShapeError("entanglement of formation requires dims (2, 2)")
-    mat = sigma.mat
-    spun = mat @ _YY_FLIP @ mat.conj() @ _YY_FLIP
-    roots = np.sqrt(np.clip(np.real(np.linalg.eigvals(spun)), 0.0, None))
-    roots = np.sort(roots)[::-1]
+    w = sigma.spectrum.eigenvalues
+    keep = w >= EIG_ZERO_TOL
+    root = sigma.spectrum.eigenvectors[:, keep] * np.sqrt(w[keep])
+    roots = np.zeros(4)
+    roots[: root.shape[1]] = np.linalg.svd(root.T @ _YY_FLIP @ root, compute_uv=False)
     concurrence = max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
     inner = (1.0 + math.sqrt(max(0.0, 1.0 - concurrence * concurrence))) / 2.0
     return _binary_entropy_bits(inner)

@@ -7,6 +7,7 @@ import pytest
 from reelab.entropy import lemma2_bound, relative_entropy, von_neumann_entropy
 from reelab.criteria import ppt_criterion
 from reelab.errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
+from reelab.hermitian import _log_divided_differences
 from reelab import solver
 from reelab.solver import (
     bell_diagonal_ree_oracle,
@@ -147,13 +148,10 @@ def test_ree_budget_exhaustion_flagged():
 
 def test_ree_eigh_budget(monkeypatch):
     # the barrier path decomposes each point once, in its line search,
-    # and the dual bound adds two calls: 92 and 108 on these inputs, of
-    # which the start point's and the returned state's run in states and
-    # are not counted here (90 and 106 are); a
-    # projected-gradient stationarity test took 94 and 110, decomposing
-    # the returned point again 96 and 112, a Cholesky step cap and a
-    # second decomposition in the Newton step 200 and 228, and descent
-    # steps mixed in up to 1,351 and 27,528
+    # and each dual bound adds two calls; the start point's and the
+    # returned state's decompositions run in states and are not counted.
+    # These inputs take 84 and 93 calls, against 90 and 106 when every
+    # solve centred down to the weight floor at 5x cuts
     calls = 0
     inner = solver._eigh
 
@@ -164,8 +162,8 @@ def test_ree_eigh_budget(monkeypatch):
 
     monkeypatch.setattr(solver, "_eigh", counted)
     cases = [
-        (random_density(4, 4, 3).tagged(2, 2), 92),
-        (random_density(6, 2, 0).tagged(2, 3), 108),
+        (random_density(4, 4, 3).tagged(2, 2), 86),
+        (random_density(6, 2, 0).tagged(2, 3), 95),
     ]
     for sigma, budget in cases:
         calls = 0
@@ -176,8 +174,10 @@ def test_ree_eigh_budget(monkeypatch):
 
 def test_ree_newton_step_budget(monkeypatch):
     # the first step after each barrier-weight cut follows the tangent of
-    # the central path; with a plain Newton step there, which runs into
-    # the cone boundary, this input took 58 steps against 35 now
+    # the central path, so the weight can be cut 20x at a time, and the
+    # path stops on the certificate: 20 steps on this input, against 30
+    # with 5x cuts down to the weight floor and 58 with a plain Newton
+    # step after each cut, which runs into the cone boundary
     calls = 0
     inner = solver._newton_step
 
@@ -189,7 +189,50 @@ def test_ree_newton_step_budget(monkeypatch):
     monkeypatch.setattr(solver, "_newton_step", counted)
     res = ree_ppt(random_density(6, 6, 1).tagged(2, 3))
     assert res.converged
-    assert calls <= 40
+    assert calls <= 22
+
+
+def test_ree_stops_on_certificate_before_weight_floor(monkeypatch):
+    weights = []
+    inner = solver._newton_step
+
+    def recorded(w, table, u, overlaps, s, v, grad, mu, *rest):
+        weights.append(mu)
+        return inner(w, table, u, overlaps, s, v, grad, mu, *rest)
+
+    monkeypatch.setattr(solver, "_newton_step", recorded)
+    res = ree_ppt(random_density(6, 6, 1).tagged(2, 3))
+    assert res.converged
+    assert min(weights) > solver._MU_FLOOR
+    assert 0.0 <= res.value_bits - res.lower_bits <= 1e-9
+
+
+def test_ree_budget_limited_bound_stays_below_value():
+    sigma = random_density(6, 6, 1).tagged(2, 3)
+    with pytest.warns(ConvergenceWarning):
+        res = ree_ppt(sigma, max_iters=8)
+    assert not res.converged
+    assert res.lower_bits <= res.value_bits
+    # the bound is below the REE, which the full solve bounds from above
+    assert res.lower_bits <= ree_ppt(sigma).value_bits
+
+
+def test_ree_returns_best_bound_seen(monkeypatch):
+    # the first bound falls just short of certifying and every later one
+    # is useless: the path runs to the weight floor and keeps the first
+    bounds = []
+    inner = solver._dual_bound
+
+    def degraded(*args):
+        bounds.append(inner(*args) - 1e-8 if not bounds else -math.inf)
+        return bounds[-1]
+
+    monkeypatch.setattr(solver, "_dual_bound", degraded)
+    res = ree_ppt(random_density(6, 6, 1).tagged(2, 3))
+    assert len(bounds) >= 2
+    assert not res.converged
+    assert res.lower_bits == solver._bits(bounds[0])
+    assert res.lower_bits <= res.value_bits
 
 
 def test_ree_barrier_path_makes_no_projections():
@@ -245,7 +288,7 @@ def _kron_newton_hessian(w, u, overlaps_full, rho_inv, tau_inv, mu_curv, da, db)
     d = len(w)
     n = d * d
     perm = np.arange(n).reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(n)
-    table = solver._neg_log_dd2(w)
+    table = solver._neg_log_dd2(w, _log_divided_differences(w))
     eye = np.eye(d)
     frame = np.einsum("ia,bk,ibk->ikab", eye, overlaps_full, table) + np.einsum(
         "kl,ij,ijk->ikjl", eye, overlaps_full, table
@@ -309,7 +352,8 @@ def test_newton_hessian_matches_dense_reference():
         rho_inv = (u * (1.0 / w)) @ u.conj().T
         tau_inv = (v * (1.0 / s)) @ v.conj().T
         mu = 3e-3
-        hess = solver._newton_hessian(w, u, overlaps, rho_inv, tau_inv, mu, da, db)[:n, :n]
+        table = _log_divided_differences(w)
+        hess = solver._newton_hessian(w, table, u, overlaps, rho_inv, tau_inv, mu, da, db)[:n, :n]
         coords = _real_coords(d)
         want = coords.conj().T @ _kron_newton_hessian(w, u, overlaps, rho_inv, tau_inv, mu, da, db) @ coords
         # the Hessian preserves Hermiticity, so it is real in these coordinates
@@ -327,9 +371,9 @@ def test_newton_hessian_matches_dense_reference():
             _, w2, u2, overlaps2, _, _ = solver._objective_and_spec(
                 sig, rho + sign * h * dirn, 0.0, da, db
             )
-            grads.append(solver._gradient(w2, u2, overlaps2))
+            grads.append(solver._gradient(_log_divided_differences(w2), u2, overlaps2))
         fd = _real_vec((grads[0] - grads[1]) / (2.0 * h))
-        sigma_part = solver._newton_hessian(w, u, overlaps, rho_inv, tau_inv, 0.0, da, db)[:n, :n]
+        sigma_part = solver._newton_hessian(w, table, u, overlaps, rho_inv, tau_inv, 0.0, da, db)[:n, :n]
         applied = sigma_part @ _real_vec(dirn)
         assert np.linalg.norm(applied - fd) <= 1e-7 * np.linalg.norm(fd)
 
@@ -337,9 +381,10 @@ def test_newton_hessian_matches_dense_reference():
 def test_newton_step_matches_complex_solve():
     for da, db in NEWTON_DIMS:
         _, _, (w, u, overlaps, s, v) = _newton_point(da, db)
-        grad = solver._gradient(w, u, overlaps)
+        table = _log_divided_differences(w)
+        grad = solver._gradient(table, u, overlaps)
         mu = 3e-3
-        direction, decrement = solver._newton_step(w, u, overlaps, s, v, grad, mu, da, db)
+        direction, decrement = solver._newton_step(w, table, u, overlaps, s, v, grad, mu, da, db)
         want, want_decrement = _complex_newton_step(w, u, overlaps, s, v, grad, mu, da, db)
         assert np.linalg.norm(direction - want) <= 1e-12 * np.linalg.norm(want)
         assert abs(decrement - want_decrement) <= 1e-12 * abs(want_decrement)
@@ -356,7 +401,8 @@ def test_neg_log_dd2_pairs_degenerate_by_their_own_scale():
     # eigenvalue but not times their own larger member: a rule scaled by
     # max(w) took the degenerate limit 1/(2 x^2) for T(x,y,x) and T(x,y,y)
     x, y = 1e-14, 3e-13
-    table = solver._neg_log_dd2(np.array([x, y, 0.4, 0.6]))
+    w = np.array([x, y, 0.4, 0.6])
+    table = solver._neg_log_dd2(w, _log_divided_differences(w))
     assert table[0, 1, 0] == pytest.approx((1.0 / x - _log_dd(x, y)) / (y - x), rel=1e-12)
     assert table[0, 1, 1] == pytest.approx((1.0 / y - _log_dd(x, y)) / (x - y), rel=1e-12)
     z = 0.4
@@ -366,7 +412,8 @@ def test_neg_log_dd2_pairs_degenerate_by_their_own_scale():
 def test_ree_4x4_pure_product(monkeypatch):
     # REE is additive on pure states: psi1 (x) psi2, regrouped to
     # (A1 A2)|(B1 B2) as in corollary2, has the sum of the two reduced
-    # entropies; the barrier path stops about 3.5e-11 bits above it
+    # entropies; the barrier path stops on its certificate about 5.4e-10
+    # bits above it
     calls = 0
     inner = solver._newton_step
 
@@ -512,6 +559,16 @@ def test_eof_two_qubit_examples():
         eof_two_qubit(DensityMatrix(np.eye(6) / 6, (2, 3)))
     with pytest.raises(ShapeError):
         eof_two_qubit(DensityMatrix(np.eye(4) / 4))
+
+
+def test_eof_two_qubit_equals_reduced_entropy_on_pure_states():
+    # E_F of a pure state is the entropy of its reduction; taking square
+    # roots of the rounding-noise eigenvalues of rho rho~ left it up to
+    # 2.9e-8 bits low on these inputs
+    for seed in range(200):
+        sigma = random_density(4, 1, seed).tagged(2, 2)
+        reduced = von_neumann_entropy(partial_trace_B(sigma))
+        assert eof_two_qubit(sigma) == pytest.approx(reduced, abs=1e-12)
 
 
 def _ensemble_entanglement(root: np.ndarray, q: np.ndarray) -> float:

@@ -63,7 +63,8 @@ def test_reports_are_deterministic():
 
 # sha256 of campaign_text for (suite, trials, seed, dims).  The theorem1
 # 2x3 and 3x3 digests date from the sampler's closed-form blend onto the
-# PPT boundary; the lemma2 digests pin the solver's records bit for bit.
+# PPT boundary; the lemma2 digests, from the barrier path that stops on
+# its certified gap, pin the solver's records bit for bit.
 # They pin the floating-point results of one numpy/BLAS build, so another
 # build may need them recomputed.
 FROZEN_REPORT_DIGESTS = {
@@ -76,8 +77,8 @@ FROZEN_REPORT_DIGESTS = {
     ("monotone", 30, 7, (2, 2)): "85078f2e38855a8fbd49d2967cf4d52c941944c64c5ae733627a1b436eef805c",
     ("monotone", 30, 7, (2, 3)): "4337e06d87c859c4d9fb0415d1972681fbdc19a322a3d739504fe542fb2b809d",
     # each record carries the solve's value, iterations and lower-bound margin
-    ("lemma2", 8, 7, (2, 2)): "f14b65554ab9ea93f5d91807e5eabe681565e2f64b3fc842425f5dd6c0e677e9",
-    ("lemma2", 4, 7, (2, 3)): "182095747fea94c7bda0007f01540573ccc14c3420909053623122b545282444",
+    ("lemma2", 8, 7, (2, 2)): "46d293020f6e73f5ab16d0eb67c03c84ed43cdaf8de273e62baad68a77c4e3c7",
+    ("lemma2", 4, 7, (2, 3)): "db0b99cd27660934669694d9948b031062bd7c15f33f53ebf6e4599efa6815ff",
 }
 
 
