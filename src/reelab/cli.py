@@ -158,9 +158,12 @@ def _cmd_compute(args) -> int:
         )
         return EXIT_INVARIANT
 
-    tol = args.tol_criteria
-    red = reduction_criterion(state, tol)
-    ppt = ppt_criterion(state, tol)
+    try:
+        red = reduction_criterion(state, args.tol_criteria)
+        ppt = ppt_criterion(state, args.tol_criteria)
+    except InputError as exc:
+        print(f"reelab: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     lines = [
         f"dims: {state.dims.da}x{state.dims.db}",
         f"entropy_joint_bits: {_fmt(von_neumann_entropy(state))}",

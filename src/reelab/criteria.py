@@ -39,8 +39,8 @@ class CriterionVerdict:
 
 
 def _verdict(op: HermitianMatrix, tol: float) -> CriterionVerdict:
-    if tol < 0:
-        raise InputError("tol must be nonnegative")
+    if not tol >= 0:
+        raise InputError(f"tol must be nonnegative, got {tol!r}")
     w, v = _eigh(op.mat)
     return CriterionVerdict(
         holds=bool(w[0] >= -tol),
@@ -167,6 +167,8 @@ def loewner_matrix_psd_check(
     monotonicity; a negative eigenvalue here is a concrete disproof.
     Returns (verdict, min eigenvalue).
     """
+    if not tol >= 0:
+        raise InputError(f"tol must be nonnegative, got {tol!r}")
     x = np.asarray(sample_points, dtype=float).ravel()
     if len(x) < 1:
         raise InputError("need at least one sample point")

@@ -206,8 +206,8 @@ def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
     Returns (verdict, witness) where the witness is the minimum
     eigenvalue, reported for passing and failing inputs alike.
     """
-    if tol < 0:
-        raise InputError("tol must be nonnegative")
+    if not tol >= 0:
+        raise InputError(f"tol must be nonnegative, got {tol!r}")
     w = _eigh(h.mat)[0]
     wmin = float(w[0])
     return wmin >= -tol, wmin

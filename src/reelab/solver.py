@@ -11,17 +11,17 @@ centre instead of running into the cone boundary.  The backtracking line
 search is the only feasibility test: it accepts a point only when the
 eigenvalues of rho and rho^PT are all positive, so every iterate is
 strictly inside both cones and the path needs no projection.  Each point
-is decomposed once: the two eigh calls of its trial serve the next
-Newton step.  A Hermitian step Delta has d^2 real coordinates
+is decomposed once, into a _Point: the two eigh calls of its trial serve
+the next Newton step.  A Hermitian step Delta has d^2 real coordinates
 r = vec(Re Delta + Im Delta), in which the Hessian H is the real
 symmetric K = Re H + Im(H F), F the permutation that transposes vec, so
 each step costs O(d^5) to assemble K from eigenframe factors with one
 fused complex product and O(d^6) for one real bordered solve of size
-d^2 + 1, at half the memory of the complex system.  The best
-iterate gives an upper bound; a Newton step, read as a primal-dual
-estimate of the PPT multiplier, gives a weak-duality lower bound (Boyd &
-Vandenberghe, 5.9 and 11.7), and the gap between the best value and the
-best bound certifies the solve.  The path stops once that gap is within
+d^2 + 1, at half the memory of the complex system.  The best iterate,
+the one of least value, gives an upper bound; a Newton step, read as a
+primal-dual estimate of the PPT multiplier, gives a weak-duality lower
+bound (Boyd & Vandenberghe, 5.9 and 11.7), and the gap between the best
+value and the best bound certifies the solve.  The path stops once that gap is within
 _GAP_TOL; bounds are taken only at centred points whose central-path gap
 2d mu, for barrier degree 2d (11.2.2), is already within it, since no
 earlier bound can certify.  Every tolerance is a module constant; callers
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,23 +77,35 @@ def _entropy_term_nat(w: np.ndarray) -> float:
     return float(np.sum(w * np.log(w)))
 
 
-def _objective_and_spec(sig: np.ndarray, rho: np.ndarray, sigma_term: float, da: int, db: int):
-    """S(sigma||rho) in nats plus the spectra of rho and rho^PT, at a strictly feasible rho.
+class _Point(NamedTuple):
+    """A strictly feasible rho with f = S(sigma||rho) in nats and the spectra of rho and rho^PT.
 
-    Returns (f, w, u, overlaps_full, s, v): f = sigma_term - tr{sigma ln rho},
-    the eigenpairs (w, u) of rho with overlaps_full = u^H sigma u, and the
-    eigenpairs (s, v) of rho^PT.  Returns None unless both rho and rho^PT
-    are positive definite; rho is checked before rho^PT is decomposed.
+    logdet = ln det rho + ln det rho^PT; (w, u) are the eigenpairs of rho,
+    overlaps = u^H sigma u, and (s, v) the eigenpairs of rho^PT.
     """
+
+    rho: np.ndarray
+    f: float
+    logdet: float
+    w: np.ndarray
+    u: np.ndarray
+    overlaps: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+
+
+def _point(sig: np.ndarray, rho: np.ndarray, sigma_term: float, da: int, db: int) -> _Point | None:
+    """rho as a _Point, or None unless rho and rho^PT are positive definite; rho is checked first."""
     w, u = _eigh(rho)
     if not w[0] > 0.0:
         return None
     s, v = _eigh(_partial_transpose_b(rho, da, db))
     if not s[0] > 0.0:
         return None
-    overlaps_full = u.conj().T @ sig @ u
-    value = sigma_term - float(np.real(np.sum(np.diag(overlaps_full) * np.log(w))))
-    return value, w, u, overlaps_full, s, v
+    overlaps = u.conj().T @ sig @ u
+    f = sigma_term - float(np.real(np.sum(np.diag(overlaps) * np.log(w))))
+    logdet = float(np.sum(np.log(w))) + float(np.sum(np.log(s)))
+    return _Point(rho, f, logdet, w, u, overlaps, s, v)
 
 
 def _bits(nats: float) -> float:
@@ -111,8 +124,7 @@ _MU_INIT = 1e-3
 _MU_FLOOR = 1e-12
 _MU_SHRINK = 0.05
 # relative to max(1, S(sigma)), the rounding level of the objective: a
-# Newton decrement below it cannot pass the barrier model's Armijo test,
-# and objective values closer than it are ties
+# Newton decrement below it cannot pass the barrier model's Armijo test
 _DECREMENT_FLOOR = 1e-14
 # sufficient-decrease fraction of the line search's Armijo test
 _ARMIJO_SLOPE = 1e-4
@@ -204,23 +216,12 @@ def _newton_hessian(
 
 
 def _newton_step(
-    w: np.ndarray,
-    table: np.ndarray,
-    u: np.ndarray,
-    overlaps_full: np.ndarray,
-    s: np.ndarray,
-    v: np.ndarray,
-    grad: np.ndarray,
-    mu: float,
-    da: int,
-    db: int,
-    mu_curv: float | None = None,
+    p: _Point, table: np.ndarray, grad: np.ndarray, mu: float, da: int, db: int, mu_curv: float | None = None
 ):
     """Damped-Newton direction for f(rho) + mu barriers at a strictly feasible rho.
 
-    (w, u, overlaps_full) and (s, v) are the spectral data of rho and of
-    rho^PT from _objective_and_spec, which has checked that both are
-    positive definite, and table is _log_divided_differences(w), from
+    p is the point from _point, which has checked that rho and rho^PT are
+    positive definite, and table is _log_divided_differences(p.w), from
     which the gradient grad was built.  The model Hessian is the exact
     second derivative of -tr{sigma ln rho}, assembled in rho's eigenframe from second divided
     differences, plus the curvature of -ln det rho and -ln det rho^PT
@@ -240,13 +241,13 @@ def _newton_step(
     Assembly costs O(d^5) (_newton_hessian), the dense real solve O(d^6).
     Returns (direction, decrement); direction is None when the solve fails.
     """
-    d = len(w)
+    d = len(p.w)
     n = d * d
     if mu_curv is None:
         mu_curv = mu
-    rho_inv = (u * (1.0 / w)) @ u.conj().T
-    tau_inv = (v * (1.0 / s)) @ v.conj().T
-    bordered = _newton_hessian(w, table, u, overlaps_full, rho_inv, tau_inv, mu_curv, da, db)
+    rho_inv = (p.u * (1.0 / p.w)) @ p.u.conj().T
+    tau_inv = (p.v * (1.0 / p.s)) @ p.v.conj().T
+    bordered = _newton_hessian(p.w, table, p.u, p.overlaps, rho_inv, tau_inv, mu_curv, da, db)
     g_mu = grad - mu * rho_inv - mu * _partial_transpose_b(tau_inv, da, db)
     rhs = np.zeros(n + 1)
     rhs[:n] = -(g_mu.real + g_mu.imag).reshape(n)
@@ -271,38 +272,30 @@ def _start_point(sig: np.ndarray, da: int, db: int) -> np.ndarray:
 
 
 def _dual_bound(
-    f: float,
-    rho: np.ndarray,
-    grad: np.ndarray,
-    s: np.ndarray,
-    v: np.ndarray,
-    direction: np.ndarray | None,
-    mu: float,
-    da: int,
-    db: int,
+    p: _Point, grad: np.ndarray, direction: np.ndarray | None, mu: float, da: int, db: int
 ) -> float:
     """Weak-duality lower bound, in nats, on f over the PPT states.
 
     By convexity, for any B >= 0 and PPT state x with tr x = 1,
     f(x) >= f(rho) + <G, x - rho> - <B^PT, x> >= f(rho) - <G, rho> + lam_min(G - B^PT),
-    with G = grad at rho.  B is the Newton step's estimate of the PPT
+    with G = grad at rho = p.rho.  B is the Newton step's estimate of the PPT
     multiplier, [mu tau^-1 - mu tau^-1 direction^PT tau^-1]_+ with tau = rho^PT
-    of eigenpairs (s, v), or 0 when the step failed.  d eps ||G - B^PT||_F
+    of eigenpairs (p.s, p.v), or 0 when the step failed.  d eps ||G - B^PT||_F
     is subtracted for the rounding of lam_min.
     """
     dual = grad
     if direction is not None:
-        tau_inv = (v * (1.0 / s)) @ v.conj().T
+        tau_inv = (p.v * (1.0 / p.s)) @ p.v.conj().T
         w_mult, q = _eigh(mu * tau_inv - mu * (tau_inv @ _partial_transpose_b(direction, da, db) @ tau_inv))
         dual = grad - _partial_transpose_b((q * np.clip(w_mult, 0.0, None)) @ q.conj().T, da, db)
     lam = float(_eigh(dual)[0][0])
     slack = da * db * float(np.finfo(float).eps * np.linalg.norm(dual))
-    return f - float(np.real(np.vdot(grad, rho))) + lam - slack
+    return p.f - float(np.real(np.vdot(grad, p.rho))) + lam - slack
 
 
 def _barrier_path(
     sig: np.ndarray, sigma_term: float, rho: np.ndarray, da: int, db: int, max_iters: int
-) -> tuple[np.ndarray, float, int, float]:
+) -> tuple[_Point, int, float]:
     """Follow the logarithmic-barrier path of both cones from a strictly feasible rho.
 
     At each barrier weight mu, damped Newton steps run until the decrement
@@ -312,24 +305,23 @@ def _barrier_path(
     that is the tangent step of the central path toward the new weight.
     The backtracking search from t = 1 accepts only points where rho and
     rho^PT are both positive definite, so every iterate is strictly
-    feasible and no projection is needed; the spectra of the accepted
-    point, and its table of log divided differences, serve the next step.
+    feasible and no projection is needed; the accepted _Point, and its
+    table of log divided differences, serve the next step.
 
-    At a centred point whose central-path gap 2d mu is at most _GAP_TOL
-    (in nats), _dual_bound of its last Newton step is taken, and the path
-    stops once the best value and the best bound so far are within
-    _GAP_TOL bits: the certificate of ree_ppt.  Otherwise it ends centred
-    at _MU_FLOOR or after max_iters steps, where the last step's bound is
-    taken too.  Every bound is a valid weak-duality bound, so the best
-    one is kept.  Returns the best iterate with its objective value, the
-    step count, and that best bound.
+    The best iterate is the one of least objective value.  At a centred
+    point whose central-path gap 2d mu is at most _GAP_TOL (in nats),
+    _dual_bound of its last Newton step is taken, and the path stops once
+    the best value and the best bound so far are within _GAP_TOL bits: the
+    certificate of ree_ppt.  Otherwise it ends centred at _MU_FLOOR or
+    after max_iters steps, where the last step's bound is taken too.
+    Every bound is a valid weak-duality bound, so the best one is kept.
+    Returns the best iterate, the step count, and that best bound.
     """
     # the closed-form start is strictly feasible by construction
-    f_cur, w, u, overlaps, s, v = _objective_and_spec(sig, rho, sigma_term, da, db)
-    table = _log_divided_differences(w)
-    grad = _gradient(table, u, overlaps)
-    best_f = f_cur
-    best = (rho, f_cur)
+    p = _point(sig, rho, sigma_term, da, db)
+    table = _log_divided_differences(p.w)
+    grad = _gradient(table, p.u, p.overlaps)
+    best = p
     rounding = _DECREMENT_FLOOR * max(1.0, abs(sigma_term))
     d = da * db
     lower = -math.inf
@@ -338,8 +330,8 @@ def _barrier_path(
     iterations = 0
     while iterations < max_iters:
         iterations += 1
-        direction, decrement = _newton_step(w, table, u, overlaps, s, v, grad, mu, da, db, mu_curv)
-        last_step = (f_cur, rho, grad, s, v, direction, mu)
+        direction, decrement = _newton_step(p, table, grad, mu, da, db, mu_curv)
+        last_step = (p, grad, direction, mu)
         mu_curv = None
         moved = False
         # a decrement at the rounding level of the objective cannot pass
@@ -347,28 +339,22 @@ def _barrier_path(
         # square root: take it once it is feasible
         centred = direction is not None and abs(decrement) <= rounding
         if direction is not None and (decrement > 0.0 or centred):
-            model_cur = f_cur - mu * (float(np.sum(np.log(w))) + float(np.sum(np.log(s))))
             t = 1.0
             while t >= 1e-16:
-                candidate = rho + t * direction
-                trial = _objective_and_spec(sig, candidate, sigma_term, da, db)
-                if trial is not None:
-                    f_new, w2, _, _, s2, _ = trial
-                    model_new = f_new - mu * (float(np.sum(np.log(w2))) + float(np.sum(np.log(s2))))
-                    if centred or model_new <= model_cur - _ARMIJO_SLOPE * t * decrement:
-                        moved = True
-                        break
+                trial = _point(sig, p.rho + t * direction, sigma_term, da, db)
+                if trial is not None and (
+                    centred
+                    or trial.f - mu * trial.logdet <= p.f - mu * p.logdet - _ARMIJO_SLOPE * t * decrement
+                ):
+                    moved = True
+                    break
                 t *= 0.5
             if moved:
-                rho = candidate
-                f_cur, w, u, overlaps, s, v = trial
-                table = _log_divided_differences(w)
-                grad = _gradient(table, u, overlaps)
-                # values within rounding are ties, which the later iterate,
-                # further along the path, wins
-                if f_cur <= best_f + rounding:
-                    best_f = min(best_f, f_cur)
-                    best = (rho, f_cur)
+                p = trial
+                table = _log_divided_differences(p.w)
+                grad = _gradient(table, p.u, p.overlaps)
+                if p.f < best.f:
+                    best = p
         # centred for mu once the decrement is small on the barrier scale
         # or no step was possible
         if (not moved) or decrement < 0.25 * mu:
@@ -376,7 +362,7 @@ def _barrier_path(
             if 2 * d * mu <= _GAP_TOL * _LN2:
                 lower = max(lower, _dual_bound(*last_step, da, db))
                 last_step = None
-                if _bits(best[1]) - _bits(lower) <= _GAP_TOL:
+                if _bits(best.f) - _bits(lower) <= _GAP_TOL:
                     break
             if mu <= _MU_FLOOR:
                 break
@@ -387,7 +373,7 @@ def _barrier_path(
             mu = max(_MU_SHRINK * mu, _MU_FLOOR)
     if last_step is not None:
         lower = max(lower, _dual_bound(*last_step, da, db))
-    return (*best, iterations, lower)
+    return best, iterations, lower
 
 
 def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
@@ -400,7 +386,7 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     (_barrier_path).
 
     The reported value is in bits, evaluated at the best iterate of the
-    path, which is the returned closest state; it is positive definite
+    path, the one of least value, which is the returned closest state; it is positive definite
     with a positive definite partial transpose, so the value is always an
     upper bound on the minimum.  The lower bound is the best weak-duality
     bound the path took from its Newton steps (_dual_bound), and
@@ -419,10 +405,8 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
 
     sig = sigma.mat
     sigma_term = _entropy_term_nat(sigma.spectrum.eigenvalues)
-    best_rho, f_best, iterations, lower = _barrier_path(
-        sig, sigma_term, _start_point(sig, da, db), da, db, max_iters
-    )
-    value_bits = _bits(f_best)
+    best, iterations, lower = _barrier_path(sig, sigma_term, _start_point(sig, da, db), da, db, max_iters)
+    value_bits = _bits(best.f)
     lower_bits = _bits(lower)
     converged = value_bits - lower_bits <= _GAP_TOL
     if iterations >= max_iters and not converged:
@@ -434,7 +418,7 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
 
     return ReeResult(
         value_bits=value_bits,
-        closest_state=DensityMatrix(best_rho, dims=bdims),
+        closest_state=DensityMatrix(best.rho, dims=bdims),
         iterations=iterations,
         converged=converged,
         lower_bits=lower_bits,

@@ -360,10 +360,7 @@ SUITE_NAMES = tuple(_TRIALS)
 
 
 def _run_trial(suite: str, master_seed: int, trial: int, dims: BipartiteDims, tol: float):
-    trial_fn = _TRIALS.get(suite)
-    if trial_fn is None:
-        raise InputError(f"unknown suite {suite!r}")
-    quantities, margin = trial_fn(_trial_rng(master_seed, suite, trial), dims, tol, trial)
+    quantities, margin = _TRIALS[suite](_trial_rng(master_seed, suite, trial), dims, tol, trial)
     indeterminate = margin is None
     passed = True if indeterminate else margin >= -tol
     return ReportRecord(

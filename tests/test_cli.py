@@ -4,7 +4,7 @@ import pytest
 
 from reelab.cli import main
 from reelab.statefile import dumps_state, save_state
-from reelab.states import maximally_mixed, random_density, singlet
+from reelab.states import maximally_mixed, random_density, singlet, werner
 
 
 def run(capsys, *argv):
@@ -75,6 +75,16 @@ def test_compute_requires_dims(tmp_path, capsys):
     code, _, err = run(capsys, "compute", str(path))
     assert code == 3
     assert "dims" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_compute_invalid_tolerance_exits_64(tmp_path, capsys, tol):
+    path = tmp_path / "werner.json"
+    save_state(werner(0.3), path)
+    code, out, err = run(capsys, "compute", str(path), "--tol-criteria", tol)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("reelab: ") and "tol" in err
 
 
 def test_mkstate_singlet_round_trip(tmp_path, capsys):

@@ -54,6 +54,19 @@ def test_ppt_criterion_verdicts():
     assert verdict.witness_eigenvalue == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_criteria_reject_invalid_tolerance():
+    # a NaN tolerance compared false and gave the separable werner(0.3)
+    # a failing verdict
+    for tol in (-1.0, np.nan):
+        with pytest.raises(InputError):
+            ppt_criterion(werner(0.3), tol)
+        with pytest.raises(InputError):
+            reduction_criterion(werner(0.3), tol)
+        # log is operator monotone: no tolerance may disprove it
+        with pytest.raises(InputError):
+            loewner_matrix_psd_check(LOG, [1.0, 2.0, 3.0], tol)
+
+
 def test_criteria_agree_two_qubits():
     # reduction and PPT are equivalent for 2x2; check verdict agreement
     for seed in range(300):

@@ -132,8 +132,9 @@ def test_is_psd_witness():
     assert ok and witness == pytest.approx(1.0)
     ok, witness = is_psd(from_diag([1.0, -0.5]), 1e-9)
     assert not ok and witness == pytest.approx(-0.5)
-    with pytest.raises(InputError):
-        is_psd(identity(2), -1.0)
+    for tol in (-1.0, np.nan):
+        with pytest.raises(InputError):
+            is_psd(identity(2), tol)
 
 
 def test_loewner_geq_basics():

@@ -8,7 +8,7 @@ from reelab.entropy import lemma2_bound, relative_entropy, von_neumann_entropy
 from reelab.criteria import ppt_criterion
 from reelab.errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
 from reelab.hermitian import _log_divided_differences
-from reelab import solver
+from reelab import solver, verify
 from reelab.solver import (
     bell_diagonal_ree_oracle,
     closest_state_for_pure,
@@ -16,6 +16,7 @@ from reelab.solver import (
     ree_ppt,
 )
 from reelab.states import (
+    BipartiteDims,
     DensityMatrix,
     PureState,
     bell_diagonal,
@@ -83,8 +84,7 @@ def test_ree_separable_inputs():
 
 def test_ree_full_rank_ppt_inputs_converge():
     # the REE of these is 0, so near the end of the barrier path the
-    # objective is at rounding level; the best iterate must be the latest
-    # of the tied ones, not one up to 1e-7 back along the path
+    # objective is at rounding level, and the certificate must still close
     for (da, db), seed in (((2, 2), 123), ((2, 3), 214)):
         sigma = random_density(da * db, da * db, seed).tagged(da, db)
         assert ppt_criterion(sigma).holds
@@ -196,9 +196,9 @@ def test_ree_stops_on_certificate_before_weight_floor(monkeypatch):
     weights = []
     inner = solver._newton_step
 
-    def recorded(w, table, u, overlaps, s, v, grad, mu, *rest):
+    def recorded(p, table, grad, mu, *rest):
         weights.append(mu)
-        return inner(w, table, u, overlaps, s, v, grad, mu, *rest)
+        return inner(p, table, grad, mu, *rest)
 
     monkeypatch.setattr(solver, "_newton_step", recorded)
     res = ree_ppt(random_density(6, 6, 1).tagged(2, 3))
@@ -233,6 +233,65 @@ def test_ree_returns_best_bound_seen(monkeypatch):
     assert not res.converged
     assert res.lower_bits == solver._bits(bounds[0])
     assert res.lower_bits <= res.value_bits
+
+
+def test_point_carries_value_and_barrier_logdet():
+    sigma = random_density(6, 3, 5).tagged(2, 3)
+    rho_state = DensityMatrix(0.5 * random_density(6, 6, 6).mat + 0.5 * np.eye(6) / 6, dims=(2, 3))
+    assert ppt_criterion(rho_state, 0.0).holds
+    sigma_term = solver._entropy_term_nat(sigma.spectrum.eigenvalues)
+    p = solver._point(sigma.mat, rho_state.mat, sigma_term, 2, 3)
+    assert p is not None
+    assert p.f == pytest.approx(relative_entropy(sigma, rho_state) * math.log(2.0), abs=1e-12)
+    want = sum(
+        np.linalg.slogdet(m)[1] for m in (rho_state.mat, solver._partial_transpose_b(rho_state.mat, 2, 3))
+    )
+    assert p.logdet == pytest.approx(want, abs=1e-12)
+
+
+def test_point_rejects_infeasible_rho(monkeypatch):
+    calls = 0
+    inner = solver._eigh
+
+    def counted(mat):
+        nonlocal calls
+        calls += 1
+        return inner(mat)
+
+    monkeypatch.setattr(solver, "_eigh", counted)
+    sig = singlet().mat
+    # rho itself is indefinite: rejected before rho^PT is decomposed
+    assert solver._point(sig, np.diag([0.6, 0.5, 0.1, -0.2]).astype(complex), 0.0, 2, 2) is None
+    assert calls == 1
+    # rho is positive definite, but its partial transpose is not
+    npt = 0.9 * singlet().mat + 0.1 * np.eye(4) / 4
+    assert solver._point(sig, npt, 0.0, 2, 2) is None
+
+
+def _lemma2_trial_sigma(seed, trial, dims):
+    # the state that verify's lemma2 trial draws
+    rng = verify._trial_rng(seed, "lemma2", trial)
+    rank = int(rng.integers(1, dims.total + 1))
+    (s1,) = verify._state_seeds(rng, 1)
+    return random_density(dims.total, rank, s1).tagged(dims.da, dims.db)
+
+
+def test_ree_value_is_least_over_the_path(monkeypatch):
+    # the reported value is the strict minimum over the iterates: no
+    # later iterate within rounding of it replaces it
+    values = []
+    inner = solver._newton_step
+
+    def recorded(p, *rest, **kwargs):
+        values.append(p.f)
+        return inner(p, *rest, **kwargs)
+
+    monkeypatch.setattr(solver, "_newton_step", recorded)
+    for sigma in (_lemma2_trial_sigma(7, 5, BipartiteDims(2, 2)), werner(0.3)):
+        values.clear()
+        res = ree_ppt(sigma)
+        assert values
+        assert all(res.value_bits <= solver._bits(f) for f in values)
 
 
 def test_ree_barrier_path_makes_no_projections():
@@ -338,9 +397,9 @@ def _newton_point(da, db):
     d = da * db
     sig = random_density(d, 2, 40 + d).mat
     rho = 0.5 * random_density(d, d, 60 + d).mat + 0.5 * np.eye(d) / d
-    spec = solver._objective_and_spec(sig, rho, 0.0, da, db)
-    assert spec is not None
-    return sig, rho, spec[1:]
+    p = solver._point(sig, rho, 0.0, da, db)
+    assert p is not None
+    return sig, p
 
 
 def test_newton_hessian_matches_dense_reference():
@@ -348,7 +407,8 @@ def test_newton_hessian_matches_dense_reference():
     for da, db in NEWTON_DIMS:
         d = da * db
         n = d * d
-        sig, rho, (w, u, overlaps, s, v) = _newton_point(da, db)
+        sig, p = _newton_point(da, db)
+        rho, w, u, overlaps, s, v = p.rho, p.w, p.u, p.overlaps, p.s, p.v
         rho_inv = (u * (1.0 / w)) @ u.conj().T
         tau_inv = (v * (1.0 / s)) @ v.conj().T
         mu = 3e-3
@@ -368,10 +428,8 @@ def test_newton_hessian_matches_dense_reference():
         h = 1e-5
         grads = []
         for sign in (1.0, -1.0):
-            _, w2, u2, overlaps2, _, _ = solver._objective_and_spec(
-                sig, rho + sign * h * dirn, 0.0, da, db
-            )
-            grads.append(solver._gradient(_log_divided_differences(w2), u2, overlaps2))
+            p2 = solver._point(sig, rho + sign * h * dirn, 0.0, da, db)
+            grads.append(solver._gradient(_log_divided_differences(p2.w), p2.u, p2.overlaps))
         fd = _real_vec((grads[0] - grads[1]) / (2.0 * h))
         sigma_part = solver._newton_hessian(w, table, u, overlaps, rho_inv, tau_inv, 0.0, da, db)[:n, :n]
         applied = sigma_part @ _real_vec(dirn)
@@ -380,12 +438,12 @@ def test_newton_hessian_matches_dense_reference():
 
 def test_newton_step_matches_complex_solve():
     for da, db in NEWTON_DIMS:
-        _, _, (w, u, overlaps, s, v) = _newton_point(da, db)
-        table = _log_divided_differences(w)
-        grad = solver._gradient(table, u, overlaps)
+        _, p = _newton_point(da, db)
+        table = _log_divided_differences(p.w)
+        grad = solver._gradient(table, p.u, p.overlaps)
         mu = 3e-3
-        direction, decrement = solver._newton_step(w, table, u, overlaps, s, v, grad, mu, da, db)
-        want, want_decrement = _complex_newton_step(w, u, overlaps, s, v, grad, mu, da, db)
+        direction, decrement = solver._newton_step(p, table, grad, mu, da, db)
+        want, want_decrement = _complex_newton_step(p.w, p.u, p.overlaps, p.s, p.v, grad, mu, da, db)
         assert np.linalg.norm(direction - want) <= 1e-12 * np.linalg.norm(want)
         assert abs(decrement - want_decrement) <= 1e-12 * abs(want_decrement)
         assert np.array_equal(direction, direction.conj().T)

@@ -77,7 +77,7 @@ FROZEN_REPORT_DIGESTS = {
     ("monotone", 30, 7, (2, 2)): "85078f2e38855a8fbd49d2967cf4d52c941944c64c5ae733627a1b436eef805c",
     ("monotone", 30, 7, (2, 3)): "4337e06d87c859c4d9fb0415d1972681fbdc19a322a3d739504fe542fb2b809d",
     # each record carries the solve's value, iterations and lower-bound margin
-    ("lemma2", 8, 7, (2, 2)): "46d293020f6e73f5ab16d0eb67c03c84ed43cdaf8de273e62baad68a77c4e3c7",
+    ("lemma2", 8, 7, (2, 2)): "ee4adbb70242da19a39a96bb01715b9436b443162b2c14cf80a52593b6b39003",
     ("lemma2", 4, 7, (2, 3)): "db0b99cd27660934669694d9948b031062bd7c15f33f53ebf6e4599efa6815ff",
 }
 
