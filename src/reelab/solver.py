@@ -153,6 +153,56 @@ def _neg_log_dd2(w: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.where(near_xz, np.broadcast_to(pair[:, :, None], generic.shape), generic)
 
 
+# complex bytes per row slab of the rho^PT term in _newton_hessian, at
+# least one A block.  A slab per A block made 2x2 to 3x3 Newton steps 2-3%
+# slower, so every d <= 9 takes one slab (the whole term is 105 KiB at
+# 3x3); at 4x4 four 256 KiB slabs made a step 4% faster than one of 1 MiB,
+# and at d = 64 each 67 MB slab fits in the 134 MB it shares with bordered
+_SLAB_BYTES = 256 * 1024
+
+
+class _Workspace(NamedTuple):
+    """The large arrays of a solve's Newton systems, with each view taken once.
+
+    buf holds the complex d^2 x d^2 product of _newton_hessian.  A slab
+    (rows, out, target, term) adds the rho^PT term of a run of A blocks:
+    out holds it for those rows of tau^-1, and term is out transposed onto
+    target, the same rows of buf split into axes (a1 b1 a3 b3 a2 b2 a4 b4).
+    The slabs share one real array with bordered, whose K block k is the
+    sum of the views re and im of buf.
+    """
+
+    buf: np.ndarray
+    slabs: list
+    bordered: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    k: np.ndarray
+
+
+def _newton_workspace(da: int, db: int) -> _Workspace:
+    """The _Workspace for da x db: at d = 64, 268 MB complex and 134 MB real."""
+    d = da * db
+    n = d * d
+    block = db * d**3
+    height = min(da, max(1, _SLAB_BYTES // (16 * block)))
+    real = np.empty(max((n + 1) ** 2, 2 * height * block))
+    buf = np.empty((n, n), dtype=complex)
+    split = buf.reshape((da, db) * 4)
+    slabs = []
+    for start in range(0, da, height):
+        stop = min(start + height, da)
+        out = real[: 2 * (stop - start) * block].view(complex).reshape((stop - start) * db, d, d, d)
+        # partial transposition swaps b1 with b2 and b3 with b4
+        term = out.reshape((stop - start, db) + (da, db) * 3).transpose(0, 5, 2, 7, 4, 1, 6, 3)
+        slabs.append((slice(start * db, stop * db), out, split[start:stop], term))
+    bordered = real[: (n + 1) ** 2].reshape(n + 1, n + 1)
+    # buf[p,r,q,s] = H[(p q),(r s)]
+    quad = buf.reshape(d, d, d, d)
+    re, im = quad.real.transpose(0, 2, 1, 3), quad.imag.transpose(0, 2, 3, 1)
+    return _Workspace(buf, slabs, bordered, re, im, bordered[:n, :n].reshape(d, d, d, d))
+
+
 def _newton_hessian(
     w: np.ndarray,
     table: np.ndarray,
@@ -161,8 +211,7 @@ def _newton_hessian(
     rho_inv: np.ndarray,
     tau_inv: np.ndarray,
     mu_curv: float,
-    da: int,
-    db: int,
+    work: _Workspace,
 ) -> np.ndarray:
     """Bordered real Newton matrix [[K, t], [t^T, 0]] of size d^2 + 1, t = vec I.
 
@@ -183,8 +232,10 @@ def _newton_hessian(
     product of vec rho^-1 and vec rho^-T in that layout, so one product of
     inner dimension 2d + 1, [P, B^T, mu_curv vec rho^-1] times
     [conj B; P^H; vec(rho^-T)^T], builds both: the assembly costs O(d^5).
-    The partial-transpose image of the rho^PT barrier is added in place,
-    and both terms of K are transposed views of the result.
+    The partial-transpose image of the rho^PT barrier is added to that
+    product in the slabs of work, and both terms of K are transposed views
+    of the result.  The returned matrix is work.bordered, which the next
+    call overwrites.
     """
     d = len(w)
     n = d * d
@@ -192,31 +243,30 @@ def _newton_hessian(
     pairs = (u[:, None, :] * u.conj()[None, :, :]).reshape(n, d)
     left = np.concatenate([pairs, frames.T, (mu_curv * rho_inv).reshape(n, 1)], axis=1)
     right = np.concatenate([frames.conj(), pairs.conj().T, rho_inv.T.reshape(1, n)], axis=0)
-    buf = left @ right
-    # split into axes (a1 b1 a3 b3 a2 b2 a4 b4) for p = (a1 b1), r, q, s:
-    # partial transposition swaps b1 with b2 and b3 with b4
-    tau_pair = np.multiply.outer(mu_curv * tau_inv, tau_inv.T).reshape((da, db) * 4)
-    split = buf.reshape((da, db) * 4)
-    split += tau_pair.transpose(0, 5, 2, 7, 4, 1, 6, 3)
-    del tau_pair, split
-    # allocated once tau_pair is freed: at d = 64 each complex d^2 x d^2
-    # buffer is 268 MB and the real matrix 134 MB
-    bordered = np.zeros((n + 1, n + 1))
-    # buf[p,r,q,s] = H[(p q),(r s)]
-    buf = buf.reshape(d, d, d, d)
-    np.add(
-        buf.real.transpose(0, 2, 1, 3),
-        buf.imag.transpose(0, 2, 3, 1),
-        out=bordered[:n, :n].reshape(d, d, d, d),
-    )
+    np.matmul(left, right, out=work.buf)
+    scaled = mu_curv * tau_inv
+    for rows, out, target, term in work.slabs:
+        np.multiply.outer(scaled[rows], tau_inv.T, out=out)
+        target += term
+    np.add(work.re, work.im, out=work.k)
+    # the slabs overwrote the storage of the border and the corner
+    bordered = work.bordered
     tvec = np.eye(d).reshape(n)
     bordered[:n, n] = tvec
     bordered[n, :n] = tvec
+    bordered[n, n] = 0.0
     return bordered
 
 
 def _newton_step(
-    p: _Point, table: np.ndarray, grad: np.ndarray, mu: float, da: int, db: int, mu_curv: float | None = None
+    p: _Point,
+    table: np.ndarray,
+    grad: np.ndarray,
+    mu: float,
+    da: int,
+    db: int,
+    work: _Workspace,
+    mu_curv: float | None = None,
 ):
     """Damped-Newton direction for f(rho) + mu barriers at a strictly feasible rho.
 
@@ -233,7 +283,8 @@ def _newton_step(
 
     The trace-zero Newton system is solved in the real coordinates
     r = vec(Re Delta + Im Delta) of _newton_hessian as one real symmetric
-    bordered system of size d^2 + 1: T is unitary and fixes vec I, so the
+    bordered system of size d^2 + 1, assembled in work, the solve's
+    _newton_workspace: T is unitary and fixes vec I, so the
     right-hand side is -vec(Re g + Im g) for the barrier gradient g, the
     border is vec I, and the decrement is the real dot product of the two.
     The direction T r = (R + R^T)/2 + i (R - R^T)/2, with R the solution
@@ -247,7 +298,7 @@ def _newton_step(
         mu_curv = mu
     rho_inv = (p.u * (1.0 / p.w)) @ p.u.conj().T
     tau_inv = (p.v * (1.0 / p.s)) @ p.v.conj().T
-    bordered = _newton_hessian(p.w, table, p.u, p.overlaps, rho_inv, tau_inv, mu_curv, da, db)
+    bordered = _newton_hessian(p.w, table, p.u, p.overlaps, rho_inv, tau_inv, mu_curv, work)
     g_mu = grad - mu * rho_inv - mu * _partial_transpose_b(tau_inv, da, db)
     rhs = np.zeros(n + 1)
     rhs[:n] = -(g_mu.real + g_mu.imag).reshape(n)
@@ -327,10 +378,11 @@ def _barrier_path(
     lower = -math.inf
     mu = _MU_INIT
     mu_curv = None
+    work = _newton_workspace(da, db)
     iterations = 0
     while iterations < max_iters:
         iterations += 1
-        direction, decrement = _newton_step(p, table, grad, mu, da, db, mu_curv)
+        direction, decrement = _newton_step(p, table, grad, mu, da, db, work, mu_curv)
         last_step = (p, grad, direction, mu)
         mu_curv = None
         moved = False

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -390,16 +391,19 @@ def _complex_newton_step(w, u, overlaps, s, v, grad, mu, da, db):
     return direction, -float(np.real(np.vdot(g_mu, direction)))
 
 
-NEWTON_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4)]
+# (3, 4) adds the rho^PT term in slabs of 2 and 1 A blocks, (4, 4) in 4 of 1
+NEWTON_DIMS = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
 
 
-def _newton_point(da, db):
+def _newton_point(da, db, seed=0):
+    # the first half-and-half mix of a random state with I/d, from state
+    # seed 60 + d + seed on, whose partial transpose is positive definite
     d = da * db
     sig = random_density(d, 2, 40 + d).mat
-    rho = 0.5 * random_density(d, d, 60 + d).mat + 0.5 * np.eye(d) / d
-    p = solver._point(sig, rho, 0.0, da, db)
-    assert p is not None
-    return sig, p
+    for k in itertools.count(60 + d + seed):
+        p = solver._point(sig, 0.5 * random_density(d, d, k).mat + 0.5 * np.eye(d) / d, 0.0, da, db)
+        if p is not None:
+            return sig, p
 
 
 def test_newton_hessian_matches_dense_reference():
@@ -413,7 +417,8 @@ def test_newton_hessian_matches_dense_reference():
         tau_inv = (v * (1.0 / s)) @ v.conj().T
         mu = 3e-3
         table = _log_divided_differences(w)
-        hess = solver._newton_hessian(w, table, u, overlaps, rho_inv, tau_inv, mu, da, db)[:n, :n]
+        work = solver._newton_workspace(da, db)
+        hess = solver._newton_hessian(w, table, u, overlaps, rho_inv, tau_inv, mu, work)[:n, :n]
         coords = _real_coords(d)
         want = coords.conj().T @ _kron_newton_hessian(w, u, overlaps, rho_inv, tau_inv, mu, da, db) @ coords
         # the Hessian preserves Hermiticity, so it is real in these coordinates
@@ -431,7 +436,7 @@ def test_newton_hessian_matches_dense_reference():
             p2 = solver._point(sig, rho + sign * h * dirn, 0.0, da, db)
             grads.append(solver._gradient(_log_divided_differences(p2.w), p2.u, p2.overlaps))
         fd = _real_vec((grads[0] - grads[1]) / (2.0 * h))
-        sigma_part = solver._newton_hessian(w, table, u, overlaps, rho_inv, tau_inv, 0.0, da, db)[:n, :n]
+        sigma_part = solver._newton_hessian(w, table, u, overlaps, rho_inv, tau_inv, 0.0, work)[:n, :n]
         applied = sigma_part @ _real_vec(dirn)
         assert np.linalg.norm(applied - fd) <= 1e-7 * np.linalg.norm(fd)
 
@@ -442,12 +447,39 @@ def test_newton_step_matches_complex_solve():
         table = _log_divided_differences(p.w)
         grad = solver._gradient(table, p.u, p.overlaps)
         mu = 3e-3
-        direction, decrement = solver._newton_step(p, table, grad, mu, da, db)
+        direction, decrement = solver._newton_step(p, table, grad, mu, da, db, solver._newton_workspace(da, db))
         want, want_decrement = _complex_newton_step(p.w, p.u, p.overlaps, p.s, p.v, grad, mu, da, db)
         assert np.linalg.norm(direction - want) <= 1e-12 * np.linalg.norm(want)
         assert abs(decrement - want_decrement) <= 1e-12 * abs(want_decrement)
         assert np.array_equal(direction, direction.conj().T)
         assert abs(np.trace(direction)) <= 1e-14
+
+
+def test_newton_dims_cover_uneven_slabs():
+    # d <= 9 keeps one slab; NEWTON_DIMS reaches uneven and equal splits
+    heights = {}
+    for da, db in NEWTON_DIMS:
+        heights[da, db] = [out.shape[0] // db for _, out, _, _ in solver._newton_workspace(da, db).slabs]
+    assert heights[3, 4] == [2, 1]
+    assert heights[4, 4] == [1, 1, 1, 1]
+    assert heights[3, 3] == [3]
+
+
+def test_newton_workspace_reuse_leaks_nothing():
+    # steps at two points through one workspace, the second a tangent step
+    # with mu_curv != mu, equal bit for bit the steps on fresh workspaces:
+    # each call rewrites the border and corner that its slabs overwrite
+    for da, db in NEWTON_DIMS:
+        work = solver._newton_workspace(da, db)
+        for seed, mu_curv in ((0, None), (100, 6e-2), (0, None)):
+            _, p = _newton_point(da, db, seed)
+            table = _log_divided_differences(p.w)
+            grad = solver._gradient(table, p.u, p.overlaps)
+            args = (p, table, grad, 3e-3, da, db)
+            direction, decrement = solver._newton_step(*args, work, mu_curv)
+            want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db), mu_curv)
+            assert np.array_equal(direction, want)
+            assert decrement == want_decrement
 
 
 def _log_dd(x, y):
