@@ -77,10 +77,7 @@ def _parse_dims(text: str) -> BipartiteDims:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if not m:
         raise InputError(f"dims must look like 2x2, got {text!r}")
-    da, db = int(m.group(1)), int(m.group(2))
-    if da < 1 or db < 1:
-        raise InputError(f"dims must be positive, got {text!r}")
-    return BipartiteDims(da, db)
+    return BipartiteDims(int(m.group(1)), int(m.group(2)))
 
 
 def _parse_weights(text: str, name: str) -> list[float]:

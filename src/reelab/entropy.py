@@ -11,8 +11,8 @@ relative entropy infinite. The two thresholds separate genuine rank
 deficiency from eigensolver round-off.
 
 A state's spectrum is read from ``DensityMatrix.spectrum``, the
-decomposition its constructor made when it validated the state; no
-function here decomposes a state's matrix again.
+decomposition that validated the state; no function here decomposes a
+state's matrix again.
 """
 
 from __future__ import annotations

@@ -40,7 +40,9 @@ import numpy as np
 
 from .entropy import EIG_ZERO_TOL, _LN2
 from .errors import ConvergenceWarning, InputError, ShapeError
-from .hermitian import DEGENERACY_RTOL, _eigh, _log_adjoint, _log_divided_differences
+from .hermitian import (
+    DEGENERACY_RTOL, HermitianMatrix, SpectralDecomposition, _eigh, _log_adjoint, _log_divided_differences
+)
 from .states import DensityMatrix, PureState, _bell_weights, _partial_transpose_b, _ppt_edge_weight
 
 _YY_FLIP = np.array(
@@ -468,9 +470,11 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
             stacklevel=2,
         )
 
+    # the line search decomposed the best iterate: its eigenpairs are the state's spectrum
+    spectrum = SpectralDecomposition(best.w, best.u)
     return ReeResult(
         value_bits=value_bits,
-        closest_state=DensityMatrix(best.rho, dims=bdims),
+        closest_state=DensityMatrix._from_spectrum(HermitianMatrix(best.rho), bdims, spectrum),
         iterations=iterations,
         converged=converged,
         lower_bits=lower_bits,

@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .errors import StateFileParseError, StateInvariantError
+from .hermitian import HermitianMatrix, SpectralDecomposition, _eigh
 from .states import PSD_TOL, TRACE_TOL, BipartiteDims, DensityMatrix
 
 # Load-time acceptance bands, looser than the DensityMatrix constructor
@@ -135,25 +136,23 @@ def loads_state(text: str) -> DensityMatrix:
         raise StateInvariantError(
             f"matrix is not Hermitian: max |M - M'| = {herm_gap:.3e}"
         )
-    mat = (mat + mat.conj().T) / 2.0
-    tr = float(np.trace(mat).real)
+    matrix = HermitianMatrix(mat)
+    tr = matrix.trace()
     if abs(tr - 1.0) > FILE_TRACE_TOL:
         raise StateInvariantError(f"trace {tr!r} differs from 1 by more than {FILE_TRACE_TOL:g}")
-    w = np.linalg.eigvalsh(mat)
+    # repair only when the strict constructor bands would reject; exact
+    # inputs pass through untouched, keeping round-trips byte-identical.
+    # One decomposition checks the PSD band and is the state's spectrum,
+    # unless clipping rebuilds the matrix for the constructor to decompose
+    if abs(tr - 1.0) > TRACE_TOL:
+        matrix = HermitianMatrix(matrix.mat / tr)
+    w, u = _eigh(matrix.mat)
     if float(w[0]) < -FILE_PSD_TOL:
         raise StateInvariantError(f"matrix has eigenvalue {float(w[0]):.3e} below -{FILE_PSD_TOL:g}")
-
-    # repair only when the strict constructor bands would reject; exact
-    # inputs pass through untouched, keeping round-trips byte-identical,
-    # and only a renormalised matrix needs its spectrum again
-    if abs(tr - 1.0) > TRACE_TOL:
-        mat = mat / tr
-        w = np.linalg.eigvalsh(mat)
-    if float(w[0]) < -PSD_TOL:
-        w, u = np.linalg.eigh(mat)
-        w = np.clip(w, 0.0, None)
-        mat = (u * (w / float(np.sum(w)))) @ u.conj().T
-    return DensityMatrix(mat, dims)
+    if float(w[0]) >= -PSD_TOL:
+        return DensityMatrix._from_spectrum(matrix, dims, SpectralDecomposition(w, u))
+    w = np.clip(w, 0.0, None)
+    return DensityMatrix((u * (w / float(np.sum(w)))) @ u.conj().T, dims)
 
 
 def load_state(path) -> DensityMatrix:

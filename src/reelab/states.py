@@ -59,7 +59,9 @@ class DensityMatrix:
     The eigendecomposition that checks positivity is kept as
     ``spectrum`` (eigenvalues ascending, eigenvector columns, both
     read-only), so the entropies and the solver read a state's spectrum
-    without decomposing its matrix again.
+    without decomposing its matrix again.  Every state passes the same
+    checks: the state-file loader and ree_ppt hand over the decomposition
+    they already hold, and tagged re-validates with this state's own.
     """
 
     __slots__ = ("matrix", "dims", "spectrum")
@@ -67,19 +69,25 @@ class DensityMatrix:
     def __init__(self, matrix, dims=None) -> None:
         if not isinstance(matrix, HermitianMatrix):
             matrix = HermitianMatrix(matrix)
+        self._from_spectrum(matrix, dims, SpectralDecomposition(*_eigh(matrix.mat)), out=self)
+
+    @classmethod
+    def _from_spectrum(cls, matrix: HermitianMatrix, dims, spectrum: SpectralDecomposition, out=None):
+        """Every state's checks, given matrix's eigendecomposition; sets the slots of out or a new state."""
         dims = _as_dims(dims)
         if dims is not None and dims.total != matrix.dim:
             raise ShapeError(f"dims {dims.da}x{dims.db} do not match matrix dimension {matrix.dim}")
         tr = matrix.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:g}")
-        w, u = _eigh(matrix.mat)
-        wmin = float(w[0])
+        wmin = float(spectrum.eigenvalues[0])
         if wmin < -PSD_TOL:
             raise StateInvariantError(f"not positive semidefinite: min eigenvalue {wmin!r}")
-        self.matrix = matrix
-        self.dims = dims
-        self.spectrum = SpectralDecomposition(eigenvalues=w, eigenvectors=u)
+        out = cls.__new__(cls) if out is None else out
+        out.matrix = matrix
+        out.dims = dims
+        out.spectrum = spectrum
+        return out
 
     @property
     def mat(self) -> np.ndarray:
@@ -90,19 +98,8 @@ class DensityMatrix:
         return self.matrix.dim
 
     def tagged(self, da: int, db: int) -> "DensityMatrix":
-        """Same state with an A|B dimension tag attached.
-
-        The matrix was validated and decomposed when this state was
-        built, so only the tag is checked; the spectrum is shared.
-        """
-        dims = BipartiteDims(da, db)
-        if dims.total != self.dim:
-            raise ShapeError(f"dims {da}x{db} do not match matrix dimension {self.dim}")
-        out = object.__new__(DensityMatrix)
-        out.matrix = self.matrix
-        out.dims = dims
-        out.spectrum = self.spectrum
-        return out
+        """Same state with an A|B dimension tag attached, matrix and spectrum shared."""
+        return DensityMatrix._from_spectrum(self.matrix, BipartiteDims(da, db), self.spectrum)
 
     def __repr__(self) -> str:
         tag = f", dims={self.dims.da}x{self.dims.db}" if self.dims else ""

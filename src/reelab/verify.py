@@ -287,14 +287,14 @@ def _trial_lemma4(rng, dims, tol, trial):
     quantities.update(_solve_diagnostics(res))
     if abs(res.value_bits - bound) >= _SATURATION_GATE:
         return quantities, None
-    s_a = von_neumann_entropy(partial_trace_B(sigma))
-    s_b = von_neumann_entropy(partial_trace_A(sigma))
+    sigma_a, sigma_b = partial_trace_B(sigma), partial_trace_A(sigma)
+    s_a, s_b = von_neumann_entropy(sigma_a), von_neumann_entropy(sigma_b)
     worst = 0.0
     if s_a >= s_b - 1e-12:
-        delta = partial_trace_B(res.closest_state).mat - partial_trace_B(sigma).mat
+        delta = partial_trace_B(res.closest_state).mat - sigma_a.mat
         worst = max(worst, 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta)))))
     if s_b >= s_a - 1e-12:
-        delta = partial_trace_A(res.closest_state).mat - partial_trace_A(sigma).mat
+        delta = partial_trace_A(res.closest_state).mat - sigma_b.mat
         worst = max(worst, 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta)))))
     quantities["reduction_distance"] = worst
     return quantities, -worst

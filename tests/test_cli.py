@@ -140,6 +140,7 @@ def test_mkstate_rejects_bad_params(capsys):
         ("mkstate", "random", "--dims", "2x2"),
         ("mkstate", "random", "--dims", "2x2", "--seed", "-1"),
         ("mkstate", "random", "--dims", "twobytwo", "--seed", "1"),
+        ("mkstate", "random", "--dims", "0x2", "--seed", "1"),
         ("mkstate", "pure_schmidt", "--alpha", "1,1", "--dims", "2x2"),
         ("mkstate", "singlet", "--F", "0.5"),
     ]
@@ -201,8 +202,10 @@ def test_verify_rejects_stray_tolerance_override(capsys):
 
 
 def test_verify_rejects_bad_dims(capsys):
-    code, _, err = run(capsys, "verify", "theorem1", "--trials", "2", "--dims", "2by2")
-    assert code == 64
+    for dims in ("2by2", "0x2"):
+        code, _, err = run(capsys, "verify", "theorem1", "--trials", "2", "--dims", dims)
+        assert code == 64, dims
+        assert err, dims
 
 
 def test_usage_errors_exit_64(capsys):

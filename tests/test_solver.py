@@ -9,7 +9,7 @@ from reelab.entropy import lemma2_bound, relative_entropy, von_neumann_entropy
 from reelab.criteria import ppt_criterion
 from reelab.errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
 from reelab.hermitian import _log_divided_differences
-from reelab import solver, verify
+from reelab import solver, states, verify
 from reelab.solver import (
     bell_diagonal_ree_oracle,
     closest_state_for_pure,
@@ -149,8 +149,9 @@ def test_ree_budget_exhaustion_flagged():
 
 def test_ree_eigh_budget(monkeypatch):
     # the barrier path decomposes each point once, in its line search,
-    # and each dual bound adds two calls; the start point's and the
-    # returned state's decompositions run in states and are not counted.
+    # and each dual bound adds two calls; the start point's decomposition
+    # runs in states and is not counted, and the returned state reuses
+    # its point's (test_ree_decomposes_in_states_only_for_the_start).
     # These inputs take 84 and 93 calls, against 90 and 106 when every
     # solve centred down to the weight floor at 5x cuts
     calls = 0
@@ -171,6 +172,39 @@ def test_ree_eigh_budget(monkeypatch):
         res = ree_ppt(sigma)
         assert res.converged
         assert calls <= budget
+
+
+def test_ree_decomposes_in_states_only_for_the_start(monkeypatch):
+    # the one states._eigh call of a solve is _ppt_edge_weight's, for the
+    # start point; the closest state takes the line search's decomposition
+    sigma = random_density(6, 3, 5).tagged(2, 3)
+    calls = {"eigh": 0, "edge": 0}
+    eigh, edge = states._eigh, solver._ppt_edge_weight
+
+    def counted_eigh(mat):
+        calls["eigh"] += 1
+        return eigh(mat)
+
+    def counted_edge(*args):
+        calls["edge"] += 1
+        return edge(*args)
+
+    monkeypatch.setattr(states, "_eigh", counted_eigh)
+    monkeypatch.setattr(solver, "_ppt_edge_weight", counted_edge)
+    ree_ppt(sigma)
+    assert calls == {"eigh": 1, "edge": 1}
+
+
+def test_ree_closest_state_spectrum_is_its_eigh():
+    for da, db in ((2, 2), (2, 3), (3, 3)):
+        d = da * db
+        for rank in range(1, d + 1):
+            res = ree_ppt(random_density(d, rank, 600 + rank).tagged(da, db))
+            state = res.closest_state
+            w, u = np.linalg.eigh(state.mat)
+            assert state.spectrum.eigenvalues.tobytes() == w.tobytes(), (da, db, rank)
+            assert state.spectrum.eigenvectors.tobytes() == u.tobytes(), (da, db, rank)
+            assert state.dims == BipartiteDims(da, db)
 
 
 def test_ree_newton_step_budget(monkeypatch):

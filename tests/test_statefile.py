@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reelab.errors import StateFileParseError, StateInvariantError
+from reelab.errors import EigensolverError, StateFileParseError, StateInvariantError
 from reelab.statefile import dumps_state, load_state, loads_state, save_state
 from reelab.states import (
     DensityMatrix,
@@ -112,10 +112,8 @@ def test_small_defects_are_repaired_not_rejected():
     assert float(np.linalg.eigvalsh(state.mat)[0]) >= 0.0
 
 
-def test_exact_file_is_decomposed_once(monkeypatch):
-    # one eigvalsh for the file's PSD band, one eigh in the constructor;
-    # the strict PSD check reuses the first spectrum
-    text = dumps_state(random_density(6, 3, 12).tagged(2, 3))
+def _count_decompositions(monkeypatch, text):
+    """np.linalg eigh and eigvalsh calls made by loads_state(text)."""
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         inner = getattr(np.linalg, name)
@@ -126,7 +124,32 @@ def test_exact_file_is_decomposed_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     loads_state(text)
-    assert calls == {"eigh": 1, "eigvalsh": 1}
+    return calls
+
+
+def test_exact_file_is_decomposed_once(monkeypatch):
+    # one eigh serves the file's PSD band and becomes the state's spectrum
+    text = dumps_state(random_density(6, 3, 12).tagged(2, 3))
+    assert _count_decompositions(monkeypatch, text) == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_repaired_files_are_decomposed_once_or_after_clipping(monkeypatch):
+    # a renormalised matrix is decomposed once, after the renormalisation;
+    # a clipped one is rebuilt, so the constructor decomposes it again
+    off = 0.5 + 2.5e-9
+    renormalised = f'{{"version": "1", "matrix": [[[{off}, 0], [0, 0]], [[0, 0], [{off}, 0]]]}}'
+    assert _count_decompositions(monkeypatch, renormalised) == {"eigh": 1, "eigvalsh": 0}
+    clipped = '{"version": "1", "matrix": [[[1.000000005, 0], [0, 0]], [[0, 0], [-5e-9, 0]]]}'
+    assert _count_decompositions(monkeypatch, clipped) == {"eigh": 2, "eigvalsh": 0}
+
+
+def test_eigensolver_failure_is_typed(monkeypatch):
+    def failing(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(EigensolverError):
+        loads_state(dumps_state(werner(0.3)))
 
 
 def test_serialization_keeps_17_significant_digits():

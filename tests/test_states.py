@@ -246,6 +246,20 @@ def test_tagged_reuses_the_validated_matrix(monkeypatch):
         rho.tagged(2, 2)
 
 
+def test_tagged_checks_dims_as_the_constructor_does():
+    rho = random_density(6, 3, 5)
+    with pytest.raises(ShapeError) as tagged_err:
+        rho.tagged(2, 2)
+    with pytest.raises(ShapeError) as ctor_err:
+        DensityMatrix(rho.mat, (2, 2))
+    assert str(tagged_err.value) == str(ctor_err.value) == "dims 2x2 do not match matrix dimension 6"
+    # a retag of a tagged state still shares the validated matrix and spectrum
+    retagged = rho.tagged(2, 3).tagged(3, 2)
+    assert retagged.matrix is rho.matrix
+    assert retagged.spectrum is rho.spectrum
+    assert retagged.dims == BipartiteDims(3, 2)
+
+
 def test_permute_systems():
     r1 = random_density(2, 2, 51)
     r2 = random_density(3, 3, 52)

@@ -79,6 +79,9 @@ FROZEN_REPORT_DIGESTS = {
     # each record carries the solve's value, iterations and lower-bound margin
     ("lemma2", 8, 7, (2, 2)): "ee4adbb70242da19a39a96bb01715b9436b443162b2c14cf80a52593b6b39003",
     ("lemma2", 4, 7, (2, 3)): "db0b99cd27660934669694d9948b031062bd7c15f33f53ebf6e4599efa6815ff",
+    # every trial saturates the lemma 2 bound, so each record carries the
+    # reduction distance of the closest state
+    ("lemma4", 4, 7, (2, 2)): "7ec2a21a28ad2177501f7fe00477e1da8e7e4da2c834ded7578588ee86668ed0",
 }
 
 
