@@ -1,9 +1,15 @@
 """Command-line interface: compute, verify, and mkstate subcommands.
 
 Exit codes: 0 success (for verify: every determinate trial passed),
-1 verification failures, 2 state-file parse failure (with line and
-column on stderr), 3 state invariant violation, 64 usage errors
-(unknown suite or family, malformed or out-of-range parameters).
+1 verification failures, 2 a file could not be read, written or parsed
+(parse failures give line and column), 3 state invariant violation, 64
+usage errors (unknown suite or family, malformed or out-of-range
+parameters, inputs outside the solver's envelope such as d > 64 with
+--ree).
+
+The commands raise the package's typed errors, and main alone turns
+them into an exit code and one "reelab: ..." line on stderr.  Any other
+exception, EigensolverError included, propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -132,35 +138,23 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _cmd_compute(args) -> int:
-    try:
-        state = load_state(args.state)
-    except StateFileParseError as exc:
-        where = ""
-        if exc.line is not None:
-            where = f" at line {exc.line}, column {exc.column}"
-        print(f"reelab: parse failure{where}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StateInvariantError as exc:
-        print(f"reelab: invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except OSError as exc:
-        print(f"reelab: cannot read {args.state}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if state.dims is None:
-        print(
-            "reelab: invariant violation: state file carries no dims, "
-            "but the computed quantities need an A|B split",
-            file=sys.stderr,
-        )
-        return EXIT_INVARIANT
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is None."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="ascii") as fh:
+        fh.write(text)
 
-    try:
-        red = reduction_criterion(state, args.tol_criteria)
-        ppt = ppt_criterion(state, args.tol_criteria)
-    except InputError as exc:
-        print(f"reelab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+
+def _cmd_compute(args) -> int:
+    state = load_state(args.state)
+    if state.dims is None:
+        raise StateInvariantError(
+            "state file carries no dims, but the computed quantities need an A|B split"
+        )
+    red = reduction_criterion(state, args.tol_criteria)
+    ppt = ppt_criterion(state, args.tol_criteria)
     lines = [
         f"dims: {state.dims.da}x{state.dims.db}",
         f"entropy_joint_bits: {_fmt(von_neumann_entropy(state))}",
@@ -189,12 +183,9 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite not in SUITE_NAMES:
         _PARSER.print_usage(sys.stderr)
-        print(
-            f"reelab: unknown suite {args.suite!r}; expected one of "
-            + ", ".join(SUITE_NAMES),
-            file=sys.stderr,
+        raise InputError(
+            f"unknown suite {args.suite!r}; expected one of " + ", ".join(SUITE_NAMES)
         )
-        return EXIT_USAGE
     overrides = {
         name: getattr(args, f"tol_{name}")
         for name in SUITE_NAMES
@@ -202,33 +193,19 @@ def _cmd_verify(args) -> int:
     }
     stray = sorted(set(overrides) - {args.suite})
     if stray:
-        print(
-            "reelab: tolerance overrides for suites not being run: "
-            + ", ".join(stray),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        dims = _parse_dims(args.dims)
-        result = run_suite(
-            args.suite,
-            trials=args.trials,
-            seed=args.seed,
-            dims=dims,
-            tol=overrides.get(args.suite),
-        )
-    except (InputError, NormalizationError, ShapeError) as exc:
-        print(f"reelab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError("tolerance overrides for suites not being run: " + ", ".join(stray))
+    result = run_suite(
+        args.suite,
+        trials=args.trials,
+        seed=args.seed,
+        dims=_parse_dims(args.dims),
+        tol=overrides.get(args.suite),
+    )
 
     lines = [record_to_json(r) for r in result.records]
     lines.append(summary_to_json(result.summary))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
+    if args.out is not None:
         print(summary_to_json(result.summary))
     return EXIT_OK if result.all_pass else EXIT_FAILURES
 
@@ -248,60 +225,61 @@ def _flag_clash(args, family: str) -> None:
 def _cmd_mkstate(args) -> int:
     family = args.family
     if family not in _FAMILIES:
-        print(
-            f"reelab: unknown family {family!r}; expected one of "
-            + ", ".join(_FAMILIES),
-            file=sys.stderr,
+        raise InputError(
+            f"unknown family {family!r}; expected one of " + ", ".join(_FAMILIES)
         )
-        return EXIT_USAGE
-    try:
-        _flag_clash(args, family)
-        if family == "singlet":
-            state = singlet()
-        elif family == "werner":
-            if args.F is None:
-                raise InputError("werner needs --F")
-            state = werner(args.F)
-        elif family == "bell_diagonal":
-            if args.weights is None:
-                raise InputError("bell_diagonal needs --weights p0,p1,p2,p3")
-            state = bell_diagonal(_parse_weights(args.weights, "--weights"))
-        elif family == "random":
-            if args.dims is None or args.seed is None:
-                raise InputError("random needs --dims and --seed")
-            dims = _parse_dims(args.dims)
-            rank = dims.total if args.rank is None else args.rank
-            state = random_density(dims.total, rank, args.seed).tagged(dims.da, dims.db)
-        else:
-            if args.alpha is None or args.dims is None:
-                raise InputError("pure_schmidt needs --alpha and --dims")
-            dims = _parse_dims(args.dims)
-            state = pure_from_schmidt(_parse_weights(args.alpha, "--alpha"), dims).density()
-    except ValueError as exc:
-        # InputError, NormalizationError, ShapeError, StateInvariantError,
-        # and numpy's own seed validation are all ValueError subclasses
-        print(f"reelab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    text = dumps_state(state)
-    if args.out is None:
-        sys.stdout.write(text)
+    _flag_clash(args, family)
+    if family == "singlet":
+        state = singlet()
+    elif family == "werner":
+        if args.F is None:
+            raise InputError("werner needs --F")
+        state = werner(args.F)
+    elif family == "bell_diagonal":
+        if args.weights is None:
+            raise InputError("bell_diagonal needs --weights p0,p1,p2,p3")
+        state = bell_diagonal(_parse_weights(args.weights, "--weights"))
+    elif family == "random":
+        if args.dims is None or args.seed is None:
+            raise InputError("random needs --dims and --seed")
+        # numpy takes any nonnegative integer as a seed, however large
+        if args.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {args.seed}")
+        dims = _parse_dims(args.dims)
+        rank = dims.total if args.rank is None else args.rank
+        state = random_density(dims.total, rank, args.seed).tagged(dims.da, dims.db)
     else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        if args.alpha is None or args.dims is None:
+            raise InputError("pure_schmidt needs --alpha and --dims")
+        dims = _parse_dims(args.dims)
+        state = pure_from_schmidt(_parse_weights(args.alpha, "--alpha"), dims).density()
+
+    _emit(dumps_state(state), args.out)
     return EXIT_OK
 
 
+_COMMANDS = {"compute": _cmd_compute, "verify": _cmd_verify, "mkstate": _cmd_mkstate}
+
+
 def main(argv=None) -> int:
+    """Run one command; the only place a failure becomes an exit code."""
     args = _PARSER.parse_args(argv)
-    if args.command == "compute":
-        return _cmd_compute(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "mkstate":
-        return _cmd_mkstate(args)
-    _PARSER.print_usage(sys.stderr)
-    return EXIT_USAGE
+    if args.command is None:
+        _PARSER.print_usage(sys.stderr)
+        return EXIT_USAGE
+    try:
+        return _COMMANDS[args.command](args)
+    except StateFileParseError as exc:
+        where = "" if exc.line is None else f" at line {exc.line}, column {exc.column}"
+        code, message = EXIT_PARSE, f"parse failure{where}: {exc}"
+    except OSError as exc:
+        code, message = EXIT_PARSE, f"file error: {exc}"
+    except StateInvariantError as exc:
+        code, message = EXIT_INVARIANT, f"invariant violation: {exc}"
+    except (InputError, ShapeError, NormalizationError) as exc:
+        code, message = EXIT_USAGE, str(exc)
+    print(f"reelab: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -157,4 +157,8 @@ def loads_state(text: str) -> DensityMatrix:
 
 def load_state(path) -> DensityMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_state(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StateFileParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return loads_state(text)

@@ -30,8 +30,16 @@ class BipartiteDims:
     db: int
 
     def __post_init__(self):
-        if int(self.da) != self.da or int(self.db) != self.db or self.da < 1 or self.db < 1:
-            raise ShapeError(f"local dimensions must be positive integers, got ({self.da}, {self.db})")
+        # integral values of any numeric type are stored as int; bools are not dimensions
+        for name in ("da", "db"):
+            value = getattr(self, name)
+            try:
+                n = int(value)
+            except (TypeError, ValueError, OverflowError):
+                n = 0
+            if isinstance(value, (bool, np.bool_)) or n != value or n < 1:
+                raise ShapeError(f"local dimensions must be positive integers, got ({self.da}, {self.db})")
+            object.__setattr__(self, name, n)
 
     @property
     def total(self) -> int:
@@ -46,7 +54,7 @@ def _as_dims(dims) -> BipartiteDims | None:
     if dims is None or isinstance(dims, BipartiteDims):
         return dims
     da, db = dims
-    return BipartiteDims(int(da), int(db))
+    return BipartiteDims(da, db)
 
 
 class DensityMatrix:
@@ -141,11 +149,14 @@ def _require_dims(rho: DensityMatrix) -> tuple[int, int]:
     return rho.dims.da, rho.dims.db
 
 
+def _trace_b(mat: np.ndarray, da: int, db: int) -> np.ndarray:
+    """(rho_A)_{i i'} = sum_j rho_{(i j),(i' j)} as a raw array, not validated."""
+    return np.einsum("ijkj->ik", mat.reshape(da, db, da, db))
+
+
 def partial_trace_B(rho: DensityMatrix) -> DensityMatrix:
     """Trace out system B: (rho_A)_{i i'} = sum_j rho_{(i j),(i' j)}."""
-    da, db = _require_dims(rho)
-    t = rho.mat.reshape(da, db, da, db)
-    return DensityMatrix(np.einsum("ijkj->ik", t))
+    return DensityMatrix(_trace_b(rho.mat, *_require_dims(rho)))
 
 
 def partial_trace_A(rho: DensityMatrix) -> DensityMatrix:
@@ -186,8 +197,7 @@ def partial_transpose_B(rho: DensityMatrix) -> HermitianMatrix:
 def reduction_operator(rho: DensityMatrix) -> HermitianMatrix:
     """rho_A (x) 1_B - rho, whose positivity the reduction criterion asserts."""
     da, db = _require_dims(rho)
-    rho_a = partial_trace_B(rho)
-    return HermitianMatrix(np.kron(rho_a.mat, np.eye(db)) - rho.mat)
+    return HermitianMatrix(np.kron(_trace_b(rho.mat, da, db), np.eye(db)) - rho.mat)
 
 
 def pure_from_schmidt(alpha, dims) -> PureState:

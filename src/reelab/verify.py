@@ -181,11 +181,15 @@ def _random_nondistillable(rng, dims) -> DensityMatrix:
     return DensityMatrix((1.0 - t) * last + t * (np.eye(d) / d), dims)
 
 
-def _trial_theorem1(rng, dims, tol, trial):
-    d = dims.total
-    rank_s = int(rng.integers(1, d + 1))
+def _random_sigma(rng, dims) -> tuple[DensityMatrix, int]:
+    """A random state of uniformly drawn rank on dims, and that rank."""
+    rank = int(rng.integers(1, dims.total + 1))
     (s1,) = _state_seeds(rng, 1)
-    sigma = random_density(d, rank_s, s1).tagged(dims.da, dims.db)
+    return random_density(dims.total, rank, s1).tagged(dims.da, dims.db), rank
+
+
+def _trial_theorem1(rng, dims, tol, trial):
+    sigma, rank_s = _random_sigma(rng, dims)
     # the last read of rng: the sampler may draw past its accepted candidate
     rho = _random_nondistillable(rng, dims)
     gap_a = theorem1_gap(sigma, rho, "A")
@@ -209,10 +213,7 @@ def _solve_diagnostics(res, name: str = "ree") -> dict:
 
 
 def _trial_lemma2(rng, dims, tol, trial):
-    d = dims.total
-    rank = int(rng.integers(1, d + 1))
-    (s1,) = _state_seeds(rng, 1)
-    sigma = random_density(d, rank, s1).tagged(dims.da, dims.db)
+    sigma, rank = _random_sigma(rng, dims)
     res = ree_ppt(sigma)
     bound = lemma2_bound(sigma)
     quantities = {"bound": bound, "rank": float(rank), "ree": res.value_bits}
@@ -265,9 +266,7 @@ def _trial_corollary2(rng, dims, tol, trial):
 def _trial_lemma3(rng, dims, tol, trial):
     if (dims.da, dims.db) != (2, 2):
         raise InputError("lemma3 needs two-qubit states")
-    rank = int(rng.integers(1, 5))
-    (s1,) = _state_seeds(rng, 1)
-    sigma = random_density(4, rank, s1).tagged(2, 2)
+    sigma, rank = _random_sigma(rng, dims)
     res = ree_ppt(sigma)
     eof = eof_two_qubit(sigma)
     ent = von_neumann_entropy(sigma)
@@ -316,10 +315,7 @@ def _trial_monotone(rng, dims, tol, trial):
 
 
 def _trial_reduction(rng, dims, tol, trial):
-    d = dims.total
-    rank = int(rng.integers(1, d + 1))
-    (s1,) = _state_seeds(rng, 1)
-    rho = random_density(d, rank, s1).tagged(dims.da, dims.db)
+    rho, rank = _random_sigma(rng, dims)
     red = reduction_criterion(rho, tol)
     ppt = ppt_criterion(rho, tol)
     w_red = float(red.witness_eigenvalue)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from reelab import cli
 from reelab.cli import main
 from reelab.statefile import dumps_state, save_state
 from reelab.states import maximally_mixed, random_density, singlet, werner
@@ -216,3 +217,55 @@ def test_usage_errors_exit_64(capsys):
         main(["verify", "monotone", "--no-such-flag"])
     assert info.value.code == 64
     assert main([]) == 64
+
+def _write_big_state(tmp_path):
+    # d = 65, one past the solver's envelope
+    path = tmp_path / "big.json"
+    code = main(["mkstate", "random", "--dims", "5x13", "--seed", "1", "--rank", "2",
+                 "--out", str(path)])
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("case", ["mkstate_out", "verify_out", "compute_ree_big", "compute_binary"])
+def test_former_crashes_exit_with_one_line(tmp_path, capsys, case):
+    missing = tmp_path / "missing"
+    if case == "mkstate_out":
+        argv, expected = ("mkstate", "singlet", "--out", str(missing / "s.json")), 2
+    elif case == "verify_out":
+        argv = ("verify", "reduction", "--trials", "2", "--out", str(missing / "r.jsonl"))
+        expected = 2
+    elif case == "compute_binary":
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+        argv, expected = ("compute", str(tmp_path / "binary.json")), 2
+    else:
+        argv, expected = ("compute", str(_write_big_state(tmp_path)), "--ree"), 64
+        capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("reelab: ") and err.count("\n") == 1
+
+
+def test_mkstate_seed_range(capsys):
+    code, out, err = run(capsys, "mkstate", "random", "--dims", "2x2", "--seed", "-1")
+    assert code == 64
+    assert out == ""
+    assert err == "reelab: seed must be nonnegative, got -1\n"
+    # numpy takes seeds of any size, so the CLI does too
+    code, out, _ = run(capsys, "mkstate", "random", "--dims", "2x2", "--seed", str(2**64))
+    assert code == 0
+    assert out == dumps_state(random_density(4, 4, 2**64).tagged(2, 2))
+
+
+def test_untyped_failure_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "werner.json"
+    save_state(werner(0.3), path)
+
+    def broken(state):
+        raise ValueError("a bug, not a bad input")
+
+    monkeypatch.setattr(cli, "ree_ppt", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["compute", str(path), "--ree"])
+    assert capsys.readouterr().out == ""

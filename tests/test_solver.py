@@ -305,10 +305,7 @@ def test_point_rejects_infeasible_rho(monkeypatch):
 
 def _lemma2_trial_sigma(seed, trial, dims):
     # the state that verify's lemma2 trial draws
-    rng = verify._trial_rng(seed, "lemma2", trial)
-    rank = int(rng.integers(1, dims.total + 1))
-    (s1,) = verify._state_seeds(rng, 1)
-    return random_density(dims.total, rank, s1).tagged(dims.da, dims.db)
+    return verify._random_sigma(verify._trial_rng(seed, "lemma2", trial), dims)[0]
 
 
 def test_ree_value_is_least_over_the_path(monkeypatch):

@@ -52,6 +52,13 @@ def test_malformed_json_reports_position():
     assert info.value.column is not None
 
 
+def test_undecodable_file_is_a_parse_failure(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"version": "1", \xff}')
+    with pytest.raises(StateFileParseError, match="not UTF-8 text: invalid start byte at byte 17"):
+        load_state(path)
+
+
 def test_schema_violations_rejected():
     good = dumps_state(singlet())
     with pytest.raises(StateFileParseError):

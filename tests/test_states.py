@@ -10,6 +10,7 @@ from reelab.errors import (
     StateInvariantError,
 )
 from reelab.hermitian import is_psd
+from reelab.statefile import load_state, save_state
 from reelab.states import (
     BipartiteDims,
     DensityMatrix,
@@ -95,6 +96,39 @@ def test_reduction_operator():
     ok, witness = is_psd(reduction_operator(singlet()), 1e-9)
     assert not ok and witness == pytest.approx(-0.5, abs=1e-12)
     assert reduction_operator(mm).trace() == pytest.approx(3 - 1)
+
+
+def test_reduction_operator_reads_the_matrix_without_validating(monkeypatch):
+    # rho_A is built raw, bit-equal to the validated partial trace, and
+    # the operator costs no decomposition
+    states_in = [random_density(d, r, seed).tagged(da, d // da)
+                 for d, da in ((4, 2), (6, 2), (9, 3), (65, 5))
+                 for r in (1, 2, d) for seed in (0, 1)]
+    expected = [partial_trace_B(rho).mat for rho in states_in]
+    calls = []
+    monkeypatch.setattr(states, "_eigh", lambda mat: calls.append(mat) or np.linalg.eigh(mat))
+    for rho, rho_a in zip(states_in, expected):
+        db = rho.dims.db
+        assert states._trace_b(rho.mat, rho.dims.da, db).tobytes() == rho_a.tobytes()
+        op = reduction_operator(rho)
+        assert op.mat.tobytes() == (np.kron(rho_a, np.eye(db)) - rho.mat).tobytes()
+    assert calls == []
+
+
+def test_dims_have_one_rule(tmp_path):
+    rho = random_density(6, 6, 1).tagged(2.0, 3)
+    assert type(rho.dims.da) is int and rho.dims.da == 2
+    assert partial_trace_B(rho).dim == 2
+    save_state(rho, tmp_path / "s.json")
+    assert load_state(tmp_path / "s.json").dims == BipartiteDims(2, 3)
+    dims = BipartiteDims(np.int64(3), np.float64(2.0))
+    assert (type(dims.da), type(dims.db)) == (int, int)
+    assert dims == BipartiteDims(3, 2)
+    for da in (True, np.True_, 2.5, "2", float("nan"), float("inf"), 0, -1):
+        with pytest.raises(ShapeError):
+            BipartiteDims(da, 2)
+        with pytest.raises(ShapeError):
+            BipartiteDims(2, da)
 
 
 def test_reduction_and_ppt_hold_on_separables():
