@@ -4,12 +4,13 @@ Exit codes: 0 success (for verify: every determinate trial passed),
 1 verification failures, 2 a file could not be read, written or parsed
 (parse failures give line and column), 3 state invariant violation, 64
 usage errors (unknown suite or family, malformed or out-of-range
-parameters, inputs outside the solver's envelope such as d > 64 with
---ree).
+parameters such as monotone at --dims 1x1, inputs outside the solver's
+envelope such as d > 64 with --ree), 70 an eigendecomposition failed
+(EigensolverError).
 
 The commands raise the package's typed errors, and main alone turns
 them into an exit code and one "reelab: ..." line on stderr.  Any other
-exception, EigensolverError included, propagates as a traceback.
+exception propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .errors import (
+    EigensolverError,
     InputError,
     NormalizationError,
     ShapeError,
@@ -56,6 +58,7 @@ EXIT_FAILURES = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 # each family with the flags it takes
 _FAMILIES = {
@@ -278,6 +281,8 @@ def main(argv=None) -> int:
         code, message = EXIT_INVARIANT, f"invariant violation: {exc}"
     except (InputError, ShapeError, NormalizationError) as exc:
         code, message = EXIT_USAGE, str(exc)
+    except EigensolverError as exc:
+        code, message = EXIT_SOFTWARE, f"eigensolver failure: {exc}"
     print(f"reelab: {message}", file=sys.stderr)
     return code
 

@@ -18,6 +18,7 @@ from .hermitian import (
     PSD_TOL,
     HermitianMatrix,
     ScalarFunction,
+    _check_tol,
     _eigh,
     _spectral_apply,
     loewner_geq,
@@ -39,8 +40,7 @@ class CriterionVerdict:
 
 
 def _verdict(op: HermitianMatrix, tol: float) -> CriterionVerdict:
-    if not tol >= 0:
-        raise InputError(f"tol must be nonnegative, got {tol!r}")
+    _check_tol(tol)
     w, v = _eigh(op.mat)
     return CriterionVerdict(
         holds=bool(w[0] >= -tol),
@@ -167,8 +167,7 @@ def loewner_matrix_psd_check(
     monotonicity; a negative eigenvalue here is a concrete disproof.
     Returns (verdict, min eigenvalue).
     """
-    if not tol >= 0:
-        raise InputError(f"tol must be nonnegative, got {tol!r}")
+    _check_tol(tol)
     x = np.asarray(sample_points, dtype=float).ravel()
     if len(x) < 1:
         raise InputError("need at least one sample point")

@@ -200,14 +200,19 @@ def matrix_log(h: HermitianMatrix) -> HermitianMatrix:
     return matrix_function(h, _LOG_PD)
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a positivity tolerance that is negative or NaN with InputError."""
+    if not tol >= 0:
+        raise InputError(f"tol must be nonnegative, got {tol!r}")
+
+
 def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
     """Positive semidefiniteness at absolute tolerance tol.
 
     Returns (verdict, witness) where the witness is the minimum
     eigenvalue, reported for passing and failing inputs alike.
     """
-    if not tol >= 0:
-        raise InputError(f"tol must be nonnegative, got {tol!r}")
+    _check_tol(tol)
     w = _eigh(h.mat)[0]
     wmin = float(w[0])
     return wmin >= -tol, wmin
@@ -221,19 +226,40 @@ def loewner_geq(a: HermitianMatrix, b: HermitianMatrix, tol: float = PSD_TOL) ->
     return verdict
 
 
+def _near_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w_i - w_j, and the degenerate pairs: |w_i - w_j| < DEGENERACY_RTOL * max(w_i, w_j)."""
+    diff = w[:, None] - w[None, :]
+    return diff, np.abs(diff) < DEGENERACY_RTOL * np.maximum(w[:, None], w[None, :])
+
+
 def _log_divided_differences(w: np.ndarray) -> np.ndarray:
     """First divided differences of ln on a positive grid.
 
     L[i,j] = (ln w_i - ln w_j)/(w_i - w_j), with the analytic limit 1/w_i
-    substituted whenever |w_i - w_j| < 1e-12 * max(w_i, w_j).
+    substituted on the degenerate pairs of _near_pairs.
     """
-    wi = w[:, None]
-    wj = w[None, :]
-    diff = wi - wj
-    near = np.abs(diff) < DEGENERACY_RTOL * np.maximum(wi, wj)
+    diff, near = _near_pairs(w)
     lw = np.log(w)
     table = (lw[:, None] - lw[None, :]) / np.where(near, 1.0, diff)
-    return np.where(near, 1.0 / wi, table)
+    return np.where(near, 1.0 / w[:, None], table)
+
+
+def _neg_log_dd2(w: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Fully symmetric table T[i,j,k] = integral dz/((w_i+z)(w_j+z)(w_k+z)).
+
+    These are the second divided differences of -ln evaluated on the
+    eigenvalues, built from L = _log_divided_differences(w), with the
+    limits on the degenerate pairs of _near_pairs filled in:
+    T(x,y,x) = (dd1(x,y) - 1/x)/(x - y) and T(x,x,x) = 1/(2 x^2).  Every
+    entry is positive for positive eigenvalues.
+    """
+    inv_w = 1.0 / w
+    diff, near = _near_pairs(w)
+    pair = (L - inv_w[:, None]) / np.where(near, 1.0, diff)
+    pair = np.where(near, (0.5 * inv_w * inv_w)[:, None], pair)
+    near_xz = near[:, None, :]
+    generic = -(L[:, :, None] - L[None, :, :]) / np.where(near_xz, 1.0, diff[:, None, :])
+    return np.where(near_xz, np.broadcast_to(pair[:, :, None], generic.shape), generic)
 
 
 def _log_adjoint(table: np.ndarray, u: np.ndarray, overlaps: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ import numpy as np
 from .entropy import EIG_ZERO_TOL, _LN2
 from .errors import ConvergenceWarning, InputError, ShapeError
 from .hermitian import (
-    DEGENERACY_RTOL, HermitianMatrix, SpectralDecomposition, _eigh, _log_adjoint, _log_divided_differences
+    HermitianMatrix, SpectralDecomposition, _eigh, _log_adjoint, _log_divided_differences, _neg_log_dd2
 )
 from .states import DensityMatrix, PureState, _bell_weights, _partial_transpose_b, _ppt_edge_weight
 
@@ -132,27 +132,6 @@ _DECREMENT_FLOOR = 1e-14
 _ARMIJO_SLOPE = 1e-4
 # a solve has converged when its certified gap, in bits, is at most this
 _GAP_TOL = 1e-9
-
-
-def _neg_log_dd2(w: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Fully symmetric table T[i,j,k] = integral dz/((w_i+z)(w_j+z)(w_k+z)).
-
-    These are the second divided differences of -ln evaluated on the
-    eigenvalues, built from L = _log_divided_differences(w), with the
-    degenerate limits filled in:
-    T(x,y,x) = (dd1(x,y) - 1/x)/(x - y) and T(x,x,x) = 1/(2 x^2).  A pair
-    is degenerate when it differs by less than DEGENERACY_RTOL times its
-    larger member, the rule of _log_divided_differences.  Every entry is
-    positive for positive eigenvalues.
-    """
-    inv_w = 1.0 / w
-    diff = w[:, None] - w[None, :]
-    near = np.abs(diff) < DEGENERACY_RTOL * np.maximum(w[:, None], w[None, :])
-    pair = (L - inv_w[:, None]) / np.where(near, 1.0, diff)
-    pair = np.where(near, (0.5 * inv_w * inv_w)[:, None], pair)
-    near_xz = near[:, None, :]
-    generic = -(L[:, :, None] - L[None, :, :]) / np.where(near_xz, 1.0, diff[:, None, :])
-    return np.where(near_xz, np.broadcast_to(pair[:, :, None], generic.shape), generic)
 
 
 # complex bytes per row slab of the rho^PT term in _newton_hessian, at

@@ -1,6 +1,8 @@
 """Seeded verification campaigns with machine-readable reports.
 
 Each suite checks one inequality or identity on randomly sampled states.
+_SUITES holds each suite's trial and default tolerance; a trial raises
+InputError on dims it cannot take (lemma3 off 2x2, monotone at d = 1).
 A campaign runs N independent trials one after another; trial i draws
 its generator from the seed sequence (master seed, crc32(suite name),
 i), so different suites and different trials never share a stream and
@@ -32,6 +34,7 @@ from .criteria import (
     reduction_criterion,
 )
 from .entropy import (
+    _reduce,
     lemma2_bound,
     relative_entropy,
     theorem1_gap,
@@ -47,24 +50,12 @@ from .states import (
     _first_ppt,
     _ppt_edge_weight,
     _random_density_arr,
-    partial_trace_A,
     partial_trace_B,
     random_density,
     random_pure,
     random_separable,
     tensor_bipartite,
 )
-
-DEFAULT_TOLERANCES = {
-    "theorem1": 1e-8,
-    "lemma2": 1e-8,
-    "corollary1": 1e-8,
-    "corollary2": 1e-8,
-    "lemma3": 1e-8,
-    "lemma4": 1e-8,
-    "monotone": MONOTONE_TOL,
-    "reduction": PSD_TOL,
-}
 
 # lemma4 only applies where the lower bound is tight; trials farther from
 # saturation than this are discarded as indeterminate
@@ -119,7 +110,7 @@ def record_to_json(record: ReportRecord) -> str:
         "indeterminate": record.indeterminate,
         "margin": record.margin,
         "pass": record.passed,
-        "quantities": {k: record.quantities[k] for k in sorted(record.quantities)},
+        "quantities": record.quantities,
         "seed": record.seed,
         "suite": record.suite,
         "trial": record.trial,
@@ -136,10 +127,9 @@ def _trial_rng(master_seed: int, suite: str, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, tag, trial]))
 
 
-def _state_seeds(rng: np.random.Generator, n: int) -> list[int]:
-    # one scalar draw at a time gives the values of one draw of size n,
-    # at a third of the cost for n = 1
-    return [int(rng.integers(0, 2**63 - 1)) for _ in range(n)]
+def _state_seed(rng: np.random.Generator) -> int:
+    # a scalar draw gives the value of a draw of size 1 at a third of the cost
+    return int(rng.integers(0, 2**63 - 1))
 
 
 # Rejection chunks: doubling, so a dimension where most candidates pass
@@ -169,10 +159,9 @@ def _random_nondistillable(rng, dims) -> DensityMatrix:
     da, db = dims.da, dims.db
     if rng.integers(0, 4) == 0:
         k = int(rng.integers(1, 4))
-        (s1,) = _state_seeds(rng, 1)
-        return random_separable(dims, s1, k=k)
+        return random_separable(dims, _state_seed(rng), k=k)
     for size in _PPT_CHUNKS:
-        specs = [(int(rng.integers(1, d + 1)), _state_seeds(rng, 1)[0]) for _ in range(size)]
+        specs = [(int(rng.integers(1, d + 1)), _state_seed(rng)) for _ in range(size)]
         mat = _first_ppt(specs, da, db)
         if mat is not None:
             return DensityMatrix(mat, dims)
@@ -184,8 +173,7 @@ def _random_nondistillable(rng, dims) -> DensityMatrix:
 def _random_sigma(rng, dims) -> tuple[DensityMatrix, int]:
     """A random state of uniformly drawn rank on dims, and that rank."""
     rank = int(rng.integers(1, dims.total + 1))
-    (s1,) = _state_seeds(rng, 1)
-    return random_density(dims.total, rank, s1).tagged(dims.da, dims.db), rank
+    return random_density(dims.total, rank, _state_seed(rng)).tagged(dims.da, dims.db), rank
 
 
 def _trial_theorem1(rng, dims, tol, trial):
@@ -223,8 +211,7 @@ def _trial_lemma2(rng, dims, tol, trial):
 
 
 def _trial_corollary1(rng, dims, tol, trial):
-    (s1,) = _state_seeds(rng, 1)
-    psi = random_pure(dims, s1)
+    psi = random_pure(dims, _state_seed(rng))
     sigma = psi.density()
     res = ree_ppt(sigma)
     reduced_entropy = von_neumann_entropy(partial_trace_B(sigma))
@@ -241,9 +228,8 @@ def _trial_corollary1(rng, dims, tol, trial):
 
 
 def _trial_corollary2(rng, dims, tol, trial):
-    s1, s2 = _state_seeds(rng, 2)
-    psi1 = random_pure(dims, s1)
-    psi2 = random_pure(dims, s2)
+    psi1 = random_pure(dims, _state_seed(rng))
+    psi2 = random_pure(dims, _state_seed(rng))
     rho1, rho2 = psi1.density(), psi2.density()
     r1 = ree_ppt(rho1)
     r2 = ree_ppt(rho2)
@@ -277,8 +263,7 @@ def _trial_lemma3(rng, dims, tol, trial):
 
 
 def _trial_lemma4(rng, dims, tol, trial):
-    (s1,) = _state_seeds(rng, 1)
-    psi = random_pure(dims, s1)
+    psi = random_pure(dims, _state_seed(rng))
     sigma = psi.density()
     res = ree_ppt(sigma)
     bound = lemma2_bound(sigma)
@@ -286,21 +271,21 @@ def _trial_lemma4(rng, dims, tol, trial):
     quantities.update(_solve_diagnostics(res))
     if abs(res.value_bits - bound) >= _SATURATION_GATE:
         return quantities, None
-    sigma_a, sigma_b = partial_trace_B(sigma), partial_trace_A(sigma)
-    s_a, s_b = von_neumann_entropy(sigma_a), von_neumann_entropy(sigma_b)
+    reduced = {side: _reduce(sigma, side) for side in "AB"}
+    entropies = {side: von_neumann_entropy(r) for side, r in reduced.items()}
     worst = 0.0
-    if s_a >= s_b - 1e-12:
-        delta = partial_trace_B(res.closest_state).mat - sigma_a.mat
-        worst = max(worst, 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta)))))
-    if s_b >= s_a - 1e-12:
-        delta = partial_trace_A(res.closest_state).mat - sigma_b.mat
-        worst = max(worst, 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta)))))
+    for side, other in ("AB", "BA"):
+        if entropies[side] >= entropies[other] - 1e-12:
+            delta = _reduce(res.closest_state, side).mat - reduced[side].mat
+            worst = max(worst, 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta)))))
     quantities["reduction_distance"] = worst
     return quantities, -worst
 
 
 def _trial_monotone(rng, dims, tol, trial):
     d = dims.total
+    if d < 2:
+        raise InputError("monotone needs a total dimension of at least 2")
     if trial == 0:
         # the deterministic squaring counterexample; finding a violation
         # here is the expected outcome, so the slack is its magnitude
@@ -340,23 +325,24 @@ def _trial_reduction(rng, dims, tol, trial):
     return quantities, margin
 
 
-# suite name -> trial(rng, dims, tol, trial index) -> (quantities, margin)
-_TRIALS = {
-    "theorem1": _trial_theorem1,
-    "lemma2": _trial_lemma2,
-    "corollary1": _trial_corollary1,
-    "corollary2": _trial_corollary2,
-    "lemma3": _trial_lemma3,
-    "lemma4": _trial_lemma4,
-    "monotone": _trial_monotone,
-    "reduction": _trial_reduction,
+# suite name -> (trial, default tolerance), where
+# trial(rng, dims, tol, trial index) -> (quantities, margin)
+_SUITES = {
+    "theorem1": (_trial_theorem1, 1e-8),
+    "lemma2": (_trial_lemma2, 1e-8),
+    "corollary1": (_trial_corollary1, 1e-8),
+    "corollary2": (_trial_corollary2, 1e-8),
+    "lemma3": (_trial_lemma3, 1e-8),
+    "lemma4": (_trial_lemma4, 1e-8),
+    "monotone": (_trial_monotone, MONOTONE_TOL),
+    "reduction": (_trial_reduction, PSD_TOL),
 }
 
-SUITE_NAMES = tuple(_TRIALS)
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_trial(suite: str, master_seed: int, trial: int, dims: BipartiteDims, tol: float):
-    quantities, margin = _TRIALS[suite](_trial_rng(master_seed, suite, trial), dims, tol, trial)
+    quantities, margin = _SUITES[suite][0](_trial_rng(master_seed, suite, trial), dims, tol, trial)
     indeterminate = margin is None
     passed = True if indeterminate else margin >= -tol
     return ReportRecord(
@@ -399,7 +385,7 @@ def run_suite(
         raise InputError("seed must fit in an unsigned 64-bit integer")
     dims = dims or BipartiteDims(2, 2)
     if tol is None:
-        tol = DEFAULT_TOLERANCES[suite]
+        tol = _SUITES[suite][1]
     if not tol > 0:
         raise InputError(f"tolerance must be positive, got {tol!r}")
     records = [_run_trial(suite, seed, i, dims, tol) for i in range(trials)]

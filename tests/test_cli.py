@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from reelab import cli
+from reelab import cli, statefile
 from reelab.cli import main
+from reelab.errors import EigensolverError
 from reelab.statefile import dumps_state, save_state
 from reelab.states import maximally_mixed, random_density, singlet, werner
 
@@ -209,6 +210,13 @@ def test_verify_rejects_bad_dims(capsys):
         assert err, dims
 
 
+def test_verify_monotone_1x1_exits_64(capsys):
+    code, out, err = run(capsys, "verify", "monotone", "--dims", "1x1", "--trials", "2")
+    assert code == 64
+    assert out == ""
+    assert err == "reelab: monotone needs a total dimension of at least 2\n"
+
+
 def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as info:
         main(["compute"])
@@ -269,3 +277,17 @@ def test_untyped_failure_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="a bug"):
         main(["compute", str(path), "--ree"])
     assert capsys.readouterr().out == ""
+
+
+def test_eigensolver_failure_exits_70(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "werner.json"
+    save_state(werner(0.3), path)
+
+    def broken(mat):
+        raise EigensolverError("LAPACK did not converge")
+
+    monkeypatch.setattr(statefile, "_eigh", broken)
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 70
+    assert out == ""
+    assert err == "reelab: eigensolver failure: LAPACK did not converge\n"

@@ -8,7 +8,7 @@ import pytest
 from reelab.entropy import lemma2_bound, relative_entropy, von_neumann_entropy
 from reelab.criteria import ppt_criterion
 from reelab.errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
-from reelab.hermitian import _log_divided_differences
+from reelab.hermitian import _log_divided_differences, _neg_log_dd2
 from reelab import solver, states, verify
 from reelab.solver import (
     bell_diagonal_ree_oracle,
@@ -379,7 +379,7 @@ def _kron_newton_hessian(w, u, overlaps_full, rho_inv, tau_inv, mu_curv, da, db)
     d = len(w)
     n = d * d
     perm = np.arange(n).reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(n)
-    table = solver._neg_log_dd2(w, _log_divided_differences(w))
+    table = _neg_log_dd2(w, _log_divided_differences(w))
     eye = np.eye(d)
     frame = np.einsum("ia,bk,ibk->ikab", eye, overlaps_full, table) + np.einsum(
         "kl,ij,ijk->ikjl", eye, overlaps_full, table
@@ -523,7 +523,7 @@ def test_neg_log_dd2_pairs_degenerate_by_their_own_scale():
     # max(w) took the degenerate limit 1/(2 x^2) for T(x,y,x) and T(x,y,y)
     x, y = 1e-14, 3e-13
     w = np.array([x, y, 0.4, 0.6])
-    table = solver._neg_log_dd2(w, _log_divided_differences(w))
+    table = _neg_log_dd2(w, _log_divided_differences(w))
     assert table[0, 1, 0] == pytest.approx((1.0 / x - _log_dd(x, y)) / (y - x), rel=1e-12)
     assert table[0, 1, 1] == pytest.approx((1.0 / y - _log_dd(x, y)) / (x - y), rel=1e-12)
     z = 0.4

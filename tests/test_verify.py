@@ -18,7 +18,6 @@ from reelab.states import (
     random_separable,
 )
 from reelab.verify import (
-    DEFAULT_TOLERANCES,
     SUITE_NAMES,
     _random_nondistillable,
     _trial_rng,
@@ -82,6 +81,14 @@ FROZEN_REPORT_DIGESTS = {
     # every trial saturates the lemma 2 bound, so each record carries the
     # reduction distance of the closest state
     ("lemma4", 4, 7, (2, 2)): "7ec2a21a28ad2177501f7fe00477e1da8e7e4da2c834ded7578588ee86668ed0",
+    # at 2x3 S(sigma_A) = S(sigma_B), so both reductions are measured
+    ("lemma4", 3, 7, (2, 3)): "7492e982d664e68019ae6a0cfb118faa4af3b05fe5013757e2acabef2b32e3b0",
+    ("corollary1", 3, 7, (2, 2)): "0eb1607168f7ccd1e5ea274e7818b8bef722adf0f70af930be8bfc5a391b68f4",
+    ("corollary1", 2, 7, (2, 3)): "8936e58feec224a97e852b3fa9ca2f33874fec762f23f1b6c8c229601b037090",
+    # one trial: three solves, the product one at 4x4
+    ("corollary2", 1, 7, (2, 2)): "79ea51d9f399524b1564155d66ffee52f84b8890580ce50155293113c0ad35c6",
+    ("lemma3", 4, 7, (2, 2)): "d77838ef05c15d5392e40f95aab36bfead1016be87ff7904444f0849391bb6f4",
+    ("theorem1", 20, 7, (2, 4)): "b17bc22433f26ed233024dca4355127a1d91c69504b4c7d6fe65a31ae34f3f48",
 }
 
 
@@ -304,9 +311,17 @@ def test_run_suite_validation():
         run_suite("lemma3", 5, 7, dims=BipartiteDims(3, 3))
 
 
+def test_monotone_needs_two_dimensions():
+    # the canonical squaring pair of trial 0 is 2x2
+    with pytest.raises(InputError, match="at least 2"):
+        run_suite("monotone", 2, 7, dims=BipartiteDims(1, 1))
+    assert run_suite("monotone", 2, 7, dims=BipartiteDims(1, 2)).all_pass
+
+
 def test_default_tolerances_cover_every_suite():
-    assert set(DEFAULT_TOLERANCES) == set(SUITE_NAMES)
-    assert all(tol > 0 for tol in DEFAULT_TOLERANCES.values())
+    # the suite table is the one source of names and tolerances
+    assert SUITE_NAMES == tuple(verify._SUITES)
+    assert all(tol > 0 for _, tol in verify._SUITES.values())
 
 
 def test_infinite_margins_serialize_as_strings():
