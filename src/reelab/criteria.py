@@ -15,15 +15,18 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .hermitian import (
+    _STACK_ENTRIES,
     PSD_TOL,
     HermitianMatrix,
     ScalarFunction,
     _check_tol,
+    _clears,
     _eigh,
+    _hermitian_part,
     _spectral_apply,
     loewner_geq,
 )
-from .states import DensityMatrix, _ginibre, partial_transpose_B, reduction_operator
+from .states import DensityMatrix, partial_transpose_B, reduction_operator
 
 # Violation threshold for the monotone search; loose enough that
 # round-off on well-conditioned spectra cannot fake a counterexample.
@@ -43,10 +46,17 @@ def _verdict(op: HermitianMatrix, tol: float) -> CriterionVerdict:
     _check_tol(tol)
     w, v = _eigh(op.mat)
     return CriterionVerdict(
-        holds=bool(w[0] >= -tol),
+        holds=bool(_clears(w[0], tol)),
         witness_eigenvalue=float(w[0]),
         witness_vector=v[:, 0].copy(),
     )
+
+
+def _witnesses(ops: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_verdict's holds and witness eigenvalue for each operator array of a stack, bit for bit."""
+    _check_tol(tol)
+    least = _eigh(_hermitian_part(ops))[0][:, 0]
+    return _clears(least, tol), least
 
 
 def reduction_criterion(rho: DensityMatrix, tol: float = PSD_TOL) -> CriterionVerdict:
@@ -88,28 +98,24 @@ def _canonical_pair(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _sample_scaled_psd(rng: np.random.Generator, dim: int, lo: float, hi: float):
-    """Ginibre PSD sample with eigenvalues mapped linearly into [lo, hi]."""
-    g = _ginibre(rng, dim, dim)
-    w, u = _eigh(g @ g.conj().T)
-    span = w[-1] - w[0]
-    if span <= 0:
-        w = np.full(dim, 0.5 * (lo + hi))
-    else:
-        w = lo + (hi - lo) * (w - w[0]) / span
-    return w, u
+def _sample_monotone_pairs(rngs, dim: int, b_range, delta_range):
+    """Stacked (A, B, spectra of B, eigenvectors of B), pair k from rngs[k], with A = B + Delta.
 
-
-def _sample_monotone_pair(rng: np.random.Generator, dim: int, b_range, delta_range):
-    """(A, B, spectrum of B, eigenvectors of B) with A = B + Delta, Delta >= 0.
-
-    B and Delta are drawn in that order by _sample_scaled_psd, their
-    spectra mapped into b_range and delta_range.
+    Each generator draws the Ginibre matrix of B and then that of Delta;
+    each is turned into the PSD G G' and its spectrum mapped linearly into
+    b_range or delta_range, so Delta >= 0.
     """
-    wb, ub = _sample_scaled_psd(rng, dim, *b_range)
-    wd, ud = _sample_scaled_psd(rng, dim, *delta_range)
-    b = (ub * wb) @ ub.conj().T
-    return b + (ud * wd) @ ud.conj().T, b, wb, ub
+    parts = np.stack([rng.standard_normal((4, dim, dim)) for rng in rngs])
+    # the real and imaginary parts of B's and of Delta's, combined as _ginibre does
+    g = (parts[:, 0::2] + 1j * parts[:, 1::2]) / np.sqrt(2.0)
+    w, u = _eigh(g @ g.conj().swapaxes(-1, -2))
+    lo = np.array([b_range[0], delta_range[0]])[:, None]
+    hi = np.array([b_range[1], delta_range[1]])[:, None]
+    span = (w[..., -1] - w[..., 0])[..., None]
+    flat = np.broadcast_to(0.5 * (lo + hi), w.shape)
+    w = np.where(span > 0, lo + (hi - lo) * (w - w[..., :1]) / np.where(span > 0, span, 1.0), flat)
+    psd = (u * w[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return psd[:, 0] + psd[:, 1], psd[:, 0], w[:, 0], u[:, 0]
 
 
 def operator_monotone_search(
@@ -124,8 +130,9 @@ def operator_monotone_search(
     loewner_geq(f(A), f(B), 1e-8). The known squaring counterexample is
     injected as trial 0 whenever f's domain admits it, so regressions do
     not hinge on sampling luck. Trials draw from independent per-index
-    streams: the result is deterministic for a given seed and
-    independent of execution order.
+    streams and are evaluated in stacked chunks, each to its first
+    failure: the result is the first failing trial, deterministic for a
+    given seed and independent of the chunking.
     """
     if dim < 2:
         raise InputError("dim must be at least 2")
@@ -134,22 +141,27 @@ def operator_monotone_search(
     base = f.domain_lower if math.isfinite(f.domain_lower) else 0.0
     b_range = (base + 0.1, base + 10.0)
 
-    for trial in range(trials):
-        if trial == 0 and f.domain_lower < 0:
+    def chunks():
+        first = 0
+        if f.domain_lower < 0:
             a_mat, b_mat = _canonical_pair(dim)
-            wb, ub = _eigh(b_mat)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-            a_mat, b_mat, wb, ub = _sample_monotone_pair(rng, dim, b_range, (0.1, 10.0))
-        fa = _spectral_apply(f, *_eigh((a_mat + a_mat.conj().T) / 2))
-        fb = _spectral_apply(f, wb, ub)
-        wmin = float(_eigh(fa - fb)[0][0])
-        if wmin < -MONOTONE_TOL:
+            yield range(1), (a_mat[None], b_mat[None], *(x[None] for x in _eigh(b_mat)))
+            first = 1
+        per_chunk = max(1, _STACK_ENTRIES // (dim * dim))
+        for start in range(first, trials, per_chunk):
+            chunk = range(start, min(start + per_chunk, trials))
+            rngs = [np.random.default_rng(np.random.SeedSequence([seed, trial])) for trial in chunk]
+            yield chunk, _sample_monotone_pairs(rngs, dim, b_range, (0.1, 10.0))
+
+    for chunk, (a, b, wb, ub) in chunks():
+        fa = _spectral_apply(f, *_eigh(_hermitian_part(a)))
+        wmin = _eigh(fa - _spectral_apply(f, wb, ub))[0][:, 0]
+        for k in np.flatnonzero(wmin < -MONOTONE_TOL)[:1]:
             return MonotoneCounterexample(
-                a=HermitianMatrix(a_mat),
-                b=HermitianMatrix(b_mat),
-                violation=wmin,
-                trials_used=trial + 1,
+                a=HermitianMatrix(a[k]),
+                b=HermitianMatrix(b[k]),
+                violation=float(wmin[k]),
+                trials_used=chunk[k] + 1,
             )
     return None
 
@@ -187,4 +199,4 @@ def loewner_matrix_psd_check(
     deriv = (np.asarray(f.evaluate(x + h), dtype=float) - np.asarray(f.evaluate(x - h), dtype=float)) / (2 * h)
     np.fill_diagonal(m, deriv)
     wmin = float(_eigh(m)[0][0])
-    return wmin >= -tol, wmin
+    return _clears(wmin, tol), wmin

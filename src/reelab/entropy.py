@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, ShapeError
 from .hermitian import _LOG_PD, PSD_TOL, HermitianMatrix, _decomposed_function, loewner_geq
-from .states import DensityMatrix, partial_trace_A, partial_trace_B
+from .states import DensityMatrix, _states, _trace_a, _trace_b, partial_trace_A, partial_trace_B
 
 EIG_ZERO_TOL = 1e-12
 SUPPORT_OVERLAP_TOL = 1e-10
@@ -47,19 +47,81 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     """
     if sigma.dim != rho.dim:
         raise ShapeError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
-    ws = sigma.spectrum.eigenvalues
-    ws = ws[ws >= EIG_ZERO_TOL]
-    term_sigma = float(np.sum(ws * np.log2(ws)))
+    sig, ws, _ = _one(sigma)
+    return float(_relative_entropies(sig, _plogp(ws), *_one(rho)[1:])[0])
 
-    wr, vr = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
-    # overlap of sigma with each eigenvector of rho
-    overlaps = np.real(np.einsum("ij,ij->j", vr.conj(), sigma.mat @ vr))
+
+def _one(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A state as the stack of one that the kernels below take: (matrices, eigenvalues, eigenvectors)."""
+    return state.mat[None], state.spectrum.eigenvalues[None], state.spectrum.eigenvectors[None]
+
+
+def _suffix_sums(terms: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """np.sum(terms[k, start[k]:]) for each row k, bit for bit.
+
+    The rows that share a start are summed together, so each sum runs
+    over exactly the entries, and in the order, of its own row's suffix.
+    """
+    out = np.zeros(len(terms))
+    for first in set(start.tolist()):
+        rows = start == first
+        out[rows] = np.sum(terms[rows, first:], axis=1)
+    return out
+
+
+def _plogp(w: np.ndarray) -> np.ndarray:
+    """sum w log2 w over the eigenvalues >= EIG_ZERO_TOL of each ascending spectrum of a stack.
+
+    The kept eigenvalues are a suffix of each row, so every sum is the
+    one von_neumann_entropy and relative_entropy take of that spectrum.
+    """
+    kept = w >= EIG_ZERO_TOL
+    return _suffix_sums(w * np.log2(np.where(kept, w, 1.0)), np.sum(~kept, axis=1))
+
+
+def _relative_entropies(sig: np.ndarray, sig_plogp: np.ndarray, wr: np.ndarray, vr: np.ndarray) -> np.ndarray:
+    """relative_entropy of each pair of a stack, +inf on support violation.
+
+    sig holds the sigma matrices with their _plogp sums, and (wr, vr) the
+    eigenpairs of the rho matrices.  The overlaps of sigma with the
+    eigenvectors of rho weigh ln rho in rho's eigenbasis.
+    """
+    overlaps = np.real(np.einsum("nij,nij->nj", vr.conj(), sig @ vr))
     kernel = wr < EIG_ZERO_TOL
-    if np.any(overlaps[kernel] > SUPPORT_OVERLAP_TOL):
-        return math.inf
-    keep = ~kernel
-    term_cross = float(np.sum(overlaps[keep] * np.log2(wr[keep])))
-    return max(0.0, term_sigma - term_cross)
+    outside = np.any(kernel & (overlaps > SUPPORT_OVERLAP_TOL), axis=1)
+    cross = _suffix_sums(overlaps * np.log2(np.where(kernel, 1.0, wr)), np.sum(kernel, axis=1))
+    value = sig_plogp - cross
+    return np.where(outside, math.inf, np.where(value > 0.0, value, 0.0))
+
+
+def _theorem1_gaps(sigma, rho, da: int, db: int, sides: str = "AB") -> list:
+    """theorem1_gap at each of sides for each pair of a stack, NaN where it is None.
+
+    sigma and rho are (matrices, eigenvalues, eigenvectors) of valid
+    states, as states._states returns them.  The joint relative entropy
+    is evaluated once for all sides, and each reduction is validated as
+    a state.  Support containment passes to the reductions only exactly:
+    overlaps each within SUPPORT_OVERLAP_TOL on rho's kernel can add up
+    past it on rho_side's, so a finite joint term may come with an
+    infinite reduced one.
+    """
+    sig, ws, _ = sigma
+    plogp = _plogp(ws)
+    entropy = np.where(-plogp > 0.0, -plogp, 0.0)
+    joint = _relative_entropies(sig, plogp, rho[1], rho[2])
+    gaps = []
+    for side in sides:
+        reduce = _trace_b if side == "A" else _trace_a
+        sig_x, ws_x, _ = _states(reduce(sig, da, db))
+        _, wr_x, vr_x = _states(reduce(rho[0], da, db))
+        plogp_x = _plogp(ws_x)
+        reduced = _relative_entropies(sig_x, plogp_x, wr_x, vr_x)
+        lhs = np.where(-plogp_x > 0.0, -plogp_x, 0.0) - entropy
+        # inf - inf where the gap is None, which the mask below replaces
+        with np.errstate(invalid="ignore"):
+            gap = joint - reduced - lhs
+        gaps.append(np.where(np.isinf(reduced), math.nan, np.where(np.isinf(joint), math.inf, gap)))
+    return gaps
 
 
 def negative_conditional_entropy(sigma: DensityMatrix, side: str = "A") -> float:
@@ -84,24 +146,15 @@ def theorem1_gap(sigma: DensityMatrix, rho: DensityMatrix, side: str = "A") -> f
     case). +inf propagates when only the joint relative entropy
     diverges. When the reduced relative entropy diverges the difference
     is meaningless and None is returned; harnesses discard and count
-    such trials. Each reduction is built once, and the four spectra it
-    needs (sigma, rho and their reductions) are the ones their
-    constructors computed.
+    such trials. This is the stack of one of _theorem1_gaps, which reads
+    the spectra of sigma and rho that their constructors computed.
     """
     if sigma.dims is None or rho.dims is None or tuple(sigma.dims) != tuple(rho.dims):
         raise ShapeError("theorem1_gap needs matching bipartite dims on both states")
-    sigma_x = _reduce(sigma, side)
-    joint = relative_entropy(sigma, rho)
-    reduced = relative_entropy(sigma_x, _reduce(rho, side))
-    # support containment passes to the reductions only exactly: overlaps
-    # each within SUPPORT_OVERLAP_TOL on rho's kernel can add up past it on
-    # rho_side's, so a finite joint term may come with an infinite reduced one
-    if math.isinf(reduced):
-        return None
-    if math.isinf(joint):
-        return math.inf
-    lhs = von_neumann_entropy(sigma_x) - von_neumann_entropy(sigma)
-    return joint - reduced - lhs
+    if side not in ("A", "B"):
+        raise InputError(f"side must be 'A' or 'B', got {side!r}")
+    gap = _theorem1_gaps(_one(sigma), _one(rho), *sigma.dims, side)[0][0]
+    return None if math.isnan(gap) else float(gap)
 
 
 def log_order_check(rho: DensityMatrix, tol: float = PSD_TOL) -> bool:

@@ -31,6 +31,12 @@ RECONSTRUCTION_TOL = 1e-9
 # analytic limit, avoiding catastrophic cancellation near degeneracies.
 DEGENERACY_RTOL = 1e-12
 
+# The matrix entries of one chunk of a stacked pass, 128 states at 2x2 or 25
+# at 3x3: callers cut their stacks to this size, so each complex array of a
+# chunk takes 32 KiB.  Larger chunks ran the benchmark's verify suites no
+# faster and raised the process's peak memory by their temporaries.
+_STACK_ENTRIES = 2048
+
 
 class HermitianMatrix:
     """Complex square matrix stored in explicitly Hermitian form.
@@ -47,9 +53,7 @@ class HermitianMatrix:
         arr = np.array(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise InputError("matrix entries must be finite")
-        sym = (arr + arr.conj().T) / 2.0
+        sym = _hermitian_part(arr)
         sym.flags.writeable = False
         self.mat = sym
 
@@ -82,6 +86,13 @@ class HermitianMatrix:
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
+
+
+def _hermitian_part(arr: np.ndarray) -> np.ndarray:
+    """(M + M')/2 of one complex array or of each in a stack, whose entries must be finite."""
+    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        raise InputError("matrix entries must be finite")
+    return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
 
 
 def identity(dim: int) -> HermitianMatrix:
@@ -134,11 +145,32 @@ SQUARE = ScalarFunction("square", np.square)
 
 
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh with failure surfaced as EigensolverError."""
+    """np.linalg.eigh of one matrix or a stack, with failure surfaced as EigensolverError.
+
+    LAPACK decomposes each matrix of a stack on its own, so every
+    eigenpair is bit for bit the one a call on that matrix alone returns.
+    """
     try:
         return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed on a {mat.shape[0]}x{mat.shape[0]} matrix: {exc}") from exc
+        raise EigensolverError(f"eigensolver failed on a {mat.shape[-1]}x{mat.shape[-1]} matrix: {exc}") from exc
+
+
+def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of one matrix or a stack, with failure surfaced as EigensolverError.
+
+    Its eigenvalues can differ from _eigh's in the last bits, so a caller
+    keeps to one of the two.
+    """
+    try:
+        return np.linalg.eigvalsh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver failed on a {mat.shape[-1]}x{mat.shape[-1]} matrix: {exc}") from exc
+
+
+def _clears(least, tol: float = PSD_TOL):
+    """The package's one positivity verdict, least eigenvalue >= -tol, elementwise on arrays."""
+    return least >= -tol
 
 
 def eig_hermitian(h: HermitianMatrix) -> SpectralDecomposition:
@@ -148,14 +180,21 @@ def eig_hermitian(h: HermitianMatrix) -> SpectralDecomposition:
     silently broken decomposition cannot propagate; both gates are far
     looser than what LAPACK delivers on these dimensions.
     """
-    w, u = _eigh(h.mat)
-    gram_err = np.max(np.abs(u.conj().T @ u - np.eye(h.dim)))
-    if gram_err > UNITARITY_TOL:
-        raise EigensolverError(f"eigenvector basis not orthonormal (residual {gram_err:.3e})")
-    recon_err = np.max(np.abs((u * w) @ u.conj().T - h.mat))
-    if recon_err > RECONSTRUCTION_TOL * max(1.0, h.max_abs()):
-        raise EigensolverError(f"spectral reconstruction residual {recon_err:.3e} too large")
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
+    return SpectralDecomposition(*_checked_eigh(h.mat))
+
+
+def _checked_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_eigh of a Hermitian array or a stack of them, held to eig_hermitian's two quality gates."""
+    w, u = _eigh(mat)
+    uh = u.conj().swapaxes(-1, -2)
+    gram_err = np.max(np.abs(uh @ u - np.eye(mat.shape[-1])), axis=(-2, -1))
+    for err in np.ravel(gram_err)[np.ravel(gram_err > UNITARITY_TOL)][:1]:
+        raise EigensolverError(f"eigenvector basis not orthonormal (residual {err:.3e})")
+    recon_err = np.max(np.abs((u * w[..., None, :]) @ uh - mat), axis=(-2, -1))
+    bound = RECONSTRUCTION_TOL * np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+    for err in np.ravel(recon_err)[np.ravel(recon_err > bound)][:1]:
+        raise EigensolverError(f"spectral reconstruction residual {err:.3e} too large")
+    return w, u
 
 
 def matrix_function(h: HermitianMatrix, f: ScalarFunction) -> HermitianMatrix:
@@ -171,19 +210,31 @@ def matrix_function(h: HermitianMatrix, f: ScalarFunction) -> HermitianMatrix:
 
 def _decomposed_function(dec: SpectralDecomposition, f: ScalarFunction) -> HermitianMatrix:
     """matrix_function of the operator whose decomposition is dec, same checks."""
-    w = dec.eigenvalues
-    if w[0] <= f.domain_lower:
+    _check_domain(dec.eigenvalues, f)
+    return HermitianMatrix(_spectral_apply(f, dec.eigenvalues, dec.eigenvectors))
+
+
+def _check_domain(w: np.ndarray, f: ScalarFunction) -> None:
+    """DomainError unless the least eigenvalue of each ascending spectrum, one or a stack, is in f's domain."""
+    least = np.ravel(w[..., 0])
+    for low in least[least <= f.domain_lower][:1]:
         raise DomainError(
-            f"eigenvalue {w[0]:.6g} outside the domain of '{f.name}' (requires > {f.domain_lower:g})",
-            eigenvalue=float(w[0]),
+            f"eigenvalue {low:.6g} outside the domain of '{f.name}' (requires > {f.domain_lower:g})",
+            eigenvalue=float(low),
         )
-    return HermitianMatrix(_spectral_apply(f, w, dec.eigenvectors))
+
+
+def _matrix_functions(mats: np.ndarray, f: ScalarFunction) -> np.ndarray:
+    """matrix_function(HermitianMatrix(m), f).mat for each array m of a stack, bit for bit, with its checks."""
+    w, u = _checked_eigh(_hermitian_part(mats))
+    _check_domain(w, f)
+    return _hermitian_part(_spectral_apply(f, w, u))
 
 
 def _spectral_apply(f: ScalarFunction, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U f(w) U' for a spectrum w with eigenvectors u, without domain checks."""
+    """U f(w) U' for a spectrum w with eigenvectors u, or for a stack of them, without domain checks."""
     fw = np.asarray(f.evaluate(w), dtype=float)
-    return (u * fw) @ u.conj().T
+    return (u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 # log with its domain edge at PSD_TOL: eigenvalues that round-off could
@@ -213,9 +264,8 @@ def is_psd(h: HermitianMatrix, tol: float = PSD_TOL) -> tuple[bool, float]:
     eigenvalue, reported for passing and failing inputs alike.
     """
     _check_tol(tol)
-    w = _eigh(h.mat)[0]
-    wmin = float(w[0])
-    return wmin >= -tol, wmin
+    wmin = float(_eigh(h.mat)[0][0])
+    return _clears(wmin, tol), wmin
 
 
 def loewner_geq(a: HermitianMatrix, b: HermitianMatrix, tol: float = PSD_TOL) -> bool:
@@ -232,34 +282,34 @@ def _near_pairs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diff, np.abs(diff) < DEGENERACY_RTOL * np.maximum(w[:, None], w[None, :])
 
 
-def _log_divided_differences(w: np.ndarray) -> np.ndarray:
-    """First divided differences of ln on a positive grid.
+def _log_divided_differences(w: np.ndarray, lw: np.ndarray | None = None, second: bool = False):
+    """First divided differences of ln on a positive grid, and on request the second of -ln.
 
     L[i,j] = (ln w_i - ln w_j)/(w_i - w_j), with the analytic limit 1/w_i
-    substituted on the degenerate pairs of _near_pairs.
+    substituted on the degenerate pairs of _near_pairs; lw is ln w when
+    the caller has it.  With second, returns (L, T), where T is the fully
+    symmetric table T[i,j,k] = integral dz/((w_i+z)(w_j+z)(w_k+z)) of the
+    second divided differences of -ln, built from L and the same pairs
+    with their limits T(x,y,x) = (dd1(x,y) - 1/x)/(x - y) and
+    T(x,x,x) = 1/(2 x^2).  Every entry of T is positive for positive
+    eigenvalues.
     """
     diff, near = _near_pairs(w)
-    lw = np.log(w)
-    table = (lw[:, None] - lw[None, :]) / np.where(near, 1.0, diff)
-    return np.where(near, 1.0 / w[:, None], table)
-
-
-def _neg_log_dd2(w: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Fully symmetric table T[i,j,k] = integral dz/((w_i+z)(w_j+z)(w_k+z)).
-
-    These are the second divided differences of -ln evaluated on the
-    eigenvalues, built from L = _log_divided_differences(w), with the
-    limits on the degenerate pairs of _near_pairs filled in:
-    T(x,y,x) = (dd1(x,y) - 1/x)/(x - y) and T(x,x,x) = 1/(2 x^2).  Every
-    entry is positive for positive eigenvalues.
-    """
+    if lw is None:
+        lw = np.log(w)
     inv_w = 1.0 / w
-    diff, near = _near_pairs(w)
-    pair = (L - inv_w[:, None]) / np.where(near, 1.0, diff)
-    pair = np.where(near, (0.5 * inv_w * inv_w)[:, None], pair)
-    near_xz = near[:, None, :]
-    generic = -(L[:, :, None] - L[None, :, :]) / np.where(near_xz, 1.0, diff[:, None, :])
-    return np.where(near_xz, np.broadcast_to(pair[:, :, None], generic.shape), generic)
+    i, j = np.nonzero(near)
+    # degenerate pairs divide by one, then take their limits
+    diff[i, j] = 1.0
+    table = (lw[:, None] - lw[None, :]) / diff
+    table[i, j] = inv_w[i]
+    if not second:
+        return table
+    pair = (table - inv_w[:, None]) / diff
+    pair[i, j] = (0.5 * inv_w * inv_w)[i]
+    dd2 = -(table[:, :, None] - table[None, :, :]) / diff[:, None, :]
+    dd2[i, :, j] = pair[i]
+    return table, dd2
 
 
 def _log_adjoint(table: np.ndarray, u: np.ndarray, overlaps: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ import numpy as np
 from .entropy import EIG_ZERO_TOL, _LN2
 from .errors import ConvergenceWarning, InputError, ShapeError
 from .hermitian import (
-    HermitianMatrix, SpectralDecomposition, _eigh, _log_adjoint, _log_divided_differences, _neg_log_dd2
+    HermitianMatrix, SpectralDecomposition, _eigh, _log_adjoint, _log_divided_differences
 )
 from .states import DensityMatrix, PureState, _bell_weights, _partial_transpose_b, _ppt_edge_weight
 
@@ -82,14 +82,15 @@ def _entropy_term_nat(w: np.ndarray) -> float:
 class _Point(NamedTuple):
     """A strictly feasible rho with f = S(sigma||rho) in nats and the spectra of rho and rho^PT.
 
-    logdet = ln det rho + ln det rho^PT; (w, u) are the eigenpairs of rho,
-    overlaps = u^H sigma u, and (s, v) the eigenpairs of rho^PT.
+    logdet = ln det rho + ln det rho^PT; (w, u) are the eigenpairs of rho
+    and lw = ln w, overlaps = u^H sigma u, and (s, v) the eigenpairs of rho^PT.
     """
 
     rho: np.ndarray
     f: float
     logdet: float
     w: np.ndarray
+    lw: np.ndarray
     u: np.ndarray
     overlaps: np.ndarray
     s: np.ndarray
@@ -105,9 +106,10 @@ def _point(sig: np.ndarray, rho: np.ndarray, sigma_term: float, da: int, db: int
     if not s[0] > 0.0:
         return None
     overlaps = u.conj().T @ sig @ u
-    f = sigma_term - float(np.real(np.sum(np.diag(overlaps) * np.log(w))))
-    logdet = float(np.sum(np.log(w))) + float(np.sum(np.log(s)))
-    return _Point(rho, f, logdet, w, u, overlaps, s, v)
+    lw = np.log(w)
+    f = sigma_term - float(np.real(np.sum(np.diag(overlaps) * lw)))
+    logdet = float(np.sum(lw)) + float(np.sum(np.log(s)))
+    return _Point(rho, f, logdet, w, lw, u, overlaps, s, v)
 
 
 def _bits(nats: float) -> float:
@@ -150,7 +152,7 @@ class _Workspace(NamedTuple):
     out holds it for those rows of tau^-1, and term is out transposed onto
     target, the same rows of buf split into axes (a1 b1 a3 b3 a2 b2 a4 b4).
     The slabs share one real array with bordered, whose K block k is the
-    sum of the views re and im of buf.
+    sum of the views re and im of buf, and whose border is tvec = vec I.
     """
 
     buf: np.ndarray
@@ -159,6 +161,7 @@ class _Workspace(NamedTuple):
     re: np.ndarray
     im: np.ndarray
     k: np.ndarray
+    tvec: np.ndarray
 
 
 def _newton_workspace(da: int, db: int) -> _Workspace:
@@ -181,12 +184,11 @@ def _newton_workspace(da: int, db: int) -> _Workspace:
     # buf[p,r,q,s] = H[(p q),(r s)]
     quad = buf.reshape(d, d, d, d)
     re, im = quad.real.transpose(0, 2, 1, 3), quad.imag.transpose(0, 2, 3, 1)
-    return _Workspace(buf, slabs, bordered, re, im, bordered[:n, :n].reshape(d, d, d, d))
+    return _Workspace(buf, slabs, bordered, re, im, bordered[:n, :n].reshape(d, d, d, d), np.eye(d).reshape(n))
 
 
 def _newton_hessian(
-    w: np.ndarray,
-    table: np.ndarray,
+    dd2: np.ndarray,
     u: np.ndarray,
     overlaps_full: np.ndarray,
     rho_inv: np.ndarray,
@@ -205,9 +207,9 @@ def _newton_hessian(
 
     The second derivative of -tr{sigma ln rho} in rho's eigenframe is
     sum_j u_pj conj(u_rj) conj(B_j)[q,s] + B_j[p,r] conj(u_qj) u_sj with
-    B_j = u (O o T_j) u^H, where O is overlaps_full and T the fully
-    symmetric table of _neg_log_dd2 built from the first divided
-    differences in table.  Laid out as [(p r),(q s)] it is
+    B_j = u (O o T_j) u^H, where O is overlaps_full and T = dd2 the fully
+    symmetric table of second divided differences from
+    _log_divided_differences.  Laid out as [(p r),(q s)] it is
     X + X^H with X = P conj(B), P[(p r),j] = u_pj conj(u_rj), and the
     curvature mu_curv (rho^-1 x rho^-T) of the rho barrier is the outer
     product of vec rho^-1 and vec rho^-T in that layout, so one product of
@@ -218,9 +220,9 @@ def _newton_hessian(
     of the result.  The returned matrix is work.bordered, which the next
     call overwrites.
     """
-    d = len(w)
+    d = len(u)
     n = d * d
-    frames = (u @ (overlaps_full * _neg_log_dd2(w, table)) @ u.conj().T).reshape(d, n)
+    frames = (u @ (overlaps_full * dd2) @ u.conj().T).reshape(d, n)
     pairs = (u[:, None, :] * u.conj()[None, :, :]).reshape(n, d)
     left = np.concatenate([pairs, frames.T, (mu_curv * rho_inv).reshape(n, 1)], axis=1)
     right = np.concatenate([frames.conj(), pairs.conj().T, rho_inv.T.reshape(1, n)], axis=0)
@@ -232,16 +234,15 @@ def _newton_hessian(
     np.add(work.re, work.im, out=work.k)
     # the slabs overwrote the storage of the border and the corner
     bordered = work.bordered
-    tvec = np.eye(d).reshape(n)
-    bordered[:n, n] = tvec
-    bordered[n, :n] = tvec
+    bordered[:n, n] = work.tvec
+    bordered[n, :n] = work.tvec
     bordered[n, n] = 0.0
     return bordered
 
 
 def _newton_step(
     p: _Point,
-    table: np.ndarray,
+    tables: tuple[np.ndarray, np.ndarray],
     grad: np.ndarray,
     mu: float,
     da: int,
@@ -252,8 +253,9 @@ def _newton_step(
     """Damped-Newton direction for f(rho) + mu barriers at a strictly feasible rho.
 
     p is the point from _point, which has checked that rho and rho^PT are
-    positive definite, and table is _log_divided_differences(p.w), from
-    which the gradient grad was built.  The model Hessian is the exact
+    positive definite, and tables is the pair (L, T) of
+    _log_divided_differences(p.w, p.lw, second=True), from whose L the
+    gradient grad was built.  The model Hessian is the exact
     second derivative of -tr{sigma ln rho}, assembled in rho's eigenframe from second divided
     differences, plus the curvature of -ln det rho and -ln det rho^PT
     weighted by mu_curv (mu by default).  The gradient always carries the
@@ -279,7 +281,7 @@ def _newton_step(
         mu_curv = mu
     rho_inv = (p.u * (1.0 / p.w)) @ p.u.conj().T
     tau_inv = (p.v * (1.0 / p.s)) @ p.v.conj().T
-    bordered = _newton_hessian(p.w, table, p.u, p.overlaps, rho_inv, tau_inv, mu_curv, work)
+    bordered = _newton_hessian(tables[1], p.u, p.overlaps, rho_inv, tau_inv, mu_curv, work)
     g_mu = grad - mu * rho_inv - mu * _partial_transpose_b(tau_inv, da, db)
     rhs = np.zeros(n + 1)
     rhs[:n] = -(g_mu.real + g_mu.imag).reshape(n)
@@ -338,7 +340,7 @@ def _barrier_path(
     The backtracking search from t = 1 accepts only points where rho and
     rho^PT are both positive definite, so every iterate is strictly
     feasible and no projection is needed; the accepted _Point, and its
-    table of log divided differences, serve the next step.
+    tables of log divided differences, built once, serve the next steps.
 
     The best iterate is the one of least objective value.  At a centred
     point whose central-path gap 2d mu is at most _GAP_TOL (in nats),
@@ -351,8 +353,8 @@ def _barrier_path(
     """
     # the closed-form start is strictly feasible by construction
     p = _point(sig, rho, sigma_term, da, db)
-    table = _log_divided_differences(p.w)
-    grad = _gradient(table, p.u, p.overlaps)
+    tables = _log_divided_differences(p.w, p.lw, second=True)
+    grad = _gradient(tables[0], p.u, p.overlaps)
     best = p
     rounding = _DECREMENT_FLOOR * max(1.0, abs(sigma_term))
     d = da * db
@@ -363,7 +365,7 @@ def _barrier_path(
     iterations = 0
     while iterations < max_iters:
         iterations += 1
-        direction, decrement = _newton_step(p, table, grad, mu, da, db, work, mu_curv)
+        direction, decrement = _newton_step(p, tables, grad, mu, da, db, work, mu_curv)
         last_step = (p, grad, direction, mu)
         mu_curv = None
         moved = False
@@ -384,8 +386,8 @@ def _barrier_path(
                 t *= 0.5
             if moved:
                 p = trial
-                table = _log_divided_differences(p.w)
-                grad = _gradient(table, p.u, p.overlaps)
+                tables = _log_divided_differences(p.w, p.lw, second=True)
+                grad = _gradient(tables[0], p.u, p.overlaps)
                 if p.f < best.f:
                     best = p
         # centred for mu once the decrement is small on the barrier scale

@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .errors import StateFileParseError, StateInvariantError
-from .hermitian import HermitianMatrix, SpectralDecomposition, _eigh
-from .states import PSD_TOL, TRACE_TOL, BipartiteDims, DensityMatrix
+from .hermitian import HermitianMatrix, SpectralDecomposition, _clears, _eigh
+from .states import TRACE_TOL, BipartiteDims, DensityMatrix
 
 # Load-time acceptance bands, looser than the DensityMatrix constructor
 # tolerances; loads inside the band but outside the constructor band are
@@ -147,9 +147,9 @@ def loads_state(text: str) -> DensityMatrix:
     if abs(tr - 1.0) > TRACE_TOL:
         matrix = HermitianMatrix(matrix.mat / tr)
     w, u = _eigh(matrix.mat)
-    if float(w[0]) < -FILE_PSD_TOL:
+    if not _clears(float(w[0]), FILE_PSD_TOL):
         raise StateInvariantError(f"matrix has eigenvalue {float(w[0]):.3e} below -{FILE_PSD_TOL:g}")
-    if float(w[0]) >= -PSD_TOL:
+    if _clears(float(w[0])):
         return DensityMatrix._from_spectrum(matrix, dims, SpectralDecomposition(w, u))
     w = np.clip(w, 0.0, None)
     return DensityMatrix((u * (w / float(np.sum(w)))) @ u.conj().T, dims)

@@ -16,7 +16,9 @@ from .errors import (
     ShapeError,
     StateInvariantError,
 )
-from .hermitian import PSD_TOL, HermitianMatrix, SpectralDecomposition, _eigh
+from .hermitian import (
+    _STACK_ENTRIES, PSD_TOL, HermitianMatrix, SpectralDecomposition, _clears, _eigh, _eigvalsh, _hermitian_part
+)
 
 TRACE_TOL = 1e-10
 PURE_NORM_TOL = 1e-12
@@ -89,7 +91,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateInvariantError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:g}")
         wmin = float(spectrum.eigenvalues[0])
-        if wmin < -PSD_TOL:
+        if not _clears(wmin):
             raise StateInvariantError(f"not positive semidefinite: min eigenvalue {wmin!r}")
         out = cls.__new__(cls) if out is None else out
         out.matrix = matrix
@@ -149,9 +151,32 @@ def _require_dims(rho: DensityMatrix) -> tuple[int, int]:
     return rho.dims.da, rho.dims.db
 
 
+def _states(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack of arrays as states: (Hermitian parts, eigenvalues, eigenvectors).
+
+    The stacked DensityMatrix constructor, without dims: each array is
+    symmetrised as HermitianMatrix does, decomposed by one stacked _eigh
+    and held to the same trace and positivity checks, so every entry is
+    bit for bit that of DensityMatrix(mats[k]).
+    """
+    sym = _hermitian_part(mats)
+    w, u = _eigh(sym)
+    tr = np.real(np.trace(sym, axis1=1, axis2=2))
+    for k in np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)[:1]:
+        raise StateInvariantError(f"trace {float(tr[k])!r} differs from 1 by more than {TRACE_TOL:g}")
+    for k in np.flatnonzero(~_clears(w[:, 0]))[:1]:
+        raise StateInvariantError(f"not positive semidefinite: min eigenvalue {float(w[k, 0])!r}")
+    return sym, w, u
+
+
 def _trace_b(mat: np.ndarray, da: int, db: int) -> np.ndarray:
-    """(rho_A)_{i i'} = sum_j rho_{(i j),(i' j)} as a raw array, not validated."""
-    return np.einsum("ijkj->ik", mat.reshape(da, db, da, db))
+    """(rho_A)_{i i'} = sum_j rho_{(i j),(i' j)} of one array or a stack, not validated."""
+    return np.einsum("...ijkj->...ik", mat.reshape(*mat.shape[:-2], da, db, da, db))
+
+
+def _trace_a(mat: np.ndarray, da: int, db: int) -> np.ndarray:
+    """(rho_B)_{j j'} = sum_i rho_{(i j),(i j')} of one array or a stack, not validated."""
+    return np.einsum("...ijil->...jl", mat.reshape(*mat.shape[:-2], da, db, da, db))
 
 
 def partial_trace_B(rho: DensityMatrix) -> DensityMatrix:
@@ -161,9 +186,7 @@ def partial_trace_B(rho: DensityMatrix) -> DensityMatrix:
 
 def partial_trace_A(rho: DensityMatrix) -> DensityMatrix:
     """Trace out system A: (rho_B)_{j j'} = sum_i rho_{(i j),(i j')}."""
-    da, db = _require_dims(rho)
-    t = rho.mat.reshape(da, db, da, db)
-    return DensityMatrix(np.einsum("ijil->jl", t))
+    return DensityMatrix(_trace_a(rho.mat, *_require_dims(rho)))
 
 
 def _partial_transpose_b(mat: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -175,7 +198,7 @@ def _partial_transpose_b(mat: np.ndarray, da: int, db: int) -> np.ndarray:
 
 def _is_ppt(mat: np.ndarray, da: int, db: int) -> bool:
     """Whether mat^PT has no eigenvalue below -PSD_TOL: the package's one PPT test."""
-    return float(np.linalg.eigvalsh(_partial_transpose_b(mat, da, db))[0]) >= -PSD_TOL
+    return _clears(float(_eigvalsh(_partial_transpose_b(mat, da, db))[0]))
 
 
 def _ppt_edge_weight(mat: np.ndarray, da: int, db: int) -> float:
@@ -194,10 +217,14 @@ def partial_transpose_B(rho: DensityMatrix) -> HermitianMatrix:
     return HermitianMatrix(_partial_transpose_b(rho.mat, da, db))
 
 
+def _reduction_b(mat: np.ndarray, da: int, db: int) -> np.ndarray:
+    """rho_A (x) 1_B - rho of one array or a stack, not symmetrised."""
+    return np.kron(_trace_b(mat, da, db), np.eye(db)) - mat
+
+
 def reduction_operator(rho: DensityMatrix) -> HermitianMatrix:
     """rho_A (x) 1_B - rho, whose positivity the reduction criterion asserts."""
-    da, db = _require_dims(rho)
-    return HermitianMatrix(np.kron(_trace_b(rho.mat, da, db), np.eye(db)) - rho.mat)
+    return HermitianMatrix(_reduction_b(rho.mat, *_require_dims(rho)))
 
 
 def pure_from_schmidt(alpha, dims) -> PureState:
@@ -288,15 +315,11 @@ def _random_density_arr(dim: int, rank: int, seed: int) -> np.ndarray:
 _PPT_SCREEN_GUARD = 1e-12
 
 
-def _first_ppt(specs, da: int, db: int) -> np.ndarray | None:
-    """The array of the first (rank, seed) candidate that passes _is_ppt, or None.
+def _ppt_screen(specs, da: int, db: int) -> np.ndarray:
+    """For each (rank, seed) candidate, whether its screened least eigenvalue of rho^PT is within the guard of PPT.
 
-    Candidate k is _random_density_arr(da * db, *specs[k]).  All of them
-    are built as one zero-padded Ginibre stack and screened by one
-    stacked eigvalsh of their partial transposes.  The screen only
-    discards: each candidate within the guard of the PPT test is rebuilt
-    exactly and decided by _is_ppt, in order, so the answer is the one a
-    loop over the candidates gives.
+    The candidates are built as one zero-padded Ginibre stack, with the
+    normal draws _ginibre makes, and screened by one stacked eigvalsh.
     """
     d = da * db
     # the real and imaginary parts that _ginibre draws, combined as it does
@@ -306,12 +329,29 @@ def _first_ppt(specs, da: int, db: int) -> np.ndarray | None:
     g = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
     m = g @ g.conj().swapaxes(1, 2)
     m /= np.real(np.trace(m, axis1=1, axis2=2))[:, None, None]
-    least = np.linalg.eigvalsh(_partial_transpose_b(m, da, db))[:, 0]
-    for k in np.flatnonzero(least >= -PSD_TOL - _PPT_SCREEN_GUARD):
-        mat = _random_density_arr(d, *specs[k])
-        if _is_ppt(mat, da, db):
-            return mat
-    return None
+    return _clears(_eigvalsh(_partial_transpose_b(m, da, db))[:, 0], PSD_TOL + _PPT_SCREEN_GUARD)
+
+
+def _first_ppt(groups, da: int, db: int) -> list:
+    """For each list of (rank, seed) candidates, the array of its first that passes _is_ppt, or None.
+
+    Candidate (rank, seed) is _random_density_arr(da * db, rank, seed).
+    The candidates of all groups are screened together by _ppt_screen, in
+    stacks of at most _STACK_ENTRIES matrix entries.  The screen only
+    discards: each candidate within the guard of the PPT test is rebuilt
+    exactly and decided by _is_ppt, in its group's order, so each answer
+    is the one a loop over that group gives.
+    """
+    d = da * db
+    specs = [spec for group in groups for spec in group]
+    per_stack = max(1, _STACK_ENTRIES // (d * d))
+    kept = np.concatenate([_ppt_screen(specs[i:i + per_stack], da, db) for i in range(0, len(specs), per_stack)])
+    out, start = [], 0
+    for group in groups:
+        screened = (_random_density_arr(d, *group[k]) for k in np.flatnonzero(kept[start:start + len(group)]))
+        out.append(next((mat for mat in screened if _is_ppt(mat, da, db)), None))
+        start += len(group)
+    return out
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
@@ -331,6 +371,21 @@ def random_pure(dims, seed: int) -> PureState:
     return PureState(vec / np.linalg.norm(vec), dims)
 
 
+def _random_separable_arr(dims: BipartiteDims, seed: int, k: int) -> np.ndarray:
+    """The array random_separable validates, for k >= 1 products."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(k))
+    mat = np.zeros((dims.total, dims.total), dtype=np.complex128)
+    for w in weights:
+        a = _ginibre(rng, dims.da, 1).ravel()
+        a /= np.linalg.norm(a)
+        b = _ginibre(rng, dims.db, 1).ravel()
+        b /= np.linalg.norm(b)
+        v = np.kron(a, b)
+        mat += w * np.outer(v, v.conj())
+    return mat
+
+
 def random_separable(dims, seed: int, k: int | None = None) -> DensityMatrix:
     """Convex mixture of k random product states; separable by construction.
 
@@ -342,17 +397,7 @@ def random_separable(dims, seed: int, k: int | None = None) -> DensityMatrix:
         k = 2 * dims.total**2
     if k < 1:
         raise InputError("k must be positive")
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(k))
-    mat = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for w in weights:
-        a = _ginibre(rng, dims.da, 1).ravel()
-        a /= np.linalg.norm(a)
-        b = _ginibre(rng, dims.db, 1).ravel()
-        b /= np.linalg.norm(b)
-        v = np.kron(a, b)
-        mat += w * np.outer(v, v.conj())
-    return DensityMatrix(mat, dims)
+    return DensityMatrix(_random_separable_arr(dims, seed, k), dims)
 
 
 def permute_systems(rho: DensityMatrix, perm, subsystem_dims) -> DensityMatrix:

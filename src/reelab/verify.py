@@ -1,15 +1,21 @@
 """Seeded verification campaigns with machine-readable reports.
 
 Each suite checks one inequality or identity on randomly sampled states.
-_SUITES holds each suite's trial and default tolerance; a trial raises
-InputError on dims it cannot take (lemma3 off 2x2, monotone at d = 1).
-A campaign runs N independent trials one after another; trial i draws
-its generator from the seed sequence (master seed, crc32(suite name),
-i), so different suites and different trials never share a stream and
-any trial can be reproduced in isolation.  Records serialize as one
-JSON object per line with sorted keys and 17-significant-digit
-decimals; non-finite values appear as the strings "inf", "-inf", or
-"nan".
+_SUITES holds each suite's chunk evaluator and default tolerance; a suite
+raises InputError on dims it cannot take (lemma3 off 2x2, monotone at
+d = 1).  Trial i draws its generator from the seed sequence (master
+seed, crc32(suite name), i), so different suites and different trials
+never share a stream and any trial can be reproduced in isolation.  A
+campaign runs its trials in chunks of at most hermitian._STACK_ENTRIES
+matrix entries, in three steps: every trial of the chunk draws its
+inputs from its own stream, one after another; the chunk is evaluated
+in one stacked pass (theorem1, reduction and monotone) or trial by
+trial (the suites that call the solver); and one record per trial is
+written, in trial order.  The stacked kernels reproduce their
+single-state functions bit for bit, so the records do not depend on the
+chunking.  Records serialize as one JSON object per line with sorted
+keys and 17-significant-digit decimals; non-finite values appear as the
+strings "inf", "-inf", or "nan".
 
 A record passes when its margin (the slack of the most binding
 inequality, positive = comfortable) stays above minus the suite
@@ -29,31 +35,32 @@ import numpy as np
 from .criteria import (
     MONOTONE_TOL,
     _canonical_pair,
-    _sample_monotone_pair,
-    ppt_criterion,
-    reduction_criterion,
+    _sample_monotone_pairs,
+    _witnesses,
 )
 from .entropy import (
     _reduce,
+    _theorem1_gaps,
     lemma2_bound,
     relative_entropy,
-    theorem1_gap,
     von_neumann_entropy,
 )
 from .errors import InputError
-from .hermitian import PSD_TOL, HermitianMatrix, matrix_log
+from .hermitian import _LOG_PD, _STACK_ENTRIES, PSD_TOL, _eigvalsh, _matrix_functions
 from .solver import closest_state_for_pure, eof_two_qubit, ree_ppt
 from .statefile import _fmt
 from .states import (
     BipartiteDims,
     DensityMatrix,
     _first_ppt,
+    _partial_transpose_b,
     _ppt_edge_weight,
     _random_density_arr,
+    _random_separable_arr,
+    _reduction_b,
+    _states,
     partial_trace_B,
-    random_density,
     random_pure,
-    random_separable,
     tensor_bipartite,
 )
 
@@ -137,8 +144,8 @@ def _state_seed(rng: np.random.Generator) -> int:
 _PPT_CHUNKS = (8, 16, 32, 64, 80)
 
 
-def _random_nondistillable(rng, dims) -> DensityMatrix:
-    """A state satisfying the PPT hypothesis, with mixed ranks represented.
+def _nondistillable_arrays(rngs, dims) -> list:
+    """One array per generator of a state satisfying the PPT hypothesis, with mixed ranks represented.
 
     One quarter of draws are explicit short product mixtures, which are
     separable (hence PPT) and usually rank deficient; the rest are
@@ -150,46 +157,61 @@ def _random_nondistillable(rng, dims) -> DensityMatrix:
     benchmark campaign's 2x3 theorem1 slot, 100 trials each, it happens
     in 0 of the 313 Ginibre trials at 2x2, 101 at 2x3 and all 313 at 3x3.
 
-    Candidates are drawn from rng in chunks and screened by
-    states._first_ppt, so rng may be drawn past the accepted candidate:
-    a caller must not read rng after this returns.  Only the returned
-    state is validated.
+    Each generator draws its own candidates in the chunks of _PPT_CHUNKS,
+    and chunk k of every generator still without a state is screened by
+    one states._first_ppt call, so each array is the one a loop over that
+    generator's candidates accepts.  A generator may be drawn past its
+    accepted candidate: a caller must not read it after this returns.
+    The arrays are not validated.
     """
     d = dims.total
     da, db = dims.da, dims.db
-    if rng.integers(0, 4) == 0:
-        k = int(rng.integers(1, 4))
-        return random_separable(dims, _state_seed(rng), k=k)
+    out = [None] * len(rngs)
+    pending = []
+    for k, rng in enumerate(rngs):
+        if rng.integers(0, 4) == 0:
+            kind = int(rng.integers(1, 4))
+            out[k] = _random_separable_arr(dims, _state_seed(rng), kind)
+        else:
+            pending.append(k)
     for size in _PPT_CHUNKS:
-        specs = [(int(rng.integers(1, d + 1)), _state_seed(rng)) for _ in range(size)]
-        mat = _first_ppt(specs, da, db)
-        if mat is not None:
-            return DensityMatrix(mat, dims)
-    last = _random_density_arr(d, *specs[-1])
-    t = _ppt_edge_weight(last, da, db)
-    return DensityMatrix((1.0 - t) * last + t * (np.eye(d) / d), dims)
+        if not pending:
+            return out
+        groups = {k: [(int(rngs[k].integers(1, d + 1)), _state_seed(rngs[k])) for _ in range(size)] for k in pending}
+        for k, mat in zip(groups, _first_ppt(list(groups.values()), da, db)):
+            out[k] = mat
+        pending = [k for k in groups if out[k] is None]
+    for k in pending:
+        mat = _random_density_arr(d, *groups[k][-1])
+        t = _ppt_edge_weight(mat, da, db)
+        out[k] = (1.0 - t) * mat + t * (np.eye(d) / d)
+    return out
+
+
+def _sigma_draw(rng, d: int) -> tuple[int, np.ndarray]:
+    """A uniformly drawn rank and the array of a random state of that rank on dimension d."""
+    rank = int(rng.integers(1, d + 1))
+    return rank, _random_density_arr(d, rank, _state_seed(rng))
 
 
 def _random_sigma(rng, dims) -> tuple[DensityMatrix, int]:
-    """A random state of uniformly drawn rank on dims, and that rank."""
-    rank = int(rng.integers(1, dims.total + 1))
-    return random_density(dims.total, rank, _state_seed(rng)).tagged(dims.da, dims.db), rank
+    """The state of _sigma_draw on dims, and its rank."""
+    rank, mat = _sigma_draw(rng, dims.total)
+    return DensityMatrix(mat, dims), rank
 
 
-def _trial_theorem1(rng, dims, tol, trial):
-    sigma, rank_s = _random_sigma(rng, dims)
-    # the last read of rng: the sampler may draw past its accepted candidate
-    rho = _random_nondistillable(rng, dims)
-    gap_a = theorem1_gap(sigma, rho, "A")
-    gap_b = theorem1_gap(sigma, rho, "B")
-    quantities = {
-        "gap_a": float("nan") if gap_a is None else gap_a,
-        "gap_b": float("nan") if gap_b is None else gap_b,
-        "rank_sigma": float(rank_s),
-    }
-    if gap_a is None or gap_b is None:
-        return quantities, None
-    return quantities, min(gap_a, gap_b)
+def _theorem1(rngs, dims, tol, trials):
+    draws = [_sigma_draw(rng, dims.total) for rng in rngs]
+    # the last read of each stream: the sampler may draw past its accepted candidate
+    rho = _states(np.stack(_nondistillable_arrays(rngs, dims)))
+    sigma = _states(np.stack([mat for _, mat in draws]))
+    gaps_a, gaps_b = _theorem1_gaps(sigma, rho, dims.da, dims.db)
+    out = []
+    for (rank, _), gap_a, gap_b in zip(draws, gaps_a.tolist(), gaps_b.tolist()):
+        # a NaN gap is theorem1_gap's None: indeterminate
+        quantities = {"gap_a": gap_a, "gap_b": gap_b, "rank_sigma": float(rank)}
+        out.append((quantities, None if math.isnan(gap_a) or math.isnan(gap_b) else min(gap_a, gap_b)))
+    return out
 
 
 def _solve_diagnostics(res, name: str = "ree") -> dict:
@@ -200,7 +222,7 @@ def _solve_diagnostics(res, name: str = "ree") -> dict:
     }
 
 
-def _trial_lemma2(rng, dims, tol, trial):
+def _trial_lemma2(rng, dims, tol):
     sigma, rank = _random_sigma(rng, dims)
     res = ree_ppt(sigma)
     bound = lemma2_bound(sigma)
@@ -210,7 +232,7 @@ def _trial_lemma2(rng, dims, tol, trial):
     return quantities, min(res.lower_bits - bound, res.lower_bits)
 
 
-def _trial_corollary1(rng, dims, tol, trial):
+def _trial_corollary1(rng, dims, tol):
     psi = random_pure(dims, _state_seed(rng))
     sigma = psi.density()
     res = ree_ppt(sigma)
@@ -227,7 +249,7 @@ def _trial_corollary1(rng, dims, tol, trial):
     return quantities, -max(gaps)
 
 
-def _trial_corollary2(rng, dims, tol, trial):
+def _trial_corollary2(rng, dims, tol):
     psi1 = random_pure(dims, _state_seed(rng))
     psi2 = random_pure(dims, _state_seed(rng))
     rho1, rho2 = psi1.density(), psi2.density()
@@ -249,7 +271,7 @@ def _trial_corollary2(rng, dims, tol, trial):
     )
 
 
-def _trial_lemma3(rng, dims, tol, trial):
+def _trial_lemma3(rng, dims, tol):
     if (dims.da, dims.db) != (2, 2):
         raise InputError("lemma3 needs two-qubit states")
     sigma, rank = _random_sigma(rng, dims)
@@ -262,7 +284,7 @@ def _trial_lemma3(rng, dims, tol, trial):
     return quantities, res.lower_bits - (eof - ent)
 
 
-def _trial_lemma4(rng, dims, tol, trial):
+def _trial_lemma4(rng, dims, tol):
     psi = random_pure(dims, _state_seed(rng))
     sigma = psi.density()
     res = ree_ppt(sigma)
@@ -277,84 +299,81 @@ def _trial_lemma4(rng, dims, tol, trial):
     for side, other in ("AB", "BA"):
         if entropies[side] >= entropies[other] - 1e-12:
             delta = _reduce(res.closest_state, side).mat - reduced[side].mat
-            worst = max(worst, 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta)))))
+            worst = max(worst, 0.5 * float(np.sum(np.abs(_eigvalsh(delta)))))
     quantities["reduction_distance"] = worst
     return quantities, -worst
 
 
-def _trial_monotone(rng, dims, tol, trial):
+def _monotone(rngs, dims, tol, trials):
     d = dims.total
     if d < 2:
         raise InputError("monotone needs a total dimension of at least 2")
-    if trial == 0:
+    out = []
+    if trials[0] == 0:
         # the deterministic squaring counterexample; finding a violation
         # here is the expected outcome, so the slack is its magnitude
         a, b = _canonical_pair(d)
-        viol = float(np.linalg.eigvalsh(a @ a - b @ b)[0])
-        return {"square_violation": viol}, -viol
-    a, b, _, _ = _sample_monotone_pair(rng, d, (0.1, 10.0), (0.0, 1.0))
-    log_gap = matrix_log(HermitianMatrix(a)).mat - matrix_log(HermitianMatrix(b)).mat
-    slack = float(np.linalg.eigvalsh(log_gap)[0])
-    square_slack = float(np.linalg.eigvalsh(a @ a - b @ b)[0])
-    return {"log_slack": slack, "square_slack": square_slack}, slack
+        viol = float(_eigvalsh(a @ a - b @ b)[0])
+        out.append(({"square_violation": viol}, -viol))
+        rngs = rngs[1:]
+    if rngs:
+        a, b, _, _ = _sample_monotone_pairs(rngs, d, (0.1, 10.0), (0.0, 1.0))
+        logs = _matrix_functions(np.concatenate([a, b]), _LOG_PD)
+        slacks = _eigvalsh(logs[: len(a)] - logs[len(a):])[:, 0].tolist()
+        squares = _eigvalsh(a @ a - b @ b)[:, 0].tolist()
+        out += [({"log_slack": s, "square_slack": q}, s) for s, q in zip(slacks, squares)]
+    return out
 
 
-def _trial_reduction(rng, dims, tol, trial):
-    rho, rank = _random_sigma(rng, dims)
-    red = reduction_criterion(rho, tol)
-    ppt = ppt_criterion(rho, tol)
-    w_red = float(red.witness_eigenvalue)
-    w_ppt = float(ppt.witness_eigenvalue)
-    quantities = {
-        "ppt": 1.0 if ppt.holds else 0.0,
-        "ppt_witness": w_ppt,
-        "rank": float(rank),
-        "reduction": 1.0 if red.holds else 0.0,
-        "reduction_witness": w_red,
-    }
-    slacks = []
-    # a PPT state is non-distillable, so the reduction operator must be PSD
-    if ppt.holds:
-        slacks.append(w_red)
-    # with the map acting on a qubit B side it is a conjugated partial
-    # transpose, so the two criteria decide identically
-    if dims.db == 2:
-        closest = min(abs(w_red), abs(w_ppt))
-        slacks.append(closest if red.holds == ppt.holds else -closest)
-    margin = min(slacks) if slacks else math.inf
-    return quantities, margin
+def _reduction(rngs, dims, tol, trials):
+    da, db = dims.da, dims.db
+    draws = [_sigma_draw(rng, dims.total) for rng in rngs]
+    rho = _states(np.stack([mat for _, mat in draws]))[0]
+    red_holds, red_witness = _witnesses(_reduction_b(rho, da, db), tol)
+    ppt_holds, ppt_witness = _witnesses(_partial_transpose_b(rho, da, db), tol)
+    out = []
+    for (rank, _), red, w_red, ppt, w_ppt in zip(
+        draws, red_holds.tolist(), red_witness.tolist(), ppt_holds.tolist(), ppt_witness.tolist()
+    ):
+        quantities = {
+            "ppt": 1.0 if ppt else 0.0,
+            "ppt_witness": w_ppt,
+            "rank": float(rank),
+            "reduction": 1.0 if red else 0.0,
+            "reduction_witness": w_red,
+        }
+        slacks = []
+        # a PPT state is non-distillable, so the reduction operator must be PSD
+        if ppt:
+            slacks.append(w_red)
+        # with the map acting on a qubit B side it is a conjugated partial
+        # transpose, so the two criteria decide identically
+        if db == 2:
+            closest = min(abs(w_red), abs(w_ppt))
+            slacks.append(closest if red == ppt else -closest)
+        out.append((quantities, min(slacks) if slacks else math.inf))
+    return out
 
 
-# suite name -> (trial, default tolerance), where
-# trial(rng, dims, tol, trial index) -> (quantities, margin)
+def _one_by_one(trial):
+    """A chunk evaluator that runs trial(rng, dims, tol) on each stream in turn: the solver suites."""
+    return lambda rngs, dims, tol, trials: [trial(rng, dims, tol) for rng in rngs]
+
+
+# suite name -> (evaluate, default tolerance), where
+# evaluate(rngs, dims, tol, trial indices) -> [(quantities, margin)], one per trial
 _SUITES = {
-    "theorem1": (_trial_theorem1, 1e-8),
-    "lemma2": (_trial_lemma2, 1e-8),
-    "corollary1": (_trial_corollary1, 1e-8),
-    "corollary2": (_trial_corollary2, 1e-8),
-    "lemma3": (_trial_lemma3, 1e-8),
-    "lemma4": (_trial_lemma4, 1e-8),
-    "monotone": (_trial_monotone, MONOTONE_TOL),
-    "reduction": (_trial_reduction, PSD_TOL),
+    "theorem1": (_theorem1, 1e-8),
+    "lemma2": (_one_by_one(_trial_lemma2), 1e-8),
+    "corollary1": (_one_by_one(_trial_corollary1), 1e-8),
+    "corollary2": (_one_by_one(_trial_corollary2), 1e-8),
+    "lemma3": (_one_by_one(_trial_lemma3), 1e-8),
+    "lemma4": (_one_by_one(_trial_lemma4), 1e-8),
+    "monotone": (_monotone, MONOTONE_TOL),
+    "reduction": (_reduction, PSD_TOL),
 }
 
 SUITE_NAMES = tuple(_SUITES)
-
-
-def _run_trial(suite: str, master_seed: int, trial: int, dims: BipartiteDims, tol: float):
-    quantities, margin = _SUITES[suite][0](_trial_rng(master_seed, suite, trial), dims, tol, trial)
-    indeterminate = margin is None
-    passed = True if indeterminate else margin >= -tol
-    return ReportRecord(
-        suite=suite,
-        trial=trial,
-        seed=master_seed,
-        dims=dims,
-        quantities=quantities,
-        margin=margin,
-        passed=passed,
-        indeterminate=indeterminate,
-    )
 
 
 @dataclass(frozen=True)
@@ -373,9 +392,11 @@ def run_suite(
 ) -> CampaignResult:
     """Run one verification suite and collect its records in trial order.
 
-    Trials run one after another.  Each draws only from its own stream,
-    fixed by (seed, suite, index), so a longer campaign extends a
-    shorter one record for record and any trial can be rerun alone.
+    Trials run in chunks of at most _STACK_ENTRIES matrix entries, each
+    drawn, evaluated and recorded as the module docstring describes.
+    Each trial draws only from its own stream, fixed by (seed, suite,
+    index), so a longer campaign extends a shorter one record for record
+    and any trial can be rerun alone.
     """
     if suite not in SUITE_NAMES:
         raise InputError(f"unknown suite {suite!r}")
@@ -388,7 +409,24 @@ def run_suite(
         tol = _SUITES[suite][1]
     if not tol > 0:
         raise InputError(f"tolerance must be positive, got {tol!r}")
-    records = [_run_trial(suite, seed, i, dims, tol) for i in range(trials)]
+    evaluate = _SUITES[suite][0]
+    per_chunk = max(1, _STACK_ENTRIES // dims.total**2)
+    records = []
+    for start in range(0, trials, per_chunk):
+        chunk = range(start, min(start + per_chunk, trials))
+        outcomes = evaluate([_trial_rng(seed, suite, i) for i in chunk], dims, tol, chunk)
+        for i, (quantities, margin) in zip(chunk, outcomes):
+            indeterminate = margin is None
+            records.append(ReportRecord(
+                suite=suite,
+                trial=i,
+                seed=seed,
+                dims=dims,
+                quantities=quantities,
+                margin=margin,
+                passed=indeterminate or margin >= -tol,
+                indeterminate=indeterminate,
+            ))
 
     determinate = [r for r in records if not r.indeterminate]
     failed = [r for r in determinate if not r.passed]

@@ -291,3 +291,29 @@ def test_eigensolver_failure_exits_70(tmp_path, capsys, monkeypatch):
     assert code == 70
     assert out == ""
     assert err == "reelab: eigensolver failure: LAPACK did not converge\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stacked",
+    [
+        # trial 0's squaring check and the stacked log and square slacks
+        (("verify", "monotone", "--trials", "3"), False),
+        # the stacked PPT screen of the theorem1 sampler, and nothing else
+        (("verify", "theorem1", "--dims", "2x3", "--trials", "3"), True),
+    ],
+)
+def test_eigenvalue_only_failure_exits_70(capsys, monkeypatch, argv, stacked):
+    import numpy as np
+
+    inner = np.linalg.eigvalsh
+
+    def broken(a, *args, **kwargs):
+        if stacked and np.ndim(a) != 3:
+            return inner(a, *args, **kwargs)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 70
+    assert out == ""
+    assert err.startswith("reelab: eigensolver failure: eigensolver failed on a ")

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from reelab import criteria
 from reelab.criteria import (
     loewner_matrix_psd_check,
     operator_monotone_search,
@@ -132,6 +135,32 @@ def test_monotone_search_negative_domain_edge():
     square_shift = ScalarFunction("square-shift", lambda x: (x + 1.0) ** 2, -1.0)
     found = operator_monotone_search(square_shift, 3, 200, seed=0)
     assert found is not None and found.trials_used == 1
+
+
+# (trials_used, violation, sha256 of the pair's A then B bytes) of the first
+# counterexample in 1,000 trials at seed 41 + dim, frozen from the search
+# that evaluated one trial at a time: SQUARE stops on its injected trial 0,
+# and x^1.1, whose domain admits no injection, on a sampled pair
+FROZEN_COUNTEREXAMPLES = {
+    ("square", 2): (1, -0.16227766016837952, "6bd0f682981fe1f97e65a0fb5d7df44669e64d9b0eb010b9abeb23c962aab266"),
+    ("square", 3): (1, -0.16227766016837952, "47b21196fdfd18bf6ec760059d865c8c3b7cc8326021b987a038efa5d74be269"),
+    ("square", 4): (1, -0.16227766016837952, "5133903cd38648ff08ea027f30f3799cb2f01f5698847741ed51b37e891c704d"),
+    ("pow1.1", 2): (1, -0.06813516573943001, "f91409e24a7d20f7022c8f5ca9669ad5f590df20064227e41d5f8893c8814557"),
+    ("pow1.1", 3): (2, -0.030643534575429097, "82b21f649440d3ef2aa4b6c8ac7ecbef3a8749f83b8c5ef99248e34ee15379c0"),
+    ("pow1.1", 4): (31, -0.003857875231449763, "735dd626804e8830cdc354a6d1e42228daacf75cc1924d0d3c4b4efd08dcba3a"),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_monotone_search_counterexamples_match_frozen(monkeypatch, chunk):
+    # chunks of 7 trials put x^1.1's counterexample at 4x4 in the fifth chunk
+    functions = {"square": SQUARE, "pow1.1": ScalarFunction("pow1.1", lambda x: np.power(x, 1.1), 0.0)}
+    for (name, dim), (used, violation, digest) in FROZEN_COUNTEREXAMPLES.items():
+        if chunk:
+            monkeypatch.setattr(criteria, "_STACK_ENTRIES", chunk * dim * dim)
+        found = operator_monotone_search(functions[name], dim, 1000, seed=41 + dim)
+        assert (found.trials_used, found.violation) == (used, violation), (name, dim)
+        assert hashlib.sha256(found.a.mat.tobytes() + found.b.mat.tobytes()).hexdigest() == digest
 
 
 def test_monotone_search_input_validation():

@@ -8,7 +8,7 @@ import pytest
 from reelab.entropy import lemma2_bound, relative_entropy, von_neumann_entropy
 from reelab.criteria import ppt_criterion
 from reelab.errors import ConvergenceWarning, InputError, NormalizationError, ShapeError
-from reelab.hermitian import _log_divided_differences, _neg_log_dd2
+from reelab.hermitian import _log_divided_differences
 from reelab import solver, states, verify
 from reelab.solver import (
     bell_diagonal_ree_oracle,
@@ -379,7 +379,7 @@ def _kron_newton_hessian(w, u, overlaps_full, rho_inv, tau_inv, mu_curv, da, db)
     d = len(w)
     n = d * d
     perm = np.arange(n).reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(n)
-    table = _neg_log_dd2(w, _log_divided_differences(w))
+    table = _log_divided_differences(w, second=True)[1]
     eye = np.eye(d)
     frame = np.einsum("ia,bk,ibk->ikab", eye, overlaps_full, table) + np.einsum(
         "kl,ij,ijk->ikjl", eye, overlaps_full, table
@@ -447,9 +447,9 @@ def test_newton_hessian_matches_dense_reference():
         rho_inv = (u * (1.0 / w)) @ u.conj().T
         tau_inv = (v * (1.0 / s)) @ v.conj().T
         mu = 3e-3
-        table = _log_divided_differences(w)
+        dd2 = _log_divided_differences(w, p.lw, second=True)[1]
         work = solver._newton_workspace(da, db)
-        hess = solver._newton_hessian(w, table, u, overlaps, rho_inv, tau_inv, mu, work)[:n, :n]
+        hess = solver._newton_hessian(dd2, u, overlaps, rho_inv, tau_inv, mu, work)[:n, :n]
         coords = _real_coords(d)
         want = coords.conj().T @ _kron_newton_hessian(w, u, overlaps, rho_inv, tau_inv, mu, da, db) @ coords
         # the Hessian preserves Hermiticity, so it is real in these coordinates
@@ -467,7 +467,7 @@ def test_newton_hessian_matches_dense_reference():
             p2 = solver._point(sig, rho + sign * h * dirn, 0.0, da, db)
             grads.append(solver._gradient(_log_divided_differences(p2.w), p2.u, p2.overlaps))
         fd = _real_vec((grads[0] - grads[1]) / (2.0 * h))
-        sigma_part = solver._newton_hessian(w, table, u, overlaps, rho_inv, tau_inv, 0.0, work)[:n, :n]
+        sigma_part = solver._newton_hessian(dd2, u, overlaps, rho_inv, tau_inv, 0.0, work)[:n, :n]
         applied = sigma_part @ _real_vec(dirn)
         assert np.linalg.norm(applied - fd) <= 1e-7 * np.linalg.norm(fd)
 
@@ -475,10 +475,10 @@ def test_newton_hessian_matches_dense_reference():
 def test_newton_step_matches_complex_solve():
     for da, db in NEWTON_DIMS:
         _, p = _newton_point(da, db)
-        table = _log_divided_differences(p.w)
-        grad = solver._gradient(table, p.u, p.overlaps)
+        tables = _log_divided_differences(p.w, p.lw, second=True)
+        grad = solver._gradient(tables[0], p.u, p.overlaps)
         mu = 3e-3
-        direction, decrement = solver._newton_step(p, table, grad, mu, da, db, solver._newton_workspace(da, db))
+        direction, decrement = solver._newton_step(p, tables, grad, mu, da, db, solver._newton_workspace(da, db))
         want, want_decrement = _complex_newton_step(p.w, p.u, p.overlaps, p.s, p.v, grad, mu, da, db)
         assert np.linalg.norm(direction - want) <= 1e-12 * np.linalg.norm(want)
         assert abs(decrement - want_decrement) <= 1e-12 * abs(want_decrement)
@@ -504,9 +504,9 @@ def test_newton_workspace_reuse_leaks_nothing():
         work = solver._newton_workspace(da, db)
         for seed, mu_curv in ((0, None), (100, 6e-2), (0, None)):
             _, p = _newton_point(da, db, seed)
-            table = _log_divided_differences(p.w)
-            grad = solver._gradient(table, p.u, p.overlaps)
-            args = (p, table, grad, 3e-3, da, db)
+            tables = _log_divided_differences(p.w, p.lw, second=True)
+            grad = solver._gradient(tables[0], p.u, p.overlaps)
+            args = (p, tables, grad, 3e-3, da, db)
             direction, decrement = solver._newton_step(*args, work, mu_curv)
             want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db), mu_curv)
             assert np.array_equal(direction, want)
@@ -523,7 +523,7 @@ def test_neg_log_dd2_pairs_degenerate_by_their_own_scale():
     # max(w) took the degenerate limit 1/(2 x^2) for T(x,y,x) and T(x,y,y)
     x, y = 1e-14, 3e-13
     w = np.array([x, y, 0.4, 0.6])
-    table = _neg_log_dd2(w, _log_divided_differences(w))
+    table = _log_divided_differences(w, second=True)[1]
     assert table[0, 1, 0] == pytest.approx((1.0 / x - _log_dd(x, y)) / (y - x), rel=1e-12)
     assert table[0, 1, 1] == pytest.approx((1.0 / y - _log_dd(x, y)) / (x - y), rel=1e-12)
     z = 0.4

@@ -19,7 +19,7 @@ from reelab.states import (
 )
 from reelab.verify import (
     SUITE_NAMES,
-    _random_nondistillable,
+    _nondistillable_arrays,
     _trial_rng,
     record_to_json,
     run_suite,
@@ -98,7 +98,39 @@ def test_verify_reports_match_parent():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (suite, dims)
 
 
+def chunks_of(monkeypatch, trials, dims):
+    """Cut verify's stacks to chunks of the given number of trials at dims."""
+    monkeypatch.setattr(verify, "_STACK_ENTRIES", trials * dims.total**2)
+
+
+def test_stacked_suites_match_parent_in_small_chunks(monkeypatch):
+    # chunks of 7 trials put boundaries inside every stacked campaign and
+    # leave uneven tails (60 = 8 x 7 + 4, 20 = 2 x 7 + 6, 30 = 4 x 7 + 2)
+    stacked = 0
+    for (suite, trials, seed, dims), digest in FROZEN_REPORT_DIGESTS.items():
+        if suite not in ("theorem1", "reduction", "monotone"):
+            continue
+        dims = BipartiteDims(*dims)
+        chunks_of(monkeypatch, 7, dims)
+        text = campaign_text(run_suite(suite, trials, seed, dims=dims))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (suite, dims)
+        stacked += 1
+    assert stacked == 8
+
+
+def test_reduction_crosses_a_full_size_chunk(monkeypatch):
+    # the records on both sides of the boundary after the first full-size
+    # 2x2 chunk are the ones chunks of 5 trials give
+    dims = BipartiteDims(2, 2)
+    trials = verify._STACK_ENTRIES // 16 + 3
+    full = [record_to_json(r) for r in run_suite("reduction", trials, 23).records]
+    chunks_of(monkeypatch, 5, dims)
+    assert [record_to_json(r) for r in run_suite("reduction", trials, 23).records] == full
+
+
 def test_nondistillable_draw_validates_once(monkeypatch):
+    # the sampler builds no state: each drawn array is validated once, as
+    # part of the stacked evaluation of its chunk
     calls = []
     init = states.DensityMatrix.__init__
 
@@ -108,12 +140,22 @@ def test_nondistillable_draw_validates_once(monkeypatch):
 
     monkeypatch.setattr(states.DensityMatrix, "__init__", counting_init)
     dims = BipartiteDims(2, 3)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        before = len(calls)
-        rho = _random_nondistillable(rng, dims)
-        assert len(calls) - before == 1
-        assert rho.dims == dims
+    rngs = [np.random.default_rng([11, k]) for k in range(20)]
+    mats = _nondistillable_arrays(rngs, dims)
+    assert not calls
+    assert [mat.shape for mat in mats] == [(6, 6)] * 20
+    stacks = []
+    stacked = states._states
+
+    def counting_states(arrs):
+        stacks.append(len(arrs))
+        return stacked(arrs)
+
+    monkeypatch.setattr(verify, "_states", counting_states)
+    run_suite("theorem1", 20, 11, dims=dims)
+    assert not calls
+    # rho and sigma of the one chunk; entropy's own binding validates the reductions
+    assert stacks == [20, 20]
 
 
 def sequential_nondistillable(rng, dims):
@@ -142,10 +184,11 @@ def assert_sampler_matches_loop(dims, seeds) -> dict:
     """Check the sampler against the loop on trial 0 of each seed; count the branches."""
     dims = BipartiteDims(*dims)
     branches = {"separable": 0, "accepted": 0, "blended": 0}
-    for seed in seeds:
-        got = _random_nondistillable(_trial_rng(seed, "theorem1", 0), dims)
+    # one chunk of trials 0, one stream per seed, against a loop over each stream
+    got = _nondistillable_arrays([_trial_rng(seed, "theorem1", 0) for seed in seeds], dims)
+    for seed, mat in zip(seeds, got):
         want, branch = sequential_nondistillable(_trial_rng(seed, "theorem1", 0), dims)
-        assert got.mat.tobytes() == want.mat.tobytes(), (dims, seed, branch)
+        assert DensityMatrix(mat, dims).mat.tobytes() == want.mat.tobytes(), (dims, seed, branch)
         branches[branch] += 1
     return branches
 
@@ -167,7 +210,7 @@ def test_nondistillable_states_pass_the_ppt_test():
     rng = np.random.default_rng(11)
     for dims in (BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3)):
         for _ in range(20):
-            rho = _random_nondistillable(rng, dims)
+            rho = DensityMatrix(_nondistillable_arrays([rng], dims)[0], dims)
             assert _is_ppt(rho.mat, dims.da, dims.db), dims
 
 
@@ -219,8 +262,10 @@ def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
         d = da * db
         specs = [(int(rng.integers(1, d + 1)), int(rng.integers(0, 2**63 - 1))) for _ in range(1000)]
         screened.clear()
-        states._first_ppt(specs, da, db)
-        (least,) = screened
+        states._first_ppt([specs[:400], specs[400:]], da, db)
+        # the screen's stacks in order, each of at most _STACK_ENTRIES entries
+        least = np.concatenate(screened)
+        assert len(screened) > 1 and len(least) == len(specs)
         for spec, w in zip(specs, least):
             exact = eigvalsh(_partial_transpose_b(_random_density_arr(d, *spec), da, db))[0]
             worst = max(worst, abs(w - exact))
@@ -245,12 +290,15 @@ def test_exact_test_alone_decides_inside_the_guard(monkeypatch, offset):
     assert_sampler_matches_loop((2, 3), range(20))
 
 
-def test_trial_streams_are_prefix_stable():
-    # trial i depends only on (seed, suite, i), not on the trial count
-    short = run_suite("reduction", 5, 31).records
-    long = run_suite("reduction", 12, 31).records
-    for a, b in zip(short, long):
-        assert record_to_json(a) == record_to_json(b)
+def test_trial_streams_are_prefix_stable(monkeypatch):
+    # trial i depends only on (seed, suite, i), not on the trial count nor
+    # on where the chunk boundaries fall
+    for suite in ("reduction", "theorem1", "monotone", "lemma3"):
+        long = [record_to_json(r) for r in run_suite(suite, 10, 31).records]
+        chunks_of(monkeypatch, 4, BipartiteDims(2, 2))
+        assert [record_to_json(r) for r in run_suite(suite, 3, 31).records] == long[:3]
+        assert [record_to_json(r) for r in run_suite(suite, 10, 31).records] == long
+        monkeypatch.undo()
 
 
 def test_records_serialize_with_sorted_keys():
