@@ -26,7 +26,7 @@ from .hermitian import (
     _spectral_apply,
     loewner_geq,
 )
-from .states import DensityMatrix, partial_transpose_B, reduction_operator
+from .states import DensityMatrix, _entropy, _generators, _integral, partial_transpose_B, reduction_operator
 
 # Violation threshold for the monotone search; loose enough that
 # round-off on well-conditioned spectra cannot fake a counterexample.
@@ -136,8 +136,12 @@ def operator_monotone_search(
     """
     if dim < 2:
         raise InputError("dim must be at least 2")
-    if trials < 1:
-        raise InputError("trials must be at least 1")
+    count, master = _integral(trials), _integral(seed)
+    if count is None or count < 1:
+        raise InputError(f"trials must be a positive integer, got {trials!r}")
+    if master is None or master < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
+    trials, seed = count, master
     base = f.domain_lower if math.isfinite(f.domain_lower) else 0.0
     b_range = (base + 0.1, base + 10.0)
 
@@ -150,7 +154,7 @@ def operator_monotone_search(
         per_chunk = max(1, _STACK_ENTRIES // (dim * dim))
         for start in range(first, trials, per_chunk):
             chunk = range(start, min(start + per_chunk, trials))
-            rngs = [np.random.default_rng(np.random.SeedSequence([seed, trial])) for trial in chunk]
+            rngs = list(_generators(_entropy((seed,), chunk)))
             yield chunk, _sample_monotone_pairs(rngs, dim, b_range, (0.1, 10.0))
 
     for chunk, (a, b, wb, ub) in chunks():

@@ -6,6 +6,7 @@ state |i>_A |j>_B sits at flat index i*dB + j (row-major, A first).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,15 @@ TRACE_TOL = 1e-10
 PURE_NORM_TOL = 1e-12
 
 
+def _integral(value) -> int | None:
+    """value as an int when it is an integral number of any numeric type other than bool, else None."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return None if isinstance(value, (bool, np.bool_)) or n != value else n
+
+
 @dataclass(frozen=True)
 class BipartiteDims:
     """Local dimensions of an A|B split."""
@@ -32,14 +42,9 @@ class BipartiteDims:
     db: int
 
     def __post_init__(self):
-        # integral values of any numeric type are stored as int; bools are not dimensions
         for name in ("da", "db"):
-            value = getattr(self, name)
-            try:
-                n = int(value)
-            except (TypeError, ValueError, OverflowError):
-                n = 0
-            if isinstance(value, (bool, np.bool_)) or n != value or n < 1:
+            n = _integral(getattr(self, name))
+            if n is None or n < 1:
                 raise ShapeError(f"local dimensions must be positive integers, got ({self.da}, {self.db})")
             object.__setattr__(self, name, n)
 
@@ -296,6 +301,91 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """The steps + 1 successive values of SeedSequence's running hash constant."""
+    out = [init]
+    for _ in range(steps):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# numpy.random.SeedSequence with its pool of 4 words: the hash constants of
+# the 16 hashmix calls that mix an entropy of up to 4 words into the pool,
+# of the 8 that generate_state(4, uint64) makes from it, and of mix
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of the columns of words, column k with constants k and k + 1."""
+    words = (words ^ constants[:-1]) * constants[1:]
+    return words ^ (words >> 16)
+
+
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """The state a SeedSequence generates for PCG64, hashed ahead of time; it cannot spawn."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise InputError("a hashed seed holds PCG64's four 64-bit words only")
+        return self.state
+
+
+def _generators(entropy: np.ndarray):
+    """An iterator of one generator per row of an (n, k <= 4) block of uint32 entropy words.
+
+    Row e gives the generator np.random.default_rng(np.random.SeedSequence(e))
+    bit for bit.  SeedSequence's hash runs once over all rows; PCG64
+    seeds itself from a row's hashed state when the iterator reaches it,
+    so a caller that takes the generators a stack at a time holds one
+    stack of them.  An entropy shorter than the pool is hashed as if
+    padded with zero words, as SeedSequence does, so rows of different
+    lengths share one zero-padded block.
+    """
+    n, k = entropy.shape
+    if k > 4:
+        raise InputError(f"an entropy of {k} words is longer than SeedSequence's pool of 4")
+    pool = np.zeros((n, 4), dtype=np.uint32)
+    pool[:, :k] = entropy
+    pool = _hashmix(pool, _POOL_HASH[:5])
+    step = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        mixed = _MIX_L * pool[:, dst] - _MIX_R * _hashmix(pool[:, [src]], _POOL_HASH[step:step + 4])
+        pool[:, dst] = mixed ^ (mixed >> 16)
+        step += 3
+    words = _hashmix(np.tile(pool, 2), _STATE_HASH).astype(np.uint64)
+    state = words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+    return (np.random.Generator(np.random.PCG64(_HashedSeed(row))) for row in state)
+
+
+def _entropy(prefix, values) -> np.ndarray:
+    """The uint32 words SeedSequence([*prefix, v]) hashes, one row per v of values.
+
+    Each integer becomes its little-endian 32-bit words, at least one, as
+    in SeedSequence.  The values, below 2**64, take two words or, when
+    all are below 2**32, one; a high word of zero ends a row, where
+    SeedSequence's padding puts the same zero.  With an empty prefix row
+    v is the entropy of the integer seed v.
+    """
+    head = []
+    for p in prefix:
+        if p < 0:
+            raise InputError(f"a seed must be nonnegative, got {p}")
+        head.append(p & 0xFFFFFFFF)
+        while p > 0xFFFFFFFF:
+            p >>= 32
+            head.append(p & 0xFFFFFFFF)
+    v = np.asarray(values, dtype=np.uint64).reshape(-1)
+    high = v >> np.uint64(32)
+    tail = [v & np.uint64(0xFFFFFFFF)] + ([high] if np.any(high) else [])
+    return np.column_stack([np.full(len(v), w, dtype=np.uint64) for w in head] + tail).astype(np.uint32)
+
+
 def _random_density_arr(dim: int, rank: int, seed: int) -> np.ndarray:
     """The array random_density stores, built without validating it.
 
@@ -315,37 +405,77 @@ def _random_density_arr(dim: int, rank: int, seed: int) -> np.ndarray:
 _PPT_SCREEN_GUARD = 1e-12
 
 
-def _ppt_screen(specs, da: int, db: int) -> np.ndarray:
-    """For each (rank, seed) candidate, whether its screened least eigenvalue of rho^PT is within the guard of PPT.
+@functools.cache
+def _pt_pairs(da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat index pairs r < s of (i j) and (i' j') with i != i' and j != j'.
+
+    Only there does the partial transpose move an entry into a 2x2
+    principal submatrix; every other such submatrix of rho^PT is one of
+    rho or of its transpose.
+    """
+    r, s = np.triu_indices(da * db, 1)
+    both = (r // db != s // db) & (r % db != s % db)
+    return r[both], s[both]
+
+
+def _least_minor(pt: np.ndarray, da: int, db: int) -> np.ndarray:
+    """For each rho^PT of a stack, the least eigenvalue of its 2x2 principal submatrices on the _pt_pairs rows.
+
+    In closed form, (a + b)/2 - |((a - b)/2, c)| for the submatrix
+    [[a, c], [c*, b]].  By Cauchy interlacing no eigenvalue of rho^PT
+    lies below it.
+    """
+    r, s = _pt_pairs(da, db)
+    diag = np.real(np.diagonal(pt, axis1=1, axis2=2))
+    a, b = diag[:, r], diag[:, s]
+    return np.min(0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(pt[:, r, s])), axis=1, initial=np.inf)
+
+
+def _ppt_screen(candidates, da: int, db: int) -> np.ndarray:
+    """For each (rank, generator) candidate, whether its screened rho^PT is within the guard of PPT.
 
     The candidates are built as one zero-padded Ginibre stack, with the
-    normal draws _ginibre makes, and screened by one stacked eigvalsh.
+    normal draws _ginibre makes from each generator, and screened in two
+    stages.  First the 2x2 minors: a candidate whose _least_minor is below
+    the guard has, by interlacing, an eigenvalue of rho^PT at least as
+    low, so _is_ppt would reject it too.  The rest are screened by one
+    stacked eigvalsh.
     """
     d = da * db
     # the real and imaginary parts that _ginibre draws, combined as it does
-    parts = np.zeros((len(specs), 2, d, d))
-    for k, (rank, seed) in enumerate(specs):
-        parts[k, :, :, :rank] = np.random.default_rng(seed).standard_normal((2, d, rank))
+    parts = np.zeros((len(candidates), 2, d, d))
+    for k, (rank, rng) in enumerate(candidates):
+        parts[k, :, :, :rank] = rng.standard_normal((2, d, rank))
     g = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
     m = g @ g.conj().swapaxes(1, 2)
     m /= np.real(np.trace(m, axis1=1, axis2=2))[:, None, None]
-    return _clears(_eigvalsh(_partial_transpose_b(m, da, db))[:, 0], PSD_TOL + _PPT_SCREEN_GUARD)
+    pt = _partial_transpose_b(m, da, db)
+    kept = _clears(_least_minor(pt, da, db), PSD_TOL + _PPT_SCREEN_GUARD)
+    if np.any(kept):
+        kept[kept] = _clears(_eigvalsh(pt[kept])[:, 0], PSD_TOL + _PPT_SCREEN_GUARD)
+    return kept
 
 
 def _first_ppt(groups, da: int, db: int) -> list:
     """For each list of (rank, seed) candidates, the array of its first that passes _is_ppt, or None.
 
     Candidate (rank, seed) is _random_density_arr(da * db, rank, seed).
-    The candidates of all groups are screened together by _ppt_screen, in
-    stacks of at most _STACK_ENTRIES matrix entries.  The screen only
-    discards: each candidate within the guard of the PPT test is rebuilt
-    exactly and decided by _is_ppt, in its group's order, so each answer
-    is the one a loop over that group gives.
+    The seeds of all groups are hashed in one _generators pass; the
+    candidates are then drawn and screened together by _ppt_screen, by
+    2x2 minors and then by stacked eigvalsh, in stacks of at most
+    _STACK_ENTRIES matrix entries.  The screen only discards: each
+    candidate within the guard of the PPT test is rebuilt exactly and
+    decided by _is_ppt, in its group's order, so each answer is the one a
+    loop over that group gives.
     """
     d = da * db
     specs = [spec for group in groups for spec in group]
+    rngs = _generators(_entropy((), [seed for _, seed in specs]))
     per_stack = max(1, _STACK_ENTRIES // (d * d))
-    kept = np.concatenate([_ppt_screen(specs[i:i + per_stack], da, db) for i in range(0, len(specs), per_stack)])
+    kept = np.concatenate([
+        _ppt_screen([(rank, next(rngs)) for rank, _ in specs[i:i + per_stack]], da, db)
+        for i in range(0, len(specs), per_stack)
+    ])
     out, start = [], 0
     for group in groups:
         screened = (_random_density_arr(d, *group[k]) for k in np.flatnonzero(kept[start:start + len(group)]))

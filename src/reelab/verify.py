@@ -7,15 +7,17 @@ d = 1).  Trial i draws its generator from the seed sequence (master
 seed, crc32(suite name), i), so different suites and different trials
 never share a stream and any trial can be reproduced in isolation.  A
 campaign runs its trials in chunks of at most hermitian._STACK_ENTRIES
-matrix entries, in three steps: every trial of the chunk draws its
-inputs from its own stream, one after another; the chunk is evaluated
-in one stacked pass (theorem1, reduction and monotone) or trial by
-trial (the suites that call the solver); and one record per trial is
-written, in trial order.  The stacked kernels reproduce their
-single-state functions bit for bit, so the records do not depend on the
-chunking.  Records serialize as one JSON object per line with sorted
-keys and 17-significant-digit decimals; non-finite values appear as the
-strings "inf", "-inf", or "nan".
+matrix entries, in three steps: the chunk's generators are seeded in
+one states._generators pass, each bit for bit the one
+np.random.default_rng gives its seed sequence, and every trial of the
+chunk draws its inputs from its own stream, one after another; the
+chunk is evaluated in one stacked pass (theorem1, reduction and
+monotone) or trial by trial (the suites that call the solver); and one
+record per trial is written, in trial order.  The stacked kernels
+reproduce their single-state functions bit for bit, so the records do
+not depend on the chunking.  Records serialize as one JSON object per
+line with sorted keys and 17-significant-digit decimals; non-finite
+values appear as the strings "inf", "-inf", or "nan".
 
 A record passes when its margin (the slack of the most binding
 inequality, positive = comfortable) stays above minus the suite
@@ -52,7 +54,10 @@ from .statefile import _fmt
 from .states import (
     BipartiteDims,
     DensityMatrix,
+    _entropy,
     _first_ppt,
+    _generators,
+    _integral,
     _partial_transpose_b,
     _ppt_edge_weight,
     _random_density_arr,
@@ -129,9 +134,14 @@ def summary_to_json(summary: dict) -> str:
     return _json_scalar(summary)
 
 
-def _trial_rng(master_seed: int, suite: str, trial: int) -> np.random.Generator:
+def _trial_rngs(master_seed: int, suite: str, trials) -> list:
+    """The generators of the given trials, trial i's that of the seed sequence (master_seed, crc32(suite), i)."""
     tag = zlib.crc32(suite.encode("ascii"))
-    return np.random.default_rng(np.random.SeedSequence([master_seed, tag, trial]))
+    return list(_generators(_entropy((master_seed, tag), trials)))
+
+
+def _trial_rng(master_seed: int, suite: str, trial: int) -> np.random.Generator:
+    return _trial_rngs(master_seed, suite, [trial])[0]
 
 
 def _state_seed(rng: np.random.Generator) -> int:
@@ -400,10 +410,12 @@ def run_suite(
     """
     if suite not in SUITE_NAMES:
         raise InputError(f"unknown suite {suite!r}")
-    if trials < 1:
-        raise InputError(f"trials must be positive, got {trials}")
-    if not 0 <= seed < 2**64:
-        raise InputError("seed must fit in an unsigned 64-bit integer")
+    count, master = _integral(trials), _integral(seed)
+    if count is None or count < 1:
+        raise InputError(f"trials must be a positive integer, got {trials!r}")
+    if master is None or not 0 <= master < 2**64:
+        raise InputError(f"seed must be an integer that fits in an unsigned 64-bit integer, got {seed!r}")
+    trials, seed = count, master
     dims = dims or BipartiteDims(2, 2)
     if tol is None:
         tol = _SUITES[suite][1]
@@ -414,7 +426,7 @@ def run_suite(
     records = []
     for start in range(0, trials, per_chunk):
         chunk = range(start, min(start + per_chunk, trials))
-        outcomes = evaluate([_trial_rng(seed, suite, i) for i in chunk], dims, tol, chunk)
+        outcomes = evaluate(_trial_rngs(seed, suite, chunk), dims, tol, chunk)
         for i, (quantities, margin) in zip(chunk, outcomes):
             indeterminate = margin is None
             records.append(ReportRecord(

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -318,3 +320,47 @@ def test_partial_trace_preserves_trace():
         rho = random_density(6, 6, seed).tagged(2, 3)
         assert partial_trace_B(rho).matrix.trace() == pytest.approx(1.0, abs=1e-12)
         assert partial_trace_A(rho).matrix.trace() == pytest.approx(1.0, abs=1e-12)
+
+
+def assert_same_streams(got, seeds) -> int:
+    """Each generator of got against np.random.default_rng of its seed: state and 64 normal draws."""
+    count = 0
+    for rng, seed in zip(got, seeds):
+        want = np.random.default_rng(seed)
+        assert rng.bit_generator.state == want.bit_generator.state, seed
+        assert rng.standard_normal(64).tobytes() == want.standard_normal(64).tobytes(), seed
+        count += 1
+    return count
+
+
+def test_generators_match_default_rng_on_scalar_seeds():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1]
+    drawn = [int(s) for s in np.random.default_rng(3).integers(0, 2**64 - 1, size=3000, dtype=np.uint64)]
+    for seeds in (edges, drawn, edges[:2]):
+        assert assert_same_streams(states._generators(states._entropy((), seeds)), seeds) == len(seeds)
+
+
+def test_generators_match_default_rng_on_trial_entropies():
+    # the streams of verify ([seed, crc32(suite), trial], 3 or 4 words) and
+    # of the monotone search ([seed, trial], 2 or 3 words)
+    tag = zlib.crc32(b"theorem1")
+    trials = [0, 1, 55, 2**31, 2**32 - 1]
+    for seed in (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1):
+        for prefix in ((seed, tag), (seed,)):
+            entropy = states._entropy(prefix, trials)
+            assert entropy.shape[1] == len(prefix) + 1 + (seed >= 2**32)
+            got = states._generators(entropy)
+            assert assert_same_streams(got, [[*prefix, t] for t in trials]) == len(trials)
+
+
+def test_generators_refuse_entropy_longer_than_the_pool():
+    with pytest.raises(InputError):
+        states._generators(np.zeros((3, 5), dtype=np.uint32))
+    # a 64-bit seed, the suite tag and a trial index past 2**32 take 5 words
+    with pytest.raises(InputError):
+        states._generators(states._entropy((2**40, 17), [2**32]))
+    with pytest.raises(InputError):
+        states._entropy((-1,), [0])
+    # PCG64 is the only bit generator a hashed seed can seed
+    with pytest.raises(InputError):
+        np.random.MT19937(states._HashedSeed(np.zeros(4, dtype=np.uint64)))

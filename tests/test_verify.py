@@ -15,6 +15,7 @@ from reelab.states import (
     _partial_transpose_b,
     _ppt_edge_weight,
     _random_density_arr,
+    _random_separable_arr,
     random_separable,
 )
 from reelab.verify import (
@@ -246,8 +247,12 @@ def test_ppt_edge_weight_matches_bisection():
 
 
 def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
+    # the screen decomposes the candidates its 2x2 minors keep: each
+    # decomposed least eigenvalue is within 1e-15 of the exact one, and
+    # every candidate a minor discards fails the exact PPT test
     eigvalsh = np.linalg.eigvalsh
-    screened = []
+    least_minor = states._least_minor
+    screened, minors = [], []
 
     def recording_eigvalsh(a, *args, **kwargs):
         w = eigvalsh(a, *args, **kwargs)
@@ -255,21 +260,52 @@ def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
             screened.append(w[:, 0].copy())
         return w
 
+    def recording_least_minor(*args):
+        w = least_minor(*args)
+        minors.append(w.copy())
+        return w
+
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(states, "_least_minor", recording_least_minor)
     rng = np.random.default_rng(5)
     worst = 0.0
-    for da, db in ((2, 2), (2, 3), (3, 3)):
+    for da, db in ((2, 2), (2, 3), (2, 4), (3, 3)):
         d = da * db
         specs = [(int(rng.integers(1, d + 1)), int(rng.integers(0, 2**63 - 1))) for _ in range(1000)]
         screened.clear()
+        minors.clear()
         states._first_ppt([specs[:400], specs[400:]], da, db)
         # the screen's stacks in order, each of at most _STACK_ENTRIES entries
+        decomposed = np.concatenate(minors) >= -(PSD_TOL + states._PPT_SCREEN_GUARD)
         least = np.concatenate(screened)
-        assert len(screened) > 1 and len(least) == len(specs)
-        for spec, w in zip(specs, least):
-            exact = eigvalsh(_partial_transpose_b(_random_density_arr(d, *spec), da, db))[0]
-            worst = max(worst, abs(w - exact))
+        assert len(minors) > 1 and len(decomposed) == len(specs) and len(least) == np.sum(decomposed)
+        exact = np.array([eigvalsh(_partial_transpose_b(_random_density_arr(d, *spec), da, db))[0] for spec in specs])
+        worst = max(worst, float(np.max(np.abs(least - exact[decomposed]))))
+        # the minors discard a share of the candidates outside the PPT test, and no other
+        assert np.all(exact[~decomposed] < -PSD_TOL), (da, db)
+        assert np.sum(~decomposed) >= np.sum(exact < -PSD_TOL) // 4, (da, db)
     assert worst <= 1e-15
+
+
+def test_least_minor_keeps_ppt_edge_and_separable_states():
+    # interlacing: no 2x2 minor of rho^PT has an eigenvalue below rho^PT's
+    # least, so the minor stage never discards a state on the PPT edge
+    rng = np.random.default_rng(9)
+    blended = 0
+    for da, db in ((2, 2), (2, 3), (2, 4), (3, 3)):
+        d = da * db
+        mats = []
+        for _ in range(40):
+            mat = _random_density_arr(d, int(rng.integers(1, d + 1)), int(rng.integers(0, 2**63 - 1)))
+            t = _ppt_edge_weight(mat, da, db)
+            blended += t > 0.0
+            mats.append((1.0 - t) * mat + t * (np.eye(d) / d))
+            mats.append(_random_separable_arr(BipartiteDims(da, db), int(rng.integers(0, 2**63 - 1)), int(rng.integers(1, 4))))
+        pt = _partial_transpose_b(np.stack(mats), da, db)
+        minor = states._least_minor(pt, da, db)
+        assert np.all(minor >= -(PSD_TOL + states._PPT_SCREEN_GUARD)), (da, db)
+        assert np.all(minor >= np.linalg.eigvalsh(pt)[:, 0] - 1e-15), (da, db)
+    assert blended > 80
 
 
 @pytest.mark.parametrize("offset", [0.5, -0.5])
@@ -354,9 +390,28 @@ def test_run_suite_validation():
     with pytest.raises(InputError):
         run_suite("theorem1", 5, -1)
     with pytest.raises(InputError):
+        run_suite("theorem1", 5, 2**64)
+    with pytest.raises(InputError):
         run_suite("theorem1", 5, 7, tol=0.0)
     with pytest.raises(InputError):
         run_suite("lemma3", 5, 7, dims=BipartiteDims(3, 3))
+
+
+@pytest.mark.parametrize("trials, seed", [(5, True), (5, 1.5), (5, "7"), (True, 7), (2.5, 7), (None, 7)])
+def test_run_suite_rejects_non_integral_counts_and_seeds(monkeypatch, trials, seed):
+    # refused before any generator is seeded, as BipartiteDims refuses a
+    # bool or fractional dimension
+    monkeypatch.setattr(verify, "_trial_rngs", None)
+    with pytest.raises(InputError):
+        run_suite("reduction", trials, seed)
+
+
+def test_run_suite_takes_integral_values_of_any_type():
+    want = campaign_text(run_suite("reduction", 3, 7))
+    for trials, seed in ((3.0, 7), (3, 7.0), (np.int64(3), np.uint64(7))):
+        result = run_suite("reduction", trials, seed)
+        assert campaign_text(result) == want
+        assert type(result.records[0].seed) is int and type(result.summary["trials"]) is int
 
 
 def test_monotone_needs_two_dimensions():
