@@ -134,14 +134,14 @@ def operator_monotone_search(
     failure: the result is the first failing trial, deterministic for a
     given seed and independent of the chunking.
     """
-    if dim < 2:
-        raise InputError("dim must be at least 2")
-    count, master = _integral(trials), _integral(seed)
+    size, count, master = _integral(dim), _integral(trials), _integral(seed)
+    if size is None or size < 2:
+        raise InputError(f"dim must be an integer of at least 2, got {dim!r}")
     if count is None or count < 1:
         raise InputError(f"trials must be a positive integer, got {trials!r}")
     if master is None or master < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-    trials, seed = count, master
+    dim, trials, seed = size, count, master
     base = f.domain_lower if math.isfinite(f.domain_lower) else 0.0
     b_range = (base + 0.1, base + 10.0)
 

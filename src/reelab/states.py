@@ -415,7 +415,10 @@ def _pt_pairs(da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
     """
     r, s = np.triu_indices(da * db, 1)
     both = (r // db != s // db) & (r % db != s % db)
-    return r[both], s[both]
+    pairs = r[both], s[both]
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _least_minor(pt: np.ndarray, da: int, db: int) -> np.ndarray:

@@ -174,10 +174,12 @@ def test_monotone_search_input_validation():
             operator_monotone_search(SQUARE, 2, 10, seed=seed)
     with pytest.raises(InputError):
         operator_monotone_search(SQUARE, 2, 2.5, seed=0)
+    with pytest.raises(InputError):
+        operator_monotone_search(SQUARE, 2.5, 10, seed=0)
     # integral values of any type are taken as the integers they equal
     pow11 = ScalarFunction("pow1.1", lambda x: np.power(x, 1.1), 0.0)
     want = operator_monotone_search(pow11, 4, 100, seed=45)
-    got = operator_monotone_search(pow11, 4, 100.0, seed=np.uint64(45))
+    got = operator_monotone_search(pow11, 4.0, 100.0, seed=np.uint64(45))
     assert want.trials_used == 31
     assert (got.trials_used, got.a.mat.tobytes()) == (want.trials_used, want.a.mat.tobytes())
 
