@@ -394,7 +394,11 @@ def _random_density_arr(dim: int, rank: int, seed: int) -> np.ndarray:
     """
     if not 1 <= rank <= dim:
         raise InputError(f"rank must satisfy 1 <= rank <= dim, got rank {rank}, dim {dim}")
-    g = _ginibre(np.random.default_rng(seed), dim, rank)
+    return _gram_state(_ginibre(np.random.default_rng(seed), dim, rank))
+
+
+def _gram_state(g: np.ndarray) -> np.ndarray:
+    """G G'/tr(G G') for one Ginibre matrix G, symmetrised as HermitianMatrix does."""
     m = g @ g.conj().T
     m = m / np.real(np.trace(m))
     return (m + m.conj().T) / 2.0
@@ -434,7 +438,7 @@ def _least_minor(pt: np.ndarray, da: int, db: int) -> np.ndarray:
     return np.min(0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(pt[:, r, s])), axis=1, initial=np.inf)
 
 
-def _ppt_screen(candidates, da: int, db: int) -> np.ndarray:
+def _ppt_screen(candidates, da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
     """For each (rank, generator) candidate, whether its screened rho^PT is within the guard of PPT.
 
     The candidates are built as one zero-padded Ginibre stack, with the
@@ -442,7 +446,9 @@ def _ppt_screen(candidates, da: int, db: int) -> np.ndarray:
     stages.  First the 2x2 minors: a candidate whose _least_minor is below
     the guard has, by interlacing, an eigenvalue of rho^PT at least as
     low, so _is_ppt would reject it too.  The rest are screened by one
-    stacked eigvalsh.
+    stacked eigvalsh.  Also returns the padded Ginibre matrices of the
+    kept candidates: the first rank columns of each hold the bits
+    _ginibre gives.
     """
     d = da * db
     # the real and imaginary parts that _ginibre draws, combined as it does
@@ -456,7 +462,7 @@ def _ppt_screen(candidates, da: int, db: int) -> np.ndarray:
     kept = _clears(_least_minor(pt, da, db), PSD_TOL + _PPT_SCREEN_GUARD)
     if np.any(kept):
         kept[kept] = _clears(_eigvalsh(pt[kept])[:, 0], PSD_TOL + _PPT_SCREEN_GUARD)
-    return kept
+    return kept, g[kept]
 
 
 def _first_ppt(groups, da: int, db: int) -> list:
@@ -467,7 +473,8 @@ def _first_ppt(groups, da: int, db: int) -> list:
     candidates are then drawn and screened together by _ppt_screen, by
     2x2 minors and then by stacked eigvalsh, in stacks of at most
     _STACK_ENTRIES matrix entries.  The screen only discards: each
-    candidate within the guard of the PPT test is rebuilt exactly and
+    candidate within the guard of the PPT test is rebuilt exactly, one
+    matrix at a time from the normal draws the screen made for it, and
     decided by _is_ppt, in its group's order, so each answer is the one a
     loop over that group gives.
     """
@@ -475,13 +482,19 @@ def _first_ppt(groups, da: int, db: int) -> list:
     specs = [spec for group in groups for spec in group]
     rngs = _generators(_entropy((), [seed for _, seed in specs]))
     per_stack = max(1, _STACK_ENTRIES // (d * d))
-    kept = np.concatenate([
+    kept, ginibre = zip(*(
         _ppt_screen([(rank, next(rngs)) for rank, _ in specs[i:i + per_stack]], da, db)
         for i in range(0, len(specs), per_stack)
-    ])
+    ))
+    kept, ginibre = np.concatenate(kept), np.concatenate(ginibre)
+    # candidate i's matrix is row[i] of ginibre, when the screen kept it
+    row = np.cumsum(kept) - 1
     out, start = [], 0
     for group in groups:
-        screened = (_random_density_arr(d, *group[k]) for k in np.flatnonzero(kept[start:start + len(group)]))
+        screened = (
+            _gram_state(ginibre[row[i], :, :specs[i][0]])
+            for i in start + np.flatnonzero(kept[start:start + len(group)])
+        )
         out.append(next((mat for mat in screened if _is_ppt(mat, da, db)), None))
         start += len(group)
     return out

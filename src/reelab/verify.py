@@ -54,9 +54,12 @@ from .statefile import _fmt
 from .states import (
     BipartiteDims,
     DensityMatrix,
+    _as_dims,
     _entropy,
     _first_ppt,
     _generators,
+    _ginibre,
+    _gram_state,
     _integral,
     _partial_transpose_b,
     _ppt_edge_weight,
@@ -145,7 +148,9 @@ def _trial_rng(master_seed: int, suite: str, trial: int) -> np.random.Generator:
 
 
 def _state_seed(rng: np.random.Generator) -> int:
-    # a scalar draw gives the value of a draw of size 1 at a third of the cost
+    # a scalar draw gives the value of a draw of size 1 at a third of the
+    # cost; _nondistillable_arrays draws a chunk's seeds with their ranks in
+    # one bounded draw, which gives the values of these calls in turn
     return int(rng.integers(0, 2**63 - 1))
 
 
@@ -168,8 +173,12 @@ def _nondistillable_arrays(rngs, dims) -> list:
     in 0 of the 313 Ginibre trials at 2x2, 101 at 2x3 and all 313 at 3x3.
 
     Each generator draws its own candidates in the chunks of _PPT_CHUNKS,
-    and chunk k of every generator still without a state is screened by
-    one states._first_ppt call, so each array is the one a loop over that
+    all (rank, seed) pairs of a chunk in one integers call with
+    elementwise bounds.  numpy draws such a call element by element with
+    the routine of a scalar call, so the pairs, and the stream after
+    them, are those of a loop of scalar rank and _state_seed draws.
+    Chunk k of every generator still without a state is screened by one
+    states._first_ppt call, so each array is the one a loop over that
     generator's candidates accepts.  A generator may be drawn past its
     accepted candidate: a caller must not read it after this returns.
     The arrays are not validated.
@@ -187,7 +196,9 @@ def _nondistillable_arrays(rngs, dims) -> list:
     for size in _PPT_CHUNKS:
         if not pending:
             return out
-        groups = {k: [(int(rngs[k].integers(1, d + 1)), _state_seed(rngs[k])) for _ in range(size)] for k in pending}
+        low = np.array([1, 0] * size, dtype=np.int64)
+        high = np.array([d + 1, 2**63 - 1] * size, dtype=np.int64)
+        groups = {k: rngs[k].integers(low, high).reshape(size, 2).tolist() for k in pending}
         for k, mat in zip(groups, _first_ppt(list(groups.values()), da, db)):
             out[k] = mat
         pending = [k for k in groups if out[k] is None]
@@ -198,20 +209,26 @@ def _nondistillable_arrays(rngs, dims) -> list:
     return out
 
 
-def _sigma_draw(rng, d: int) -> tuple[int, np.ndarray]:
-    """A uniformly drawn rank and the array of a random state of that rank on dimension d."""
-    rank = int(rng.integers(1, d + 1))
-    return rank, _random_density_arr(d, rank, _state_seed(rng))
+def _sigma_draws(rngs, d: int) -> list:
+    """For each generator, a uniformly drawn rank and the array of a random state of that rank on dimension d.
+
+    Each generator draws the rank and then the seed of its state, whose
+    array is _random_density_arr(d, rank, seed); the seeds are hashed in
+    one _generators pass.
+    """
+    specs = [(int(rng.integers(1, d + 1)), _state_seed(rng)) for rng in rngs]
+    seeded = _generators(_entropy((), [seed for _, seed in specs]))
+    return [(rank, _gram_state(_ginibre(next(seeded), d, rank))) for rank, _ in specs]
 
 
 def _random_sigma(rng, dims) -> tuple[DensityMatrix, int]:
-    """The state of _sigma_draw on dims, and its rank."""
-    rank, mat = _sigma_draw(rng, dims.total)
+    """The state of _sigma_draws on dims for one generator, and its rank."""
+    [(rank, mat)] = _sigma_draws([rng], dims.total)
     return DensityMatrix(mat, dims), rank
 
 
 def _theorem1(rngs, dims, tol, trials):
-    draws = [_sigma_draw(rng, dims.total) for rng in rngs]
+    draws = _sigma_draws(rngs, dims.total)
     # the last read of each stream: the sampler may draw past its accepted candidate
     rho = _states(np.stack(_nondistillable_arrays(rngs, dims)))
     sigma = _states(np.stack([mat for _, mat in draws]))
@@ -337,7 +354,7 @@ def _monotone(rngs, dims, tol, trials):
 
 def _reduction(rngs, dims, tol, trials):
     da, db = dims.da, dims.db
-    draws = [_sigma_draw(rng, dims.total) for rng in rngs]
+    draws = _sigma_draws(rngs, dims.total)
     rho = _states(np.stack([mat for _, mat in draws]))[0]
     red_holds, red_witness = _witnesses(_reduction_b(rho, da, db), tol)
     ppt_holds, ppt_witness = _witnesses(_partial_transpose_b(rho, da, db), tol)
@@ -416,7 +433,7 @@ def run_suite(
     if master is None or not 0 <= master < 2**64:
         raise InputError(f"seed must be an integer that fits in an unsigned 64-bit integer, got {seed!r}")
     trials, seed = count, master
-    dims = dims or BipartiteDims(2, 2)
+    dims = _as_dims(dims) or BipartiteDims(2, 2)
     if tol is None:
         tol = _SUITES[suite][1]
     if not tol > 0:

@@ -205,6 +205,46 @@ def test_nondistillable_matches_sequential_loop():
     assert branches["accepted"] == 0 and branches["blended"] > 8
 
 
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (2, 4), (3, 3)])
+def test_bulk_pair_draw_matches_scalar_draws(da, db):
+    # _nondistillable_arrays draws a chunk's (rank, seed) pairs in one
+    # integers call with elementwise bounds: numpy must give the values of
+    # the scalar rank and _state_seed calls in turn, and leave the stream
+    # where they leave it
+    d = da * db
+    top = 0
+    for size in verify._PPT_CHUNKS:
+        low = np.array([1, 0] * size, dtype=np.int64)
+        high = np.array([d + 1, 2**63 - 1] * size, dtype=np.int64)
+        for seed in range(4):
+            bulk, loop = np.random.default_rng([seed, size, d]), np.random.default_rng([seed, size, d])
+            pairs = bulk.integers(low, high).reshape(size, 2).tolist()
+            assert pairs == [[int(loop.integers(1, d + 1)), verify._state_seed(loop)] for _ in range(size)]
+            assert bulk.integers(0, 2**40) == loop.integers(0, 2**40)
+            assert bulk.standard_normal(5).tobytes() == loop.standard_normal(5).tobytes()
+            top = max(top, max(rank for rank, _ in pairs))
+    assert top == d
+    # the bounds' extremes, rank d and seed 2**63 - 2, come out without overflow
+    bulk, loop = np.random.default_rng(d), np.random.default_rng(d)
+    low = np.array([d, 2**63 - 9] * 8, dtype=np.int64)
+    high = np.array([d + 1, 2**63 - 1] * 8, dtype=np.int64)
+    pairs = bulk.integers(low, high).reshape(8, 2).tolist()
+    assert pairs == [[d, int(loop.integers(2**63 - 9, 2**63 - 1))] for _ in range(8)]
+    assert all(2**63 - 9 <= seed <= 2**63 - 2 for _, seed in pairs)
+    assert np.random.default_rng(0).integers(high - 1, high).tolist() == [d, 2**63 - 2] * 8
+
+
+def test_sigma_draws_match_one_seed_at_a_time():
+    # the seeds are hashed in one pass; each state is the one its seed gives
+    for d in (4, 6, 9):
+        seeds = [[3, d, k] for k in range(30)]
+        got = verify._sigma_draws([np.random.default_rng(s) for s in seeds], d)
+        for s, (rank, mat) in zip(seeds, got):
+            rng = np.random.default_rng(s)
+            assert rank == int(rng.integers(1, d + 1))
+            assert mat.tobytes() == _random_density_arr(d, rank, verify._state_seed(rng)).tobytes()
+
+
 def test_nondistillable_states_pass_the_ppt_test():
     # separable mixtures and boundary blends sit within rounding of the
     # PPT edge, on either side of zero; the one PPT test accepts them all
@@ -412,6 +452,14 @@ def test_run_suite_takes_integral_values_of_any_type():
         result = run_suite("reduction", trials, seed)
         assert campaign_text(result) == want
         assert type(result.records[0].seed) is int and type(result.summary["trials"]) is int
+
+
+def test_run_suite_takes_dims_as_a_pair():
+    for suite in ("reduction", "theorem1"):
+        want = campaign_text(run_suite(suite, 3, 0, dims=BipartiteDims(2, 3)))
+        result = run_suite(suite, 3, 0, dims=(2, 3))
+        assert campaign_text(result) == want
+        assert result.records[0].dims == BipartiteDims(2, 3)
 
 
 def test_monotone_needs_two_dimensions():
