@@ -60,7 +60,10 @@ class BipartiteDims:
 def _as_dims(dims) -> BipartiteDims | None:
     if dims is None or isinstance(dims, BipartiteDims):
         return dims
-    da, db = dims
+    try:
+        da, db = dims
+    except (TypeError, ValueError):
+        raise ShapeError(f"dims must be a (dA, dB) pair, got {dims!r}") from None
     return BipartiteDims(da, db)
 
 
@@ -487,7 +490,7 @@ def _first_ppt(groups, da: int, db: int) -> list:
         for i in range(0, len(specs), per_stack)
     ))
     kept, ginibre = np.concatenate(kept), np.concatenate(ginibre)
-    # candidate i's matrix is row[i] of ginibre, when the screen kept it
+    # a kept candidate i's Ginibre matrix is ginibre[row[i]]
     row = np.cumsum(kept) - 1
     out, start = [], 0
     for group in groups:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reelab import states, verify
-from reelab.errors import InputError
+from reelab.errors import InputError, ShapeError
 from reelab.hermitian import PSD_TOL
 from reelab.states import (
     BipartiteDims,
@@ -460,6 +460,13 @@ def test_run_suite_takes_dims_as_a_pair():
         result = run_suite(suite, 3, 0, dims=(2, 3))
         assert campaign_text(result) == want
         assert result.records[0].dims == BipartiteDims(2, 3)
+
+
+@pytest.mark.parametrize("dims", [5, (2,), (2, 3, 4), (2, 0)])
+def test_run_suite_rejects_malformed_dims(dims):
+    # the typed error BipartiteDims raises, not a bare unpacking error
+    with pytest.raises(ShapeError):
+        run_suite("reduction", 1, 0, dims=dims)
 
 
 def test_monotone_needs_two_dimensions():
