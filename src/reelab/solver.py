@@ -12,12 +12,20 @@ search is the only feasibility test: it accepts a point only when the
 eigenvalues of rho and rho^PT are all positive, so every iterate is
 strictly inside both cones and the path needs no projection.  Each point
 is decomposed once, into a _Point: the two eigh calls of its trial serve
-the next Newton step.  A Hermitian step Delta has d^2 real coordinates
-r = vec(Re Delta + Im Delta), in which the Hessian H is the real
-symmetric K = Re H + Im(H F), F the permutation that transposes vec, so
-each step costs O(d^5) to assemble K from eigenframe factors with one
-fused complex product and O(d^6) for one real bordered solve of size
-d^2 + 1, at half the memory of the complex system.  The best iterate,
+the next Newton step.  The steps have one basis per solve.  A Hermitian
+step Delta has d^2 real coordinates r = vec(Re Delta + Im Delta), in
+which the Hessian H is the real symmetric K = Re H + Im(H F), F the
+permutation that transposes vec, so each step costs O(d^5) to assemble K
+from eigenframe factors with one fused complex product and O(d^6) for one
+real bordered solve of size d^2 + 1, at half the memory of the complex
+system.  Complex conjugation maps the PPT set to itself, so a sigma with
+no imaginary part has a real optimum and a real path (Vollbrecht &
+Werner, PRA 64, 062307 (2001)); its steps are real symmetric, with the
+d(d+1)/2 coordinates of an orthonormal symmetric basis, and eigh, the
+fused product and the bordered solve of size d(d+1)/2 + 1 all run in
+real arithmetic.  A local unitary maps the PPT set to itself too, so a
+pure sigma is solved in its real Schmidt form and the answer rotated
+back.  The best iterate,
 the one of least value, gives an upper bound; a Newton step, read as a
 primal-dual estimate of the PPT multiplier, gives a weak-duality lower
 bound (Boyd & Vandenberghe, 5.9 and 11.7), and the gap between the best
@@ -43,7 +51,7 @@ from .errors import ConvergenceWarning, InputError, ShapeError
 from .hermitian import (
     HermitianMatrix, SpectralDecomposition, _eigh, _log_adjoint, _log_divided_differences
 )
-from .states import DensityMatrix, PureState, _bell_weights, _partial_transpose_b, _ppt_edge_weight
+from .states import DensityMatrix, PureState, _bell_weights, _integral, _partial_transpose_b, _ppt_edge_weight
 
 _YY_FLIP = np.array(
     [
@@ -136,55 +144,127 @@ _ARMIJO_SLOPE = 1e-4
 _GAP_TOL = 1e-9
 
 
-# complex bytes per row slab of the rho^PT term in _newton_hessian, at
-# least one A block.  A slab per A block made 2x2 to 3x3 Newton steps 2-3%
-# slower, so every d <= 9 takes one slab (the whole term is 105 KiB at
-# 3x3); at 4x4 four 256 KiB slabs made a step 4% faster than one of 1 MiB,
-# and at d = 64 each 67 MB slab fits in the 134 MB it shares with bordered
+# bytes per row slab of the rho^PT term in _newton_hessian, at least one
+# A block.  A slab per A block made 2x2 to 3x3 Newton steps 2-3% slower,
+# so every d <= 9 takes one slab (the whole complex term is 105 KiB at
+# 3x3); at 4x4 four complex 256 KiB slabs made a step 4% faster than one
+# of 1 MiB, and at d = 64 each 67 MB complex slab fits in the 134 MB it
+# shares with bordered
 _SLAB_BYTES = 256 * 1024
 
 
 class _Workspace(NamedTuple):
     """The large arrays of a solve's Newton systems, with each view taken once.
 
-    buf holds the complex d^2 x d^2 product of _newton_hessian.  A slab
-    (rows, out, target, term) adds the rho^PT term of a run of A blocks:
-    out holds it for those rows of tau^-1, and term is out transposed onto
-    target, the same rows of buf split into axes (a1 b1 a3 b3 a2 b2 a4 b4).
-    The slabs share one real array with bordered, whose K block k is the
-    sum of the views re and im of buf, and whose border is tvec = vec I.
+    A slab (rows, out, target, term) adds the rho^PT term of a run of A
+    blocks: out holds it for those rows of tau^-1, and term is out
+    transposed onto target, the same rows of the product of
+    _newton_hessian split into axes (a1 b1 a2 b2 a3 b3 a4 b4).  bordered
+    holds the Newton matrix, with K block k and border tvec, the
+    coordinates of I.
+
+    Hermitian basis (tri is None): buf holds the complex d^2 x d^2
+    product, the slabs share one real array with bordered, and k is the
+    sum of the views re and im of buf.
+
+    Real basis: tri holds the pairs p <= q of the coordinates, half their
+    weights 1/2 (p = q) and 1/sqrt(2), and diag the coordinates with
+    p = q.  buf holds one slab's rows of the real product at a time.  The
+    slab's fold (products, product, first, second, spares, coords) makes
+    them, as product, from the rows products of the left factor, and
+    gathers them onto the rows coords of k: the flat indices first and
+    second pick H[(p q),(r s)] and H[(p q),(s r)] of product into the two
+    spares, which share out's storage.  No array of the real basis shares
+    bordered's.
     """
 
     buf: np.ndarray
     slabs: list
     bordered: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
     k: np.ndarray
     tvec: np.ndarray
+    re: np.ndarray | None = None
+    im: np.ndarray | None = None
+    folds: list | None = None
+    tri: tuple | None = None
+    half: np.ndarray | None = None
+    diag: np.ndarray | None = None
+
+    def coords(self, g: np.ndarray) -> np.ndarray:
+        """The coordinates tr(E g) of a matrix g, E the basis of the unknowns."""
+        if self.tri is None:
+            return (g.real + g.imag).reshape(-1)
+        return self.half * (g + g.T)[self.tri]
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """The Hermitian matrix of coordinates x."""
+        if self.tri is None:
+            step = x.reshape(math.isqrt(len(x)), -1)
+            return (0.5 + 0.5j) * step + (0.5 - 0.5j) * step.T
+        step = np.zeros((len(self.diag), len(self.diag)))
+        step[self.tri] = self.half * x
+        return step + step.T
 
 
-def _newton_workspace(da: int, db: int) -> _Workspace:
-    """The _Workspace for da x db: at d = 64, 268 MB complex and 134 MB real."""
+def _newton_workspace(da: int, db: int, real: bool = False) -> _Workspace:
+    """The _Workspace for da x db, in the real basis when real is set.
+
+    At d = 64 the Hermitian one takes 268 MB complex and 134 MB real; the
+    real one takes 35 MB for bordered, 69 MB for the fold indices and
+    34 MB each for buf and the slab storage.
+    """
     d = da * db
     n = d * d
     block = db * d**3
-    height = min(da, max(1, _SLAB_BYTES // (16 * block)))
-    real = np.empty(max((n + 1) ** 2, 2 * height * block))
-    buf = np.empty((n, n), dtype=complex)
-    split = buf.reshape((da, db) * 4)
-    slabs = []
-    for start in range(0, da, height):
+    height = min(da, max(1, _SLAB_BYTES // ((8 if real else 16) * block)))
+    starts = range(0, da, height)
+    if not real:
+        store = np.empty(max((n + 1) ** 2, 2 * height * block))
+        buf = np.empty((n, n), dtype=complex)
+        split = buf.reshape((da, db) * 4)
+        slabs = []
+        for start in starts:
+            stop = min(start + height, da)
+            out = store[: 2 * (stop - start) * block].view(complex).reshape((stop - start) * db, d, d, d)
+            slabs.append((slice(start * db, stop * db), out, split[start:stop], _pt_view(out, da, db)))
+        bordered = store[: (n + 1) ** 2].reshape(n + 1, n + 1)
+        # buf[p,r,q,s] = H[(p q),(r s)]
+        quad = buf.reshape(d, d, d, d)
+        re, im = quad.real.transpose(0, 2, 1, 3), quad.imag.transpose(0, 2, 3, 1)
+        return _Workspace(buf, slabs, bordered, bordered[:n, :n].reshape(d, d, d, d), np.eye(d).reshape(n), re, im)
+    tri = np.triu_indices(d)
+    p, q = tri
+    m = len(p)
+    # the coordinates of the A blocks start..stop are the pairs of the
+    # rows p of those blocks, which lie together in triu order
+    bounds = np.searchsorted(p, [start * db for start in starts] + [n])
+    store = np.empty(max(height * block, 2 * int(np.max(np.diff(bounds))) * m))
+    buf = np.empty(height * block)
+    slabs, folds = [], []
+    for start, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
         stop = min(start + height, da)
-        out = real[: 2 * (stop - start) * block].view(complex).reshape((stop - start) * db, d, d, d)
-        # partial transposition swaps b1 with b2 and b3 with b4
-        term = out.reshape((stop - start, db) + (da, db) * 3).transpose(0, 5, 2, 7, 4, 1, 6, 3)
-        slabs.append((slice(start * db, stop * db), out, split[start:stop], term))
-    bordered = real[: (n + 1) ** 2].reshape(n + 1, n + 1)
-    # buf[p,r,q,s] = H[(p q),(r s)]
-    quad = buf.reshape(d, d, d, d)
-    re, im = quad.real.transpose(0, 2, 1, 3), quad.imag.transpose(0, 2, 3, 1)
-    return _Workspace(buf, slabs, bordered, re, im, bordered[:n, :n].reshape(d, d, d, d), np.eye(d).reshape(n))
+        rows = (stop - start) * db
+        out = store[: rows * d**3].reshape(rows, d, d, d)
+        product = buf[: rows * d**3].reshape(rows * d, n)
+        target = product.reshape((stop - start, db) + (da, db) * 3)
+        slabs.append((slice(start * db, stop * db), out, target, _pt_view(out, da, db)))
+        # product[(p r),(q s)] = H[(p q),(r s)] for the slab's rows p
+        first = ((p[lo:hi, None] - start * db) * d + p) * n + q[lo:hi, None] * d + q
+        second = ((p[lo:hi, None] - start * db) * d + q) * n + q[lo:hi, None] * d + p
+        spares = store[: 2 * (hi - lo) * m].reshape(2, hi - lo, m)
+        folds.append((slice(start * db * d, stop * db * d), product, first, second, spares, slice(lo, hi)))
+    bordered = np.empty((m + 1, m + 1))
+    half = np.where(p == q, 0.5, math.sqrt(0.5))
+    return _Workspace(
+        buf, slabs, bordered, bordered[:m, :m], (p == q).astype(float),
+        folds=folds, tri=tri, half=half, diag=np.flatnonzero(p == q),
+    )
+
+
+def _pt_view(out: np.ndarray, da: int, db: int) -> np.ndarray:
+    """The rho^PT term of slab storage out, transposed onto the product's split axes."""
+    # partial transposition swaps b1 with b2 and b3 with b4
+    return out.reshape((len(out) // db, db) + (da, db) * 3).transpose(0, 5, 2, 7, 4, 1, 6, 3)
 
 
 def _newton_hessian(
@@ -196,14 +276,25 @@ def _newton_hessian(
     mu_curv: float,
     work: _Workspace,
 ) -> np.ndarray:
-    """Bordered real Newton matrix [[K, t], [t^T, 0]] of size d^2 + 1, t = vec I.
+    """Bordered real Newton matrix [[K, t], [t^T, 0]] in the basis of work, t the coordinates of I.
 
-    A Hermitian step Delta is the real vector r = vec(Re Delta + Im Delta)
-    (row-major vec, n = d^2): vec Delta = T r with T = ((1+i) I + (1-i) F)/2
-    unitary and F the permutation that transposes vec.  The complex Hessian
-    H on vec(rho) maps Hermitian matrices to Hermitian matrices, so
-    K = T^H H T = Re H + Im(H F) is real and symmetric, entry
-    K[(p q),(r s)] = Re H[(p q),(r s)] + Im H[(p q),(s r)].
+    The complex Hessian H on vec(rho) (row-major vec, n = d^2) maps
+    Hermitian matrices to Hermitian matrices, and K is H in the
+    coordinates of the workspace's basis, t = tvec.
+
+    Hermitian basis: a step Delta is the real vector
+    r = vec(Re Delta + Im Delta): vec Delta = T r with
+    T = ((1+i) I + (1-i) F)/2 unitary and F the permutation that
+    transposes vec, so K = T^H H T = Re H + Im(H F) is real and
+    symmetric of size d^2, entry K[(p q),(r s)] = Re H[(p q),(r s)] +
+    Im H[(p q),(s r)].
+
+    Real basis, for real u, overlaps_full and tau^-1: H is real and
+    commutes with F, and a real symmetric step has the d(d+1)/2
+    coordinates of the orthonormal basis E_pq = (e_p e_q^T + e_q e_p^T)
+    w_pq, p <= q, with w_pq = half[pq] (1/2 on the diagonal, 1/sqrt(2)
+    off it); so K[pq, rs] = tr(E_pq H(E_rs)) =
+    2 w_pq w_rs (H[(p q),(r s)] + H[(p q),(s r)]).
 
     The second derivative of -tr{sigma ln rho} in rho's eigenframe is
     sum_j u_pj conj(u_rj) conj(B_j)[q,s] + B_j[p,r] conj(u_qj) u_sj with
@@ -216,9 +307,11 @@ def _newton_hessian(
     inner dimension 2d + 1, [P, B^T, mu_curv vec rho^-1] times
     [conj B; P^H; vec(rho^-T)^T], builds both: the assembly costs O(d^5).
     The partial-transpose image of the rho^PT barrier is added to that
-    product in the slabs of work, and both terms of K are transposed views
-    of the result.  The returned matrix is work.bordered, which the next
-    call overwrites.
+    product in the slabs of work.  In the Hermitian basis both terms of K
+    are transposed views of the whole complex product; in the real basis
+    each slab's rows of the product are made in turn, in real arithmetic,
+    and gathered onto K by the slab's fold.  The returned matrix is
+    work.bordered, which the next call overwrites.
     """
     d = len(u)
     n = d * d
@@ -226,17 +319,32 @@ def _newton_hessian(
     pairs = (u[:, None, :] * u.conj()[None, :, :]).reshape(n, d)
     left = np.concatenate([pairs, frames.T, (mu_curv * rho_inv).reshape(n, 1)], axis=1)
     right = np.concatenate([frames.conj(), pairs.conj().T, rho_inv.T.reshape(1, n)], axis=0)
-    np.matmul(left, right, out=work.buf)
     scaled = mu_curv * tau_inv
-    for rows, out, target, term in work.slabs:
-        np.multiply.outer(scaled[rows], tau_inv.T, out=out)
-        target += term
-    np.add(work.re, work.im, out=work.k)
-    # the slabs overwrote the storage of the border and the corner
+    if work.folds is None:
+        np.matmul(left, right, out=work.buf)
+        for rows, out, target, term in work.slabs:
+            np.multiply.outer(scaled[rows], tau_inv.T, out=out)
+            target += term
+        np.add(work.re, work.im, out=work.k)
+    else:
+        for (rows, out, target, term), (products, product, first, second, spares, coords) in zip(
+            work.slabs, work.folds
+        ):
+            np.matmul(left[products], right, out=product)
+            np.multiply.outer(scaled[rows], tau_inv.T, out=out)
+            target += term
+            np.take(product, first, out=spares[0], mode="clip")
+            np.take(product, second, out=spares[1], mode="clip")
+            np.add(spares[0], spares[1], out=work.k[coords])
+        # 2 w_pq w_rs: 1 off the diagonal pairs, 1/sqrt(2) per diagonal pair
+        work.k[work.diag] *= math.sqrt(0.5)
+        work.k[:, work.diag] *= math.sqrt(0.5)
+    # the Hermitian basis's slabs overwrote the storage of the border and the corner
+    size = len(work.tvec)
     bordered = work.bordered
-    bordered[:n, n] = work.tvec
-    bordered[n, :n] = work.tvec
-    bordered[n, n] = 0.0
+    bordered[:size, size] = work.tvec
+    bordered[size, :size] = work.tvec
+    bordered[size, size] = 0.0
     return bordered
 
 
@@ -264,34 +372,32 @@ def _newton_step(
     of the central path, which predicts the new centre instead of
     overshooting into the cone boundary.
 
-    The trace-zero Newton system is solved in the real coordinates
-    r = vec(Re Delta + Im Delta) of _newton_hessian as one real symmetric
-    bordered system of size d^2 + 1, assembled in work, the solve's
-    _newton_workspace: T is unitary and fixes vec I, so the
-    right-hand side is -vec(Re g + Im g) for the barrier gradient g, the
-    border is vec I, and the decrement is the real dot product of the two.
-    The direction T r = (R + R^T)/2 + i (R - R^T)/2, with R the solution
-    reshaped to d x d, is Hermitian by construction.
+    The trace-zero Newton system is solved in the real coordinates of
+    work's basis (_newton_hessian) as one real bordered system, of size
+    d^2 + 1 in the Hermitian basis and d(d+1)/2 + 1 in the real one,
+    assembled in work, the solve's _newton_workspace: both bases are
+    orthonormal, so the right-hand side is minus the coordinates of the
+    barrier gradient g, the border is the coordinates of I, and the
+    decrement is the real dot product of the two.  The direction, the
+    matrix of the solution's coordinates, is Hermitian by construction.
     Assembly costs O(d^5) (_newton_hessian), the dense real solve O(d^6).
     Returns (direction, decrement); direction is None when the solve fails.
     """
-    d = len(p.w)
-    n = d * d
     if mu_curv is None:
         mu_curv = mu
     rho_inv = (p.u * (1.0 / p.w)) @ p.u.conj().T
     tau_inv = (p.v * (1.0 / p.s)) @ p.v.conj().T
     bordered = _newton_hessian(tables[1], p.u, p.overlaps, rho_inv, tau_inv, mu_curv, work)
     g_mu = grad - mu * rho_inv - mu * _partial_transpose_b(tau_inv, da, db)
-    rhs = np.zeros(n + 1)
-    rhs[:n] = -(g_mu.real + g_mu.imag).reshape(n)
+    size = len(work.tvec)
+    rhs = np.zeros(size + 1)
+    rhs[:size] = -work.coords(g_mu)
     try:
         sol = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         return None, -1.0
-    step = sol[:n].reshape(d, d)
-    direction = (0.5 + 0.5j) * step + (0.5 - 0.5j) * step.T
-    decrement = float(rhs[:n] @ sol[:n])
+    direction = work.matrix(sol[:size])
+    decrement = float(rhs[:size] @ sol[:size])
     if not np.isfinite(decrement):
         return None, -1.0
     return direction, decrement
@@ -302,7 +408,7 @@ def _start_point(sig: np.ndarray, da: int, db: int) -> np.ndarray:
     d = da * db
     edge = _ppt_edge_weight(sig, da, db)
     t = edge + (1.0 - edge) * 0.05
-    return (1.0 - t) * sig + t * (np.eye(d, dtype=complex) / d)
+    return (1.0 - t) * sig + t * (np.eye(d, dtype=sig.dtype) / d)
 
 
 def _dual_bound(
@@ -329,8 +435,12 @@ def _dual_bound(
 
 def _barrier_path(
     sig: np.ndarray, sigma_term: float, rho: np.ndarray, da: int, db: int, max_iters: int
-) -> tuple[_Point, int, float]:
+) -> tuple[_Point, int, float, tuple]:
     """Follow the logarithmic-barrier path of both cones from a strictly feasible rho.
+
+    The Newton steps run in the real basis of _newton_workspace when sig
+    and rho are real arrays, whose path stays real, and in the Hermitian
+    basis otherwise.
 
     At each barrier weight mu, damped Newton steps run until the decrement
     falls below mu/4 or no step moves; the point is then centred for mu
@@ -349,7 +459,8 @@ def _barrier_path(
     certificate of ree_ppt.  Otherwise it ends centred at _MU_FLOOR or
     after max_iters steps, where the last step's bound is taken too.
     Every bound is a valid weak-duality bound, so the best one is kept.
-    Returns the best iterate, the step count, and that best bound.
+    Returns the best iterate, the step count, that best bound, and the
+    step (p, grad, direction, mu) it was taken from.
     """
     # the closed-form start is strictly feasible by construction
     p = _point(sig, rho, sigma_term, da, db)
@@ -361,7 +472,8 @@ def _barrier_path(
     lower = -math.inf
     mu = _MU_INIT
     mu_curv = None
-    work = _newton_workspace(da, db)
+    work = _newton_workspace(da, db, real=not np.iscomplexobj(sig))
+    bounded = None
     iterations = 0
     while iterations < max_iters:
         iterations += 1
@@ -395,7 +507,9 @@ def _barrier_path(
         if (not moved) or decrement < 0.25 * mu:
             # no bound can certify before the central path's own gap 2d mu does
             if 2 * d * mu <= _GAP_TOL * _LN2:
-                lower = max(lower, _dual_bound(*last_step, da, db))
+                bound = _dual_bound(*last_step, da, db)
+                if bound > lower:
+                    lower, bounded = bound, last_step
                 last_step = None
                 if _bits(best.f) - _bits(lower) <= _GAP_TOL:
                     break
@@ -407,8 +521,10 @@ def _barrier_path(
                 mu_curv = mu
             mu = max(_MU_SHRINK * mu, _MU_FLOOR)
     if last_step is not None:
-        lower = max(lower, _dual_bound(*last_step, da, db))
-    return best, iterations, lower
+        bound = _dual_bound(*last_step, da, db)
+        if bound > lower:
+            lower, bounded = bound, last_step
+    return best, iterations, lower, bounded
 
 
 def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
@@ -418,7 +534,8 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     with I/d (_start_point) and follows the logarithmic-barrier path with
     damped Newton steps, centring at each barrier weight, until the
     certified gap closes or the weight is centred at its floor
-    (_barrier_path).
+    (_barrier_path).  A real sigma, and a pure one moved onto its real
+    Schmidt form, take real Newton steps (_solve).
 
     The reported value is in bits, evaluated at the best iterate of the
     path, the one of least value, which is the returned closest state; it is positive definite
@@ -426,40 +543,94 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     upper bound on the minimum.  The lower bound is the best weak-duality
     bound the path took from its Newton steps (_dual_bound), and
     convergence means the gap between the two is at most _GAP_TOL bits.
-    max_iters, which must be positive, bounds the Newton steps.
+    max_iters, a positive integer, bounds the Newton steps.
     """
-    if not max_iters > 0:
-        raise InputError(f"max_iters must be positive, got {max_iters!r}")
+    budget = _integral(max_iters)
+    if budget is None or budget < 1:
+        raise InputError(f"max_iters must be a positive integer, got {max_iters!r}")
     bdims = getattr(sigma, "dims", None)
     if bdims is None:
         raise ShapeError("state carries no bipartite dimensions")
-    da, db = bdims.da, bdims.db
-    d = bdims.total
-    if d > 64:
-        raise InputError(f"total dimension {d} exceeds the supported limit 64")
-
-    sig = sigma.mat
-    sigma_term = _entropy_term_nat(sigma.spectrum.eigenvalues)
-    best, iterations, lower = _barrier_path(sig, sigma_term, _start_point(sig, da, db), da, db, max_iters)
-    value_bits = _bits(best.f)
-    lower_bits = _bits(lower)
-    converged = value_bits - lower_bits <= _GAP_TOL
-    if iterations >= max_iters and not converged:
+    if bdims.total > 64:
+        raise InputError(f"total dimension {bdims.total} exceeds the supported limit 64")
+    res = _solve(sigma, budget)
+    if res.iterations >= budget and not res.converged:
         warnings.warn(
-            f"ree_ppt stopped on the iteration budget after {iterations} steps",
+            f"ree_ppt stopped on the iteration budget after {res.iterations} steps",
             ConvergenceWarning,
             stacklevel=2,
         )
+    return res
 
-    # the line search decomposed the best iterate: its eigenpairs are the state's spectrum
-    spectrum = SpectralDecomposition(best.w, best.u)
+
+def _solve(sigma: DensityMatrix, max_iters: int, hermitian: bool = False) -> ReeResult:
+    """ree_ppt of a checked sigma, with the basis chosen once; hermitian keeps the Hermitian basis.
+
+    Complex conjugation and local unitaries map the PPT set to itself.  So
+    a sigma whose imaginary part is exactly zero has a real optimum, and
+    _barrier_path solves it in real arithmetic.  A sigma of rank 1 under
+    the support rule, |psi><psi| up to eigenvalues below EIG_ZERO_TOL, is
+    W phi phi^T W^H for the real Schmidt vector phi of psi and the local
+    unitary W = L (x) V^T of the singular value decomposition
+    psi = L diag(phi) V; its path runs on phi phi^T, and the best iterate
+    and the step of the best bound are moved back (_rotated) and
+    evaluated on sigma itself, so the value and lower_bits certify sigma.
+    A real closest state is complex once returned, so the state's spectrum
+    is that of one _eigh of its matrix.
+    """
+    da, db = sigma.dims.da, sigma.dims.db
+    sig = sigma.mat
+    w = sigma.spectrum.eigenvalues
+    sigma_term = _entropy_term_nat(w)
+    problem, frame = sig, None
+    if not hermitian:
+        if np.count_nonzero(w >= EIG_ZERO_TOL) == 1:
+            psi = sigma.spectrum.eigenvectors[:, -1] * math.sqrt(w[-1])
+            left, schmidt, right = np.linalg.svd(psi.reshape(da, db))
+            phi = np.zeros((da, db))
+            phi[np.diag_indices(len(schmidt))] = schmidt
+            problem = np.outer(phi, phi)
+            # rho -> W rho W^H maps rho^PT -> W' rho^PT W'^H, W' = L (x) conj(V^T)
+            frame = (np.kron(left, right.T), np.kron(left, right.conj().T))
+        elif not sig.imag.any():
+            problem = np.ascontiguousarray(sig.real)
+    best, iterations, lower, bounded = _barrier_path(
+        problem, sigma_term, _start_point(problem, da, db), da, db, max_iters
+    )
+    if frame is not None:
+        best = _rotated(best, sig, sigma_term, frame)
+        # no step is kept when every bound was -inf or NaN
+        if bounded is not None:
+            p, _, direction, mu = bounded
+            p = _rotated(p, sig, sigma_term, frame)
+            grad = _gradient(_log_divided_differences(p.w, p.lw), p.u, p.overlaps)
+            if direction is not None:
+                direction = frame[0] @ direction @ frame[0].conj().T
+            lower = _dual_bound(p, grad, direction, mu, da, db)
+    value_bits = _bits(best.f)
+    lower_bits = _bits(lower)
+    matrix = HermitianMatrix(best.rho)
+    if problem is sig:
+        # the line search decomposed the best iterate: its eigenpairs are the state's spectrum
+        spectrum = SpectralDecomposition(best.w, best.u)
+    else:
+        spectrum = SpectralDecomposition(*_eigh(matrix.mat))
     return ReeResult(
         value_bits=value_bits,
-        closest_state=DensityMatrix._from_spectrum(HermitianMatrix(best.rho), bdims, spectrum),
+        closest_state=DensityMatrix._from_spectrum(matrix, sigma.dims, spectrum),
         iterations=iterations,
-        converged=converged,
+        converged=value_bits - lower_bits <= _GAP_TOL,
         lower_bits=lower_bits,
     )
+
+
+def _rotated(p: _Point, sig: np.ndarray, sigma_term: float, frame: tuple) -> _Point:
+    """A point of sigma's Schmidt form moved by the local unitaries (W, W') of frame and evaluated on sigma."""
+    rot, rot_pt = frame
+    u = rot @ p.u
+    overlaps = u.conj().T @ sig @ u
+    f = sigma_term - float(np.real(np.sum(np.diag(overlaps) * p.lw)))
+    return _Point(rot @ p.rho @ rot.conj().T, f, p.logdet, p.w, p.lw, u, overlaps, p.s, rot_pt @ p.v)
 
 
 def closest_state_for_pure(psi: PureState) -> DensityMatrix:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -772,3 +773,188 @@ def test_ree_tracks_oracle_on_bell_diagonal_family():
         res = ree_ppt(state)
         want = bell_diagonal_ree_oracle(raw)
         assert res.value_bits == pytest.approx(want, abs=1e-8)
+
+
+def _panel_mixed_states():
+    # the benchmark's solve panel (perfbench/panels.py, pool seed 20001),
+    # drawn the same way: 2x2 and 2x3 states of every rank, two each, then
+    # one 3x3 state per rank; rank 1 is drawn and skipped
+    for stream, shapes, size in ((1, ((2, 2), (2, 3)), 2), (2, ((3, 3),), 1)):
+        rng = np.random.default_rng([20001, stream])
+        for da, db in shapes:
+            d = da * db
+            for rank in range(1, d + 1):
+                for _ in range(size):
+                    g = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / math.sqrt(2.0)
+                    m = g @ g.conj().T
+                    if rank > 1:
+                        yield DensityMatrix(m / np.real(np.trace(m)), (da, db))
+
+
+# sha256 over value, bound, step count and closest state of every complex
+# input of rank above 1 below, frozen from the Hermitian-basis solver before
+# real inputs got their own basis
+COMPLEX_SOLVES_DIGEST = "2242c648d8d2140b939d25f9fe6ec4f8eef2ab9879e178e780f23efc99edcbef"
+
+
+def test_complex_solves_match_frozen():
+    cases = list(_panel_mixed_states())
+    cases += [random_density(8, r, 700 + r).tagged(2, 4) for r in (2, 5, 8)]
+    cases += [random_density(12, r, 710 + r).tagged(3, 4) for r in (3, 12)]
+    assert len(cases) == 29
+    digest = hashlib.sha256()
+    for sigma in cases:
+        res = ree_ppt(sigma)
+        digest.update(f"{res.value_bits!r} {res.lower_bits!r} {res.iterations}".encode())
+        digest.update(res.closest_state.mat.tobytes())
+    assert digest.hexdigest() == COMPLEX_SOLVES_DIGEST
+
+
+@pytest.mark.parametrize("budget", [True, 2.5, 0, -1])
+def test_ree_budget_must_be_a_positive_integer(budget):
+    # True ran one step and 2.5 three before the budget was validated
+    with pytest.raises(InputError):
+        ree_ppt(singlet(), max_iters=budget)
+
+
+def test_ree_budget_takes_integral_numbers():
+    with pytest.warns(ConvergenceWarning):
+        res = ree_ppt(werner(0.75), max_iters=np.int64(2))
+    assert res.iterations == 2
+    with pytest.warns(ConvergenceWarning):
+        assert ree_ppt(werner(0.75), max_iters=3.0).iterations == 3
+
+
+def _real_ginibre_state(d, rank, seed):
+    g = np.random.default_rng(seed).standard_normal((d, rank))
+    m = g @ g.T
+    return m / np.trace(m)
+
+
+def _isotropic_3x3():
+    n, f = 3, 0.7
+    phi = np.eye(n).reshape(n * n) / np.sqrt(n)
+    proj = np.outer(phi, phi)
+    return DensityMatrix(f * proj + (1.0 - f) * (np.eye(n * n) - proj) / (n * n - 1), (n, n))
+
+
+def _pure_product_4x4():
+    return tensor_bipartite(random_pure((2, 2), seed=410).density(), random_pure((2, 2), seed=411).density())
+
+
+REAL_OR_PURE_CASES = {
+    "werner-0.3": lambda: werner(0.3),
+    "werner-0.75": lambda: werner(0.75),
+    "bell-diagonal": lambda: bell_diagonal([0.6, 0.25, 0.1, 0.05]),
+    "isotropic-3x3": _isotropic_3x3,
+    "real-2x3": lambda: DensityMatrix(_real_ginibre_state(6, 6, 5), (2, 3)),
+    "real-3x3": lambda: DensityMatrix(_real_ginibre_state(9, 4, 6), (3, 3)),
+    "pure-2x2": lambda: random_pure((2, 2), seed=31).density(),
+    "pure-2x3": lambda: random_pure((2, 3), seed=32).density(),
+    "pure-3x3": lambda: random_pure((3, 3), seed=33).density(),
+    "pure-2x4": lambda: random_pure((2, 4), seed=34).density(),
+    "pure-product-4x4": _pure_product_4x4,
+}
+
+
+@pytest.mark.parametrize("make", REAL_OR_PURE_CASES.values(), ids=REAL_OR_PURE_CASES.keys())
+def test_real_basis_matches_hermitian_basis(make, monkeypatch):
+    # a real sigma, or a pure one in its real Schmidt form, takes real
+    # Newton steps and gives the Hermitian basis's answer
+    sigma = make()
+    bases = []
+    inner = solver._newton_workspace
+
+    def recorded(da, db, real=False):
+        bases.append(real)
+        return inner(da, db, real)
+
+    monkeypatch.setattr(solver, "_newton_workspace", recorded)
+    want = solver._solve(sigma, 5000, hermitian=True)
+    got = solver._solve(sigma, 5000)
+    assert bases == [False, True]
+    for res in (want, got):
+        assert res.converged
+        assert res.lower_bits <= res.value_bits
+    assert abs(got.value_bits - want.value_bits) <= 1e-12
+    assert got.closest_state.dims == sigma.dims
+
+
+def test_real_basis_closest_state_keeps_unit_trace():
+    # weight 1 on both entries of an off-diagonal coordinate, a basis that
+    # is not orthonormal, returned trace 0.999999998509 on this input
+    res = ree_ppt(random_pure((2, 2), seed=347).density())
+    state = DensityMatrix(res.closest_state.mat, (2, 2))
+    assert abs(state.matrix.trace() - 1.0) <= 1e-12
+    assert res.converged
+
+
+def _real_newton_point(da, db, seed=0):
+    # _newton_point with real states, so every factor of the step is real
+    d = da * db
+    sig = _real_ginibre_state(d, 2, 40 + d)
+    for k in itertools.count(60 + d + seed):
+        p = solver._point(sig, 0.5 * _real_ginibre_state(d, d, k) + 0.5 * np.eye(d) / d, 0.0, da, db)
+        if p is not None:
+            return sig, p
+
+
+def _symmetric_basis(d):
+    # columns: vec of the orthonormal basis E_pq, p <= q, in triu order
+    p, q = np.triu_indices(d)
+    basis = np.zeros((d, d, len(p)))
+    basis[p, q, np.arange(len(p))] = np.where(p == q, 1.0, np.sqrt(0.5))
+    basis[q, p, np.arange(len(p))] = np.where(p == q, 1.0, np.sqrt(0.5))
+    return basis.reshape(d * d, len(p))
+
+
+def test_real_basis_hessian_matches_dense_reference():
+    for da, db in NEWTON_DIMS:
+        d = da * db
+        _, p = _real_newton_point(da, db)
+        assert p.u.dtype == np.float64 and p.v.dtype == np.float64
+        rho_inv = (p.u * (1.0 / p.w)) @ p.u.T
+        tau_inv = (p.v * (1.0 / p.s)) @ p.v.T
+        dd2 = _log_divided_differences(p.w, p.lw, second=True)[1]
+        work = solver._newton_workspace(da, db, real=True)
+        bordered = solver._newton_hessian(dd2, p.u, p.overlaps, rho_inv, tau_inv, 3e-3, work)
+        basis = _symmetric_basis(d)
+        m = basis.shape[1]
+        assert bordered.shape == (m + 1, m + 1)
+        dense = _kron_newton_hessian(p.w, p.u, p.overlaps, rho_inv, tau_inv, 3e-3, da, db)
+        assert np.linalg.norm(dense.imag) <= 1e-14 * np.linalg.norm(dense)
+        want = basis.T @ dense.real @ basis
+        assert np.linalg.norm(bordered[:m, :m] - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(bordered[:m, m], basis.T @ np.eye(d).reshape(d * d))
+        assert np.array_equal(bordered[m, :m], bordered[:m, m])
+        assert bordered[m, m] == 0.0
+
+
+def test_real_basis_step_matches_hermitian_step():
+    for da, db in NEWTON_DIMS:
+        _, p = _real_newton_point(da, db)
+        tables = _log_divided_differences(p.w, p.lw, second=True)
+        grad = solver._gradient(tables[0], p.u, p.overlaps)
+        for mu_curv in (None, 6e-2):
+            args = (p, tables, grad, 3e-3, da, db)
+            direction, decrement = solver._newton_step(*args, solver._newton_workspace(da, db, real=True), mu_curv)
+            want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db), mu_curv)
+            assert direction.dtype == np.float64
+            assert np.array_equal(direction, direction.T)
+            assert np.linalg.norm(direction - want) <= 1e-12 * np.linalg.norm(want)
+            assert abs(decrement - want_decrement) <= 1e-12 * abs(want_decrement)
+            assert abs(np.trace(direction)) <= 1e-14
+
+
+def test_real_workspace_reuse_leaks_nothing():
+    for da, db in NEWTON_DIMS:
+        work = solver._newton_workspace(da, db, real=True)
+        for seed, mu_curv in ((0, None), (100, 6e-2), (0, None)):
+            _, p = _real_newton_point(da, db, seed)
+            tables = _log_divided_differences(p.w, p.lw, second=True)
+            grad = solver._gradient(tables[0], p.u, p.overlaps)
+            args = (p, tables, grad, 3e-3, da, db)
+            direction, decrement = solver._newton_step(*args, work, mu_curv)
+            want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db, real=True), mu_curv)
+            assert np.array_equal(direction, want)
+            assert decrement == want_decrement

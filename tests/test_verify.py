@@ -77,18 +77,18 @@ FROZEN_REPORT_DIGESTS = {
     ("monotone", 30, 7, (2, 2)): "85078f2e38855a8fbd49d2967cf4d52c941944c64c5ae733627a1b436eef805c",
     ("monotone", 30, 7, (2, 3)): "4337e06d87c859c4d9fb0415d1972681fbdc19a322a3d739504fe542fb2b809d",
     # each record carries the solve's value, iterations and lower-bound margin
-    ("lemma2", 8, 7, (2, 2)): "ee4adbb70242da19a39a96bb01715b9436b443162b2c14cf80a52593b6b39003",
-    ("lemma2", 4, 7, (2, 3)): "db0b99cd27660934669694d9948b031062bd7c15f33f53ebf6e4599efa6815ff",
+    ("lemma2", 8, 7, (2, 2)): "bcc9bd26f43e987b145c3198c3ac6a4e6711e93ef0df6151a0b1decdc64ceb18",
+    ("lemma2", 4, 7, (2, 3)): "e53867b7aab8c5706b44fe46cc81510a55795ed5cbb745735fc62aca693482dd",
     # every trial saturates the lemma 2 bound, so each record carries the
     # reduction distance of the closest state
-    ("lemma4", 4, 7, (2, 2)): "7ec2a21a28ad2177501f7fe00477e1da8e7e4da2c834ded7578588ee86668ed0",
+    ("lemma4", 4, 7, (2, 2)): "6246e8d3eec57082b10c9490fc94dc794a975497ce0e32154e12b0650f5ac9c8",
     # at 2x3 S(sigma_A) = S(sigma_B), so both reductions are measured
-    ("lemma4", 3, 7, (2, 3)): "7492e982d664e68019ae6a0cfb118faa4af3b05fe5013757e2acabef2b32e3b0",
-    ("corollary1", 3, 7, (2, 2)): "0eb1607168f7ccd1e5ea274e7818b8bef722adf0f70af930be8bfc5a391b68f4",
-    ("corollary1", 2, 7, (2, 3)): "8936e58feec224a97e852b3fa9ca2f33874fec762f23f1b6c8c229601b037090",
+    ("lemma4", 3, 7, (2, 3)): "fe76a963a6039a84ac5704a0ad2502849555971586a37b6562e5a1b8edf6f055",
+    ("corollary1", 3, 7, (2, 2)): "43a67966e1bbe57e54e234d435a656446aa6732a26975c7dcfbe1d5c50b49ef4",
+    ("corollary1", 2, 7, (2, 3)): "72070020cf0cce22c45fe3e59c5c21e49137b0b2f6f80a3d0b1316ce0ab0c536",
     # one trial: three solves, the product one at 4x4
-    ("corollary2", 1, 7, (2, 2)): "79ea51d9f399524b1564155d66ffee52f84b8890580ce50155293113c0ad35c6",
-    ("lemma3", 4, 7, (2, 2)): "d77838ef05c15d5392e40f95aab36bfead1016be87ff7904444f0849391bb6f4",
+    ("corollary2", 1, 7, (2, 2)): "9883698ea40890c43d83d6402c5c98671331b6a2ac0fd2cf5a6276225210f484",
+    ("lemma3", 4, 7, (2, 2)): "3b920f52c819a2a1c798398a0e7c479626e57333eee688dd9437013d3b9386df",
     ("theorem1", 20, 7, (2, 4)): "b17bc22433f26ed233024dca4355127a1d91c69504b4c7d6fe65a31ae34f3f48",
 }
 

@@ -1,12 +1,16 @@
 """Time d = 64 Newton steps and check the peak memory of the process.
 
-Runs ree_ppt with a budget of a few Newton steps on the 4x16 product of
-random_pure((2, 4), 1) and random_pure((2, 4), 2), times each call of
-_newton_step, and reads the peak resident set size of the process
-(ru_maxrss, in KiB on Linux).  Exits with status 1 when the peak exceeds
---max-rss-mb.  Run it in a fresh process, from the repository root:
+Runs ree_ppt with a budget of a few Newton steps on a 4x16 state, times
+each call of _newton_step, and reads the peak resident set size of the
+process (ru_maxrss, in KiB on Linux).  Exits with status 1 when the peak
+exceeds --max-rss-mb.  --input pure (the default) takes the product of
+random_pure((2, 4), 1) and random_pure((2, 4), 2), which the solver moves
+onto its real Schmidt form and solves in the real basis; --input complex
+takes random_density(64, 4, 1), a complex state of rank 4, which keeps the
+Hermitian basis.  Run each in a fresh process, from the repository root:
 
-    PYTHONPATH=src python3 tools/newton_step_probe.py --max-iters 3 --max-rss-mb 800
+    PYTHONPATH=src python3 tools/newton_step_probe.py --input pure --max-iters 2 --max-rss-mb 311
+    PYTHONPATH=src python3 tools/newton_step_probe.py --input complex --max-iters 2 --max-rss-mb 700
 """
 
 from __future__ import annotations
@@ -19,16 +23,20 @@ from time import perf_counter
 
 from reelab import solver
 from reelab.errors import ConvergenceWarning
-from reelab.states import random_pure, tensor_bipartite
+from reelab.states import random_density, random_pure, tensor_bipartite
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--input", choices=("pure", "complex"), default="pure", help="the 4x16 state to solve")
     parser.add_argument("--max-iters", type=int, default=3, help="Newton steps to take")
     parser.add_argument("--max-rss-mb", type=float, default=800.0, help="fail above this peak RSS")
     args = parser.parse_args()
 
-    sigma = tensor_bipartite(random_pure((2, 4), 1).density(), random_pure((2, 4), 2).density())
+    if args.input == "pure":
+        sigma = tensor_bipartite(random_pure((2, 4), 1).density(), random_pure((2, 4), 2).density())
+    else:
+        sigma = random_density(64, 4, 1).tagged(4, 16)
     times = []
     inner = solver._newton_step
 
@@ -44,7 +52,7 @@ def main() -> int:
         solver.ree_ppt(sigma, max_iters=args.max_iters)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     dims = sigma.dims
-    print(f"dims {dims.da}x{dims.db}: steps " + ", ".join(f"{t:.2f} s" for t in times))
+    print(f"{args.input} {dims.da}x{dims.db}: steps " + ", ".join(f"{t:.2f} s" for t in times))
     print(f"peak RSS {peak_mb:.0f} MB (limit {args.max_rss_mb:.0f} MB)")
     return 0 if peak_mb <= args.max_rss_mb else 1
 
