@@ -232,13 +232,19 @@ def _newton_workspace(da: int, db: int, real: bool = False) -> _Workspace:
         quad = buf.reshape(d, d, d, d)
         re, im = quad.real.transpose(0, 2, 1, 3), quad.imag.transpose(0, 2, 3, 1)
         return _Workspace(buf, slabs, bordered, bordered[:n, :n].reshape(d, d, d, d), np.eye(d).reshape(n), re, im)
-    tri = np.triu_indices(d)
-    p, q = tri
+    index = np.arange(d)
+    p, q = tri = np.nonzero(index[:, None] <= index)
     m = len(p)
     # the coordinates of the A blocks start..stop are the pairs of the
-    # rows p of those blocks, which lie together in triu order
-    bounds = np.searchsorted(p, [start * db for start in starts] + [n])
-    store = np.empty(max(height * block, 2 * int(np.max(np.diff(bounds))) * m))
+    # rows p of those blocks, which lie together in triu order: the pairs
+    # with p < r number r d - r (r - 1)/2
+    bounds = [r * d - r * (r - 1) // 2 for r in [start * db for start in starts] + [d]]
+    store = np.empty(max(height * block, 2 * max(hi - lo for lo, hi in zip(bounds, bounds[1:])) * m))
+    # product[(p r),(q s)] = H[(p q),(r s)] for the slab's rows p, at the
+    # flat index (p - p0) d n + q d + r n + s: a part for the row (p, q) of
+    # K and one for its column (r, s), or s n + r for H[(p q),(s r)]
+    cols = p * n + q
+    swapped = q * n + p
     buf = np.empty(height * block)
     slabs, folds = [], []
     for start, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
@@ -248,9 +254,8 @@ def _newton_workspace(da: int, db: int, real: bool = False) -> _Workspace:
         product = buf[: rows * d**3].reshape(rows * d, n)
         target = product.reshape((stop - start, db) + (da, db) * 3)
         slabs.append((slice(start * db, stop * db), out, target, _pt_view(out, da, db)))
-        # product[(p r),(q s)] = H[(p q),(r s)] for the slab's rows p
-        first = ((p[lo:hi, None] - start * db) * d + p) * n + q[lo:hi, None] * d + q
-        second = ((p[lo:hi, None] - start * db) * d + q) * n + q[lo:hi, None] * d + p
+        offsets = ((p[lo:hi] - start * db) * d * n + q[lo:hi] * d)[:, None]
+        first, second = offsets + cols, offsets + swapped
         spares = store[: 2 * (hi - lo) * m].reshape(2, hi - lo, m)
         folds.append((slice(start * db * d, stop * db * d), product, first, second, spares, slice(lo, hi)))
     bordered = np.empty((m + 1, m + 1))
