@@ -23,18 +23,26 @@ no imaginary part has a real optimum and a real path (Vollbrecht &
 Werner, PRA 64, 062307 (2001)); its steps are real symmetric, with the
 d(d+1)/2 coordinates of an orthonormal symmetric basis, and eigh, the
 fused product and the bordered solve of size d(d+1)/2 + 1 all run in
-real arithmetic.  A local unitary maps the PPT set to itself too, so a
-pure sigma is solved in its real Schmidt form and the answer rotated
-back.  The best iterate,
-the one of least value, gives an upper bound; a Newton step, read as a
-primal-dual estimate of the PPT multiplier, gives a weak-duality lower
-bound (Boyd & Vandenberghe, 5.9 and 11.7), and the gap between the best
-value and the best bound certifies the solve.  The path stops once that gap is within
-_GAP_TOL; bounds are taken only at centred points whose central-path gap
-2d mu, for barrier degree 2d (11.2.2), is already within it, since no
-earlier bound can certify.  Every tolerance is a module constant; callers
-set only the iteration budget.  Internals work on raw ndarrays in
-natural-log units; results are converted to bits at the boundary.
+real arithmetic.  The best iterate, the one of least value, gives an
+upper bound; a Newton step, read as a primal-dual estimate of the PPT
+multiplier, gives a weak-duality lower bound (Boyd & Vandenberghe, 5.9
+and 11.7), and the gap between the best value and the best bound
+certifies the solve.  The path stops once that gap is within _GAP_TOL;
+bounds are taken only at centred points whose central-path gap 2d mu,
+for barrier degree 2d (11.2.2), is already within it, since no earlier
+bound can certify.
+
+Two inputs skip the path.  The paper's bound
+S(sigma||rho) >= S(sigma_A) - S(sigma) is attained on a pure sigma by
+its state dephased in the Schmidt basis (Vedral & Plenio, PRA 57, 1619
+(1998); Rains, PRA 60, 179 (1999)), and a PPT sigma has REE 0 at
+rho = sigma.  Each answer, blended with a little of I/d so that it is
+strictly feasible, is certified by the same weak-duality bound with a
+multiplier written in closed form, and returned after 0 Newton steps; an
+answer the bound does not certify goes to the path.  Every tolerance is
+a module constant; callers set only the iteration budget.  Internals
+work on raw ndarrays in natural-log units; results are converted to bits
+at the boundary.
 """
 
 from __future__ import annotations
@@ -142,6 +150,9 @@ _DECREMENT_FLOOR = 1e-14
 _ARMIJO_SLOPE = 1e-4
 # a solve has converged when its certified gap, in bits, is at most this
 _GAP_TOL = 1e-9
+# weight of I/d in the closed-form answers: it keeps rho and rho^PT
+# positive definite, at a cost of at most about _BLEND nats in value
+_BLEND = 1e-11
 
 
 # bytes per row slab of the rho^PT term in _newton_hessian, at least one
@@ -408,31 +419,37 @@ def _newton_step(
     return direction, decrement
 
 
-def _start_point(sig: np.ndarray, da: int, db: int) -> np.ndarray:
-    """The mix (1 - t) sigma + t I/d 5% of the way from the PPT edge t* to I/d, inside both cones."""
-    d = da * db
-    edge = _ppt_edge_weight(sig, da, db)
+def _start_point(sig: np.ndarray, edge: float) -> np.ndarray:
+    """The mix (1 - t) sigma + t I/d 5% of the way from sigma's PPT edge weight edge to I/d, inside both cones."""
+    d = len(sig)
     t = edge + (1.0 - edge) * 0.05
     return (1.0 - t) * sig + t * (np.eye(d, dtype=sig.dtype) / d)
 
 
-def _dual_bound(
-    p: _Point, grad: np.ndarray, direction: np.ndarray | None, mu: float, da: int, db: int
-) -> float:
-    """Weak-duality lower bound, in nats, on f over the PPT states.
+def _path_bound(p: _Point, grad: np.ndarray, direction: np.ndarray | None, mu: float, da: int, db: int) -> float:
+    """_dual_bound at a Newton step's point, with the step's estimate of the PPT multiplier.
 
-    By convexity, for any B >= 0 and PPT state x with tr x = 1,
-    f(x) >= f(rho) + <G, x - rho> - <B^PT, x> >= f(rho) - <G, rho> + lam_min(G - B^PT),
-    with G = grad at rho = p.rho.  B is the Newton step's estimate of the PPT
-    multiplier, [mu tau^-1 - mu tau^-1 direction^PT tau^-1]_+ with tau = rho^PT
-    of eigenpairs (p.s, p.v), or 0 when the step failed.  d eps ||G - B^PT||_F
-    is subtracted for the rounding of lam_min.
+    The estimate is [mu tau^-1 - mu tau^-1 direction^PT tau^-1]_+, with
+    tau = rho^PT of eigenpairs (p.s, p.v), the primal-dual reading of the
+    step, or 0 when the step failed.
     """
-    dual = grad
+    mult = None
     if direction is not None:
         tau_inv = (p.v * (1.0 / p.s)) @ p.v.conj().T
         w_mult, q = _eigh(mu * tau_inv - mu * (tau_inv @ _partial_transpose_b(direction, da, db) @ tau_inv))
-        dual = grad - _partial_transpose_b((q * np.clip(w_mult, 0.0, None)) @ q.conj().T, da, db)
+        mult = (q * np.clip(w_mult, 0.0, None)) @ q.conj().T
+    return _dual_bound(p, grad, mult, da, db)
+
+
+def _dual_bound(p: _Point, grad: np.ndarray, mult: np.ndarray | None, da: int, db: int) -> float:
+    """Weak-duality lower bound, in nats, on f over the PPT states, from a multiplier mult >= 0.
+
+    By convexity, for any B >= 0 and PPT state x with tr x = 1,
+    f(x) >= f(rho) + <G, x - rho> - <B^PT, x> >= f(rho) - <G, rho> + lam_min(G - B^PT),
+    with G = grad at rho = p.rho and B = mult, or 0 when mult is None.
+    d eps ||G - B^PT||_F is subtracted for the rounding of lam_min.
+    """
+    dual = grad if mult is None else grad - _partial_transpose_b(mult, da, db)
     lam = float(_eigh(dual)[0][0])
     slack = da * db * float(np.finfo(float).eps * np.linalg.norm(dual))
     return p.f - float(np.real(np.vdot(grad, p.rho))) + lam - slack
@@ -440,7 +457,7 @@ def _dual_bound(
 
 def _barrier_path(
     sig: np.ndarray, sigma_term: float, rho: np.ndarray, da: int, db: int, max_iters: int
-) -> tuple[_Point, int, float, tuple]:
+) -> tuple[_Point, int, float]:
     """Follow the logarithmic-barrier path of both cones from a strictly feasible rho.
 
     The Newton steps run in the real basis of _newton_workspace when sig
@@ -459,13 +476,12 @@ def _barrier_path(
 
     The best iterate is the one of least objective value.  At a centred
     point whose central-path gap 2d mu is at most _GAP_TOL (in nats),
-    _dual_bound of its last Newton step is taken, and the path stops once
-    the best value and the best bound so far are within _GAP_TOL bits: the
-    certificate of ree_ppt.  Otherwise it ends centred at _MU_FLOOR or
-    after max_iters steps, where the last step's bound is taken too.
-    Every bound is a valid weak-duality bound, so the best one is kept.
-    Returns the best iterate, the step count, that best bound, and the
-    step (p, grad, direction, mu) it was taken from.
+    the _path_bound of its last Newton step is taken, and the
+    path stops once the best value and the best bound so far are within
+    _GAP_TOL bits: the certificate of ree_ppt.  Otherwise it ends centred
+    at _MU_FLOOR or after max_iters steps, where the last step's bound is
+    taken too.  Every bound is a valid weak-duality bound, so the best one
+    is kept.  Returns the best iterate, the step count and that best bound.
     """
     # the closed-form start is strictly feasible by construction
     p = _point(sig, rho, sigma_term, da, db)
@@ -478,7 +494,6 @@ def _barrier_path(
     mu = _MU_INIT
     mu_curv = None
     work = _newton_workspace(da, db, real=not np.iscomplexobj(sig))
-    bounded = None
     iterations = 0
     while iterations < max_iters:
         iterations += 1
@@ -512,9 +527,7 @@ def _barrier_path(
         if (not moved) or decrement < 0.25 * mu:
             # no bound can certify before the central path's own gap 2d mu does
             if 2 * d * mu <= _GAP_TOL * _LN2:
-                bound = _dual_bound(*last_step, da, db)
-                if bound > lower:
-                    lower, bounded = bound, last_step
+                lower = max(lower, _path_bound(*last_step, da, db))
                 last_step = None
                 if _bits(best.f) - _bits(lower) <= _GAP_TOL:
                     break
@@ -526,29 +539,31 @@ def _barrier_path(
                 mu_curv = mu
             mu = max(_MU_SHRINK * mu, _MU_FLOOR)
     if last_step is not None:
-        bound = _dual_bound(*last_step, da, db)
-        if bound > lower:
-            lower, bounded = bound, last_step
-    return best, iterations, lower, bounded
+        lower = max(lower, _path_bound(*last_step, da, db))
+    return best, iterations, lower
 
 
 def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     """Minimize S(sigma||rho) over PPT density matrices rho.
 
-    The solve starts at the closed-form strictly feasible mix of sigma
+    A pure or PPT sigma is first answered in closed form (_solve): its
+    dephased Schmidt state, or sigma itself, each blended with _BLEND of
+    I/d, is returned with iterations = 0 when a weak-duality bound
+    certifies it.  Every other sigma, and one whose closed form does not
+    certify, starts at the closed-form strictly feasible mix of sigma
     with I/d (_start_point) and follows the logarithmic-barrier path with
     damped Newton steps, centring at each barrier weight, until the
     certified gap closes or the weight is centred at its floor
-    (_barrier_path).  A real sigma, and a pure one moved onto its real
-    Schmidt form, take real Newton steps (_solve).
+    (_barrier_path); a real sigma takes real Newton steps.
 
-    The reported value is in bits, evaluated at the best iterate of the
-    path, the one of least value, which is the returned closest state; it is positive definite
-    with a positive definite partial transpose, so the value is always an
-    upper bound on the minimum.  The lower bound is the best weak-duality
-    bound the path took from its Newton steps (_dual_bound), and
-    convergence means the gap between the two is at most _GAP_TOL bits.
-    max_iters, a positive integer, bounds the Newton steps.
+    The reported value is in bits, evaluated on sigma at the returned
+    closest state: the closed form, or the best iterate of the path, the
+    one of least value.  That state is positive definite with a positive
+    definite partial transpose, so the value is always an upper bound on
+    the minimum.  The lower bound is the best weak-duality bound taken
+    (_dual_bound), and convergence means the gap between the two is at
+    most _GAP_TOL bits.  max_iters, a positive integer, bounds the Newton
+    steps.
     """
     budget = _integral(max_iters)
     if budget is None or budget < 1:
@@ -569,54 +584,53 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
 
 
 def _solve(sigma: DensityMatrix, max_iters: int, hermitian: bool = False) -> ReeResult:
-    """ree_ppt of a checked sigma, with the basis chosen once; hermitian keeps the Hermitian basis.
+    """ree_ppt of a checked sigma; hermitian skips the closed forms and keeps the Hermitian basis.
 
-    Complex conjugation and local unitaries map the PPT set to itself.  So
-    a sigma whose imaginary part is exactly zero has a real optimum, and
-    _barrier_path solves it in real arithmetic.  A sigma of rank 1 under
-    the support rule, |psi><psi| up to eigenvalues below EIG_ZERO_TOL, is
-    W phi phi^T W^H for the real Schmidt vector phi of psi and the local
-    unitary W = L (x) V^T of the singular value decomposition
-    psi = L diag(phi) V; its path runs on phi phi^T, and the best iterate
-    and the step of the best bound are moved back (_rotated) and
-    evaluated on sigma itself, so the value and lower_bits certify sigma.
-    A real closest state is complex once returned, so the state's spectrum
-    is that of one _eigh of its matrix.
+    Two inputs have a closed-form answer, blended with t = _BLEND of I/d:
+    - a sigma of rank 1 under the support rule, |psi><psi| up to
+      eigenvalues below EIG_ZERO_TOL, whose dephased Schmidt state attains
+      S(sigma_A) (_dephased);
+    - a sigma whose PPT edge weight t* (_ppt_edge_weight) is at most t,
+      with (1 - t* - t) sigma + (t* + t) I/d, where B = 0.
+    The candidate is evaluated on sigma itself and returned with
+    iterations = 0 when its value and _dual_bound, with the candidate's
+    multiplier B, are within _GAP_TOL bits.  Neither bound rests on the
+    paper's lemmas, so the verify suites stay independent checks.
+
+    Otherwise the barrier path runs on sigma from _start_point, reusing
+    t*.  Complex conjugation maps the PPT set to itself, so a sigma whose
+    imaginary part is exactly zero has a real optimum, and _barrier_path
+    solves it in real arithmetic; a real closest state is complex once
+    returned, so the state's spectrum is that of one _eigh of its matrix.
     """
     da, db = sigma.dims.da, sigma.dims.db
+    d = da * db
     sig = sigma.mat
     w = sigma.spectrum.eigenvalues
     sigma_term = _entropy_term_nat(w)
-    problem, frame = sig, None
-    if not hermitian:
-        if np.count_nonzero(w >= EIG_ZERO_TOL) == 1:
-            psi = sigma.spectrum.eigenvectors[:, -1] * math.sqrt(w[-1])
-            left, schmidt, right = np.linalg.svd(psi.reshape(da, db))
-            phi = np.zeros((da, db))
-            phi[np.diag_indices(len(schmidt))] = schmidt
-            problem = np.outer(phi, phi)
-            # rho -> W rho W^H maps rho^PT -> W' rho^PT W'^H, W' = L (x) conj(V^T)
-            frame = (np.kron(left, right.T), np.kron(left, right.conj().T))
-        elif not sig.imag.any():
-            problem = np.ascontiguousarray(sig.real)
-    best, iterations, lower, bounded = _barrier_path(
-        problem, sigma_term, _start_point(problem, da, db), da, db, max_iters
-    )
-    if frame is not None:
-        best = _rotated(best, sig, sigma_term, frame)
-        # no step is kept when every bound was -inf or NaN
-        if bounded is not None:
-            p, _, direction, mu = bounded
-            p = _rotated(p, sig, sigma_term, frame)
-            grad = _gradient(_log_divided_differences(p.w, p.lw), p.u, p.overlaps)
-            if direction is not None:
-                direction = frame[0] @ direction @ frame[0].conj().T
-            lower = _dual_bound(p, grad, direction, mu, da, db)
+    problem = sig if hermitian or sig.imag.any() else np.ascontiguousarray(sig.real)
+    pure = not hermitian and np.count_nonzero(w >= EIG_ZERO_TOL) == 1
+    edge = None if pure else _ppt_edge_weight(problem, da, db)
+    candidate, best = None, None
+    if pure:
+        candidate, mult = _dephased(sigma.spectrum, da, db)
+    elif not hermitian and edge <= _BLEND:
+        candidate, mult = (1.0 - edge - _BLEND) * sig + (edge + _BLEND) * (np.eye(d) / d), None
+    if candidate is not None:
+        p = _point(sig, HermitianMatrix(candidate).mat, sigma_term, da, db)
+        if p is not None:
+            lower = _dual_bound(p, _gradient(_log_divided_differences(p.w, p.lw), p.u, p.overlaps), mult, da, db)
+            if _bits(p.f) - _bits(lower) <= _GAP_TOL:
+                best, iterations = p, 0
+    if best is None:
+        if edge is None:
+            edge = _ppt_edge_weight(problem, da, db)
+        best, iterations, lower = _barrier_path(problem, sigma_term, _start_point(problem, edge), da, db, max_iters)
     value_bits = _bits(best.f)
     lower_bits = _bits(lower)
     matrix = HermitianMatrix(best.rho)
-    if problem is sig:
-        # the line search decomposed the best iterate: its eigenpairs are the state's spectrum
+    if np.iscomplexobj(best.rho):
+        # _point decomposed the Hermitian best.rho: its eigenpairs are the state's spectrum
         spectrum = SpectralDecomposition(best.w, best.u)
     else:
         spectrum = SpectralDecomposition(*_eigh(matrix.mat))
@@ -629,13 +643,40 @@ def _solve(sigma: DensityMatrix, max_iters: int, hermitian: bool = False) -> Ree
     )
 
 
-def _rotated(p: _Point, sig: np.ndarray, sigma_term: float, frame: tuple) -> _Point:
-    """A point of sigma's Schmidt form moved by the local unitaries (W, W') of frame and evaluated on sigma."""
-    rot, rot_pt = frame
-    u = rot @ p.u
-    overlaps = u.conj().T @ sig @ u
-    f = sigma_term - float(np.real(np.sum(np.diag(overlaps) * p.lw)))
-    return _Point(rot @ p.rho @ rot.conj().T, f, p.logdet, p.w, p.lw, u, overlaps, p.s, rot_pt @ p.v)
+def _dephased(spectrum: SpectralDecomposition, da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form answer for a pure sigma, blended with I/d, and the PPT multiplier that certifies it.
+
+    psi, the eigenvector of sigma's largest eigenvalue, is L diag(sqrt(lam)) Vh
+    by singular value decomposition, with product vectors |a_i b_i> = L e_i
+    (x) Vh^T e_i.  The state is rho = (1 - t) sum_i lam_i |a_i b_i><a_i b_i| +
+    t I/d, t = _BLEND, whose eigenvalues on those vectors are lam' =
+    (1 - t) lam + t/d (Vedral & Plenio, PRA 57, 1619 (1998)).  The
+    multiplier is B = W' M W'^H, with W' = L (x) conj(Vh^T) and, for
+    i != k, M[(i k),(i k)] = |c_ik| and M[(i k),(k i)] = c_ik, where
+    c_ik = -sqrt(lam_i lam_k) L(lam'_i, lam'_k) and L is ln's first divided
+    difference: each pair of entries is a block |c|[[1, -1], [-1, 1]], so
+    B >= 0.  In the frame W = L (x) Vh^T, B^PT = W M^PT W^H cancels the
+    gradient's entries between |a_i b_i> and |a_k b_k>, so G - B^PT is
+    diagonal there, with least entry -1/(1 - t) at worst (the logarithmic
+    mean exceeds the geometric one), and the bound falls short of the
+    value by about t.
+    """
+    d = da * db
+    left, schmidt, right = np.linalg.svd(spectrum.eigenvectors[:, -1].reshape(da, db))
+    lam = schmidt * schmidt
+    r = len(lam)
+    lam_blend = (1.0 - _BLEND) * lam + _BLEND / d
+    c = -np.sqrt(np.outer(lam, lam)) * _log_divided_differences(lam_blend)
+    np.fill_diagonal(c, 0.0)
+    i, k = np.indices((r, r))
+    ik, ki = (i * db + k).ravel(), (k * db + i).ravel()
+    m = np.zeros((d, d))
+    m[ik, ik] = np.abs(c).ravel()
+    m[ik, ki] = c.ravel()
+    frame_pt = np.kron(left, right.conj().T)
+    pairs = (left[:, None, :r] * right[:r].T[None, :, :]).reshape(d, r)
+    rho = (1.0 - _BLEND) * ((pairs * lam) @ pairs.conj().T) + _BLEND * (np.eye(d) / d)
+    return rho, frame_pt @ m @ frame_pt.conj().T
 
 
 def closest_state_for_pure(psi: PureState) -> DensityMatrix:

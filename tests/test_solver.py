@@ -128,9 +128,9 @@ def test_ree_respects_lemma2_bound():
 
 def test_ree_reported_value_monotone_in_budget():
     # prefix runs: allowing more iterations can only improve the reported
-    # value, which tracks the best feasible iterate
-    psi = pure_from_schmidt([np.sqrt(0.9), np.sqrt(0.1)], (2, 2))
-    sigma = psi.density()
+    # value, which tracks the best feasible iterate; an entangled mixed
+    # input, since pure ones are answered in closed form
+    sigma = random_density(4, 2, 0).tagged(2, 2)
     previous = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
@@ -141,9 +141,8 @@ def test_ree_reported_value_monotone_in_budget():
 
 
 def test_ree_budget_exhaustion_flagged():
-    psi = pure_from_schmidt([np.sqrt(0.9), np.sqrt(0.1)], (2, 2))
     with pytest.warns(ConvergenceWarning):
-        res = ree_ppt(psi.density(), max_iters=3)
+        res = ree_ppt(random_density(4, 2, 0).tagged(2, 2), max_iters=3)
     assert not res.converged
     assert res.iterations == 3
 
@@ -311,7 +310,8 @@ def _lemma2_trial_sigma(seed, trial, dims):
 
 def test_ree_value_is_least_over_the_path(monkeypatch):
     # the reported value is the strict minimum over the iterates: no
-    # later iterate within rounding of it replaces it
+    # later iterate within rounding of it replaces it.  werner(0.3) is PPT,
+    # so it takes the path only in the Hermitian basis without closed forms
     values = []
     inner = solver._newton_step
 
@@ -320,9 +320,12 @@ def test_ree_value_is_least_over_the_path(monkeypatch):
         return inner(p, *rest, **kwargs)
 
     monkeypatch.setattr(solver, "_newton_step", recorded)
-    for sigma in (_lemma2_trial_sigma(7, 5, BipartiteDims(2, 2)), werner(0.3)):
+    for sigma, solve in (
+        (_lemma2_trial_sigma(7, 5, BipartiteDims(2, 2)), ree_ppt),
+        (werner(0.3), lambda sigma: solver._solve(sigma, 5000, hermitian=True)),
+    ):
         values.clear()
-        res = ree_ppt(sigma)
+        res = solve(sigma)
         assert values
         assert all(res.value_bits <= solver._bits(f) for f in values)
 
@@ -534,8 +537,8 @@ def test_neg_log_dd2_pairs_degenerate_by_their_own_scale():
 def test_ree_4x4_pure_product(monkeypatch):
     # REE is additive on pure states: psi1 (x) psi2, regrouped to
     # (A1 A2)|(B1 B2) as in corollary2, has the sum of the two reduced
-    # entropies; the barrier path stops on its certificate about 5.4e-10
-    # bits above it
+    # entropies; the barrier path stopped on its certificate about 5.4e-10
+    # bits above it, and the closed form lands within 1.1e-11 bits
     calls = 0
     inner = solver._newton_step
 
@@ -793,7 +796,8 @@ def _panel_mixed_states():
 
 # sha256 over value, bound, step count and closest state of every complex
 # input of rank above 1 below, frozen from the Hermitian-basis solver before
-# real inputs got their own basis
+# real inputs got their own basis.  Two of them (2x2, rank 4) are PPT, so
+# all are solved on the path without closed forms, as they were then
 COMPLEX_SOLVES_DIGEST = "2242c648d8d2140b939d25f9fe6ec4f8eef2ab9879e178e780f23efc99edcbef"
 
 
@@ -804,7 +808,7 @@ def test_complex_solves_match_frozen():
     assert len(cases) == 29
     digest = hashlib.sha256()
     for sigma in cases:
-        res = ree_ppt(sigma)
+        res = solver._solve(sigma, 5000, hermitian=True)
         digest.update(f"{res.value_bits!r} {res.lower_bits!r} {res.iterations}".encode())
         digest.update(res.closest_state.mat.tobytes())
     assert digest.hexdigest() == COMPLEX_SOLVES_DIGEST
@@ -842,25 +846,19 @@ def _pure_product_4x4():
     return tensor_bipartite(random_pure((2, 2), seed=410).density(), random_pure((2, 2), seed=411).density())
 
 
-REAL_OR_PURE_CASES = {
-    "werner-0.3": lambda: werner(0.3),
+REAL_ENTANGLED_CASES = {
     "werner-0.75": lambda: werner(0.75),
     "bell-diagonal": lambda: bell_diagonal([0.6, 0.25, 0.1, 0.05]),
     "isotropic-3x3": _isotropic_3x3,
     "real-2x3": lambda: DensityMatrix(_real_ginibre_state(6, 6, 5), (2, 3)),
     "real-3x3": lambda: DensityMatrix(_real_ginibre_state(9, 4, 6), (3, 3)),
-    "pure-2x2": lambda: random_pure((2, 2), seed=31).density(),
-    "pure-2x3": lambda: random_pure((2, 3), seed=32).density(),
-    "pure-3x3": lambda: random_pure((3, 3), seed=33).density(),
-    "pure-2x4": lambda: random_pure((2, 4), seed=34).density(),
-    "pure-product-4x4": _pure_product_4x4,
 }
 
 
-@pytest.mark.parametrize("make", REAL_OR_PURE_CASES.values(), ids=REAL_OR_PURE_CASES.keys())
+@pytest.mark.parametrize("make", REAL_ENTANGLED_CASES.values(), ids=REAL_ENTANGLED_CASES.keys())
 def test_real_basis_matches_hermitian_basis(make, monkeypatch):
-    # a real sigma, or a pure one in its real Schmidt form, takes real
-    # Newton steps and gives the Hermitian basis's answer
+    # a real entangled sigma takes real Newton steps and gives the
+    # Hermitian basis's answer
     sigma = make()
     bases = []
     inner = solver._newton_workspace
@@ -882,8 +880,11 @@ def test_real_basis_matches_hermitian_basis(make, monkeypatch):
 
 def test_real_basis_closest_state_keeps_unit_trace():
     # weight 1 on both entries of an off-diagonal coordinate, a basis that
-    # is not orthonormal, returned trace 0.999999998509 on this input
-    res = ree_ppt(random_pure((2, 2), seed=347).density())
+    # is not orthonormal, returned trace 0.999999998509 on a pure input
+    # that took the real basis, and leaves this real entangled one
+    # unconverged after 5000 steps
+    res = ree_ppt(DensityMatrix(_real_ginibre_state(4, 2, 300), (2, 2)))
+    assert res.iterations > 0
     state = DensityMatrix(res.closest_state.mat, (2, 2))
     assert abs(state.matrix.trace() - 1.0) <= 1e-12
     assert res.converged
@@ -958,3 +959,97 @@ def test_real_workspace_reuse_leaks_nothing():
             want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db, real=True), mu_curv)
             assert np.array_equal(direction, want)
             assert decrement == want_decrement
+
+
+def _product_2x3():
+    rng = np.random.default_rng(37)
+    a, b = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (2, 3))
+    return PureState(np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)), (2, 3)).density()
+
+
+def _separable_rank2():
+    # |00><00| and |1+><1+|, equally weighted
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    vecs = (np.kron([1.0, 0.0], [1.0, 0.0]), np.kron([0.0, 1.0], plus))
+    return DensityMatrix(sum(0.5 * np.outer(v, v) for v in vecs), (2, 2))
+
+
+def _near_pure_2x3():
+    # psi psi^H plus an orthogonal admixture of weight 5e-13, below the
+    # support rule's EIG_ZERO_TOL: rank 1, but the admixture lies on the
+    # closed form's smallest eigenvalue _BLEND/d and spoils its bound
+    psi = random_pure((2, 3), seed=36).amplitudes
+    rng = np.random.default_rng(7)
+    phi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    phi -= np.vdot(psi, phi) * psi
+    phi /= np.linalg.norm(phi)
+    eps = 5e-13
+    return DensityMatrix((1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(phi, phi.conj()), (2, 3))
+
+
+def _ppt_boundary_2x3(delta):
+    # random_density(6, 3, 8) blended toward I/d to delta short of its PPT
+    # edge weight, so sigma's own edge weight t* is about 1.5 delta
+    r = random_density(6, 3, 8).mat
+    s = states._ppt_edge_weight(r, 2, 3) - delta
+    return DensityMatrix((1.0 - s) * r + s * np.eye(6) / 6, (2, 3))
+
+
+# pure inputs, whose REE is S(sigma_A); at d = 64 no Hermitian path is run
+CLOSED_FORM_PURE = {
+    "pure-2x2": lambda: random_pure((2, 2), seed=31).density(),
+    "pure-2x3": lambda: random_pure((2, 3), seed=32).density(),
+    "pure-3x3": lambda: random_pure((3, 3), seed=33).density(),
+    "pure-2x4": lambda: random_pure((2, 4), seed=34).density(),
+    "pure-product-4x4": _pure_product_4x4,
+    "maximally-entangled-3x3": lambda: pure_from_schmidt(np.full(3, 1.0 / math.sqrt(3.0)), (3, 3)).density(),
+    "product-2x3": _product_2x3,
+    "pure-product-4x16": lambda: tensor_bipartite(
+        random_pure((2, 4), seed=1).density(), random_pure((2, 4), seed=2).density()
+    ),
+    "pure-8x8": lambda: random_pure((8, 8), seed=35).density(),
+}
+CLOSED_FORM_PPT = {
+    "werner-0.3": lambda: werner(0.3),
+    "werner-0.5": lambda: werner(0.5),
+    "maximally-mixed": lambda: maximally_mixed((2, 2)),
+    "separable-rank-2": _separable_rank2,
+    "ppt-ginibre-2x2": lambda: random_density(4, 4, 123).tagged(2, 2),
+    "ppt-edge-1e-12": lambda: _ppt_boundary_2x3(1e-12),
+}
+# the closed form does not certify these; the path must
+CLOSED_FORM_FALLBACK = {
+    "near-pure-2x3": _near_pure_2x3,
+    "ppt-edge-1e-8": lambda: _ppt_boundary_2x3(1e-8),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, make",
+    [("pure", f) for f in CLOSED_FORM_PURE.values()]
+    + [("ppt", f) for f in CLOSED_FORM_PPT.values()]
+    + [("fallback", f) for f in CLOSED_FORM_FALLBACK.values()],
+    ids=[*CLOSED_FORM_PURE, *CLOSED_FORM_PPT, *CLOSED_FORM_FALLBACK],
+)
+def test_closed_form_answers(kind, make):
+    sigma = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        res = ree_ppt(sigma, max_iters=1 if kind == "ppt" else 5000)
+    assert res.converged
+    assert res.lower_bits <= res.value_bits
+    assert (res.iterations == 0) == (kind != "fallback")
+    if kind == "pure":
+        exact = von_neumann_entropy(partial_trace_B(sigma))
+        assert 0.0 <= res.value_bits - exact <= 1e-10
+        assert res.lower_bits <= exact
+        # the certificate does not rest on lemma 2, so lemma 2 checks it
+        assert res.lower_bits >= lemma2_bound(sigma) - 1e-10
+    elif kind == "ppt":
+        assert ppt_criterion(sigma, 1e-11).holds
+        assert res.value_bits <= 1e-10
+    if sigma.dims.total <= 16:
+        path = solver._solve(sigma, 5000, hermitian=True)
+        assert path.iterations > 0 and path.converged
+        assert res.lower_bits <= path.value_bits + 1e-12
+        assert path.lower_bits <= res.value_bits + 1e-12

@@ -64,7 +64,8 @@ def test_reports_are_deterministic():
 # sha256 of campaign_text for (suite, trials, seed, dims).  The theorem1
 # 2x3 and 3x3 digests date from the sampler's closed-form blend onto the
 # PPT boundary; the lemma2 digests, from the barrier path that stops on
-# its certified gap, pin the solver's records bit for bit.
+# its certified gap and the closed-form answers of pure and PPT trials,
+# pin the solver's records bit for bit.
 # They pin the floating-point results of one numpy/BLAS build, so another
 # build may need them recomputed.
 FROZEN_REPORT_DIGESTS = {
@@ -77,18 +78,18 @@ FROZEN_REPORT_DIGESTS = {
     ("monotone", 30, 7, (2, 2)): "85078f2e38855a8fbd49d2967cf4d52c941944c64c5ae733627a1b436eef805c",
     ("monotone", 30, 7, (2, 3)): "4337e06d87c859c4d9fb0415d1972681fbdc19a322a3d739504fe542fb2b809d",
     # each record carries the solve's value, iterations and lower-bound margin
-    ("lemma2", 8, 7, (2, 2)): "bcc9bd26f43e987b145c3198c3ac6a4e6711e93ef0df6151a0b1decdc64ceb18",
-    ("lemma2", 4, 7, (2, 3)): "e53867b7aab8c5706b44fe46cc81510a55795ed5cbb745735fc62aca693482dd",
+    ("lemma2", 8, 7, (2, 2)): "10410a466ed455c553177dbdbc01c42fb56a5ce9af3fb19712295c60420d7e32",
+    ("lemma2", 4, 7, (2, 3)): "2ba32f7b9ae02ee4d2f8c536fa53359e19da6d50b4055fbe3dfa36b6fc832069",
     # every trial saturates the lemma 2 bound, so each record carries the
     # reduction distance of the closest state
-    ("lemma4", 4, 7, (2, 2)): "6246e8d3eec57082b10c9490fc94dc794a975497ce0e32154e12b0650f5ac9c8",
+    ("lemma4", 4, 7, (2, 2)): "3ab6a822c5869c2895015b1408bee2dacbda81be3db0ba2e25f75a08802ec0f4",
     # at 2x3 S(sigma_A) = S(sigma_B), so both reductions are measured
-    ("lemma4", 3, 7, (2, 3)): "fe76a963a6039a84ac5704a0ad2502849555971586a37b6562e5a1b8edf6f055",
-    ("corollary1", 3, 7, (2, 2)): "43a67966e1bbe57e54e234d435a656446aa6732a26975c7dcfbe1d5c50b49ef4",
-    ("corollary1", 2, 7, (2, 3)): "72070020cf0cce22c45fe3e59c5c21e49137b0b2f6f80a3d0b1316ce0ab0c536",
+    ("lemma4", 3, 7, (2, 3)): "bf6ed19ac137e6427e1092d4c188dccc4c48240af4d3d05d6ae65e464b899c03",
+    ("corollary1", 3, 7, (2, 2)): "350f64e2e9fa92e669b3296bdee08e09c097837d5b71a41ffaa1d25709f038fe",
+    ("corollary1", 2, 7, (2, 3)): "5478c98fdaa427954ef5c4ee05c85de710b1035ca7828467002467638050a42a",
     # one trial: three solves, the product one at 4x4
-    ("corollary2", 1, 7, (2, 2)): "9883698ea40890c43d83d6402c5c98671331b6a2ac0fd2cf5a6276225210f484",
-    ("lemma3", 4, 7, (2, 2)): "3b920f52c819a2a1c798398a0e7c479626e57333eee688dd9437013d3b9386df",
+    ("corollary2", 1, 7, (2, 2)): "ca33ffdfb9ca6b2303729a6c6c5e8b1c8bfdc4bb7fefec2024b7ae5df2f6f7e0",
+    ("lemma3", 4, 7, (2, 2)): "5cf18134f202dda4d2ee8fed3d1be82372f051332e95d43063aa40c95469cdce",
     ("theorem1", 20, 7, (2, 4)): "b17bc22433f26ed233024dca4355127a1d91c69504b4c7d6fe65a31ae34f3f48",
 }
 
@@ -499,12 +500,29 @@ def test_worst_margin_matches_records():
     assert result.summary["worst_margin"] == min(margins)
 
 
-def test_solver_suites_record_solve_diagnostics():
+def test_solver_suites_record_solve_diagnostics(monkeypatch):
+    # each record carries the diagnostics of the one solve of its trial;
+    # these campaigns hold closed-form answers (0 steps) and path solves
+    solves = []
+    solve = verify.ree_ppt
+
+    def recorded(sigma):
+        solves.append(solve(sigma))
+        return solves[-1]
+
+    monkeypatch.setattr(verify, "ree_ppt", recorded)
+    iterations = []
     for suite in ("lemma2", "lemma3"):
-        for record in run_suite(suite, 2, 7).records:
+        solves.clear()
+        records = run_suite(suite, 2, 7).records
+        assert len(solves) == len(records)
+        for record, res in zip(records, solves):
             quantities = record.quantities
-            assert quantities["ree_converged"] in (0.0, 1.0)
-            assert quantities["ree_iterations"] >= 1.0
+            assert quantities["ree_converged"] == (1.0 if res.converged else 0.0)
+            assert quantities["ree_iterations"] == float(res.iterations)
+            iterations.append(res.iterations)
+    assert 0 in iterations
+    assert any(n >= 1 for n in iterations)
 
 
 @pytest.mark.parametrize("suite, trials", [("lemma3", 8), ("corollary1", 3)])

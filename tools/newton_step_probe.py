@@ -3,13 +3,15 @@
 Runs ree_ppt with a budget of a few Newton steps on a 4x16 state, times
 each call of _newton_step, and reads the peak resident set size of the
 process (ru_maxrss, in KiB on Linux).  Exits with status 1 when the peak
-exceeds --max-rss-mb.  --input pure (the default) takes the product of
-random_pure((2, 4), 1) and random_pure((2, 4), 2), which the solver moves
-onto its real Schmidt form and solves in the real basis; --input complex
-takes random_density(64, 4, 1), a complex state of rank 4, which keeps the
+exceeds --max-rss-mb, or when fewer than --max-iters steps were timed, so
+that a solve answered without the barrier path cannot pass.  Both inputs
+are entangled and mixed, since pure and PPT states are answered in closed
+form: --input real (the default) takes a real Ginibre state of rank 4,
+which the solver steps in the real basis; --input complex takes
+random_density(64, 4, 1), a complex state of rank 4, which keeps the
 Hermitian basis.  Run each in a fresh process, from the repository root:
 
-    PYTHONPATH=src python3 tools/newton_step_probe.py --input pure --max-iters 2 --max-rss-mb 298
+    PYTHONPATH=src python3 tools/newton_step_probe.py --input real --max-iters 2 --max-rss-mb 298
     PYTHONPATH=src python3 tools/newton_step_probe.py --input complex --max-iters 2 --max-rss-mb 700
 """
 
@@ -21,20 +23,28 @@ import sys
 import warnings
 from time import perf_counter
 
+import numpy as np
+
 from reelab import solver
 from reelab.errors import ConvergenceWarning
-from reelab.states import random_density, random_pure, tensor_bipartite
+from reelab.states import DensityMatrix, random_density
+
+
+def _real_ginibre(d: int, rank: int, seed: int) -> np.ndarray:
+    g = np.random.default_rng(seed).standard_normal((d, rank))
+    m = g @ g.T
+    return m / np.trace(m)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--input", choices=("pure", "complex"), default="pure", help="the 4x16 state to solve")
+    parser.add_argument("--input", choices=("real", "complex"), default="real", help="the 4x16 state to solve")
     parser.add_argument("--max-iters", type=int, default=3, help="Newton steps to take")
     parser.add_argument("--max-rss-mb", type=float, default=800.0, help="fail above this peak RSS")
     args = parser.parse_args()
 
-    if args.input == "pure":
-        sigma = tensor_bipartite(random_pure((2, 4), 1).density(), random_pure((2, 4), 2).density())
+    if args.input == "real":
+        sigma = DensityMatrix(_real_ginibre(64, 4, 1), (4, 16))
     else:
         sigma = random_density(64, 4, 1).tagged(4, 16)
     times = []
@@ -54,6 +64,9 @@ def main() -> int:
     dims = sigma.dims
     print(f"{args.input} {dims.da}x{dims.db}: steps " + ", ".join(f"{t:.2f} s" for t in times))
     print(f"peak RSS {peak_mb:.0f} MB (limit {args.max_rss_mb:.0f} MB)")
+    if len(times) < args.max_iters:
+        print(f"timed {len(times)} of {args.max_iters} Newton steps")
+        return 1
     return 0 if peak_mb <= args.max_rss_mb else 1
 
 
