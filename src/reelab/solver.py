@@ -16,10 +16,11 @@ the next Newton step.  The steps have one basis per solve.  A Hermitian
 step Delta has d^2 real coordinates r = vec(Re Delta + Im Delta), in
 which the Hessian H is the real symmetric K = Re H + Im(H F), F the
 permutation that transposes vec, so each step costs O(d^5) to assemble K
-from eigenframe factors with one fused complex product and O(d^6) for one
-real bordered solve of size d^2 + 1, at half the memory of the complex
-system.  Complex conjugation maps the PPT set to itself, so a sigma with
-no imaginary part has a real optimum and a real path (Vollbrecht &
+from eigenframe factors with one fused complex product, made and folded
+onto K one slab of A blocks at a time, and O(d^6) for one real bordered
+solve of size d^2 + 1, at half the memory of the complex system.
+Complex conjugation maps the PPT set to itself, so a sigma with no
+imaginary part has a real optimum and a real path (Vollbrecht &
 Werner, PRA 64, 062307 (2001)); its steps are real symmetric, with the
 d(d+1)/2 coordinates of an orthonormal symmetric basis, and eigh, the
 fused product and the bordered solve of size d(d+1)/2 + 1 all run in
@@ -155,48 +156,60 @@ _GAP_TOL = 1e-9
 _BLEND = 1e-11
 
 
-# bytes per row slab of the rho^PT term in _newton_hessian, at least one
-# A block.  A slab per A block made 2x2 to 3x3 Newton steps 2-3% slower,
-# so every d <= 9 takes one slab (the whole complex term is 105 KiB at
-# 3x3); at 4x4 four complex 256 KiB slabs made a step 4% faster than one
-# of 1 MiB, and at d = 64 each 67 MB complex slab fits in the 134 MB it
-# shares with bordered
+# bytes per slab of _newton_hessian, at least one A block.  A slab per A
+# block made 2x2 to 3x3 Newton steps 2-3% slower, so every d <= 9 takes
+# one slab (the whole complex product is 105 KiB at 3x3); at 4x4 four
+# complex 256 KiB slabs made a step 4% faster than one of 1 MiB, and at
+# d = 64 a slab is one A block, 67 MB complex or 34 MB real
 _SLAB_BYTES = 256 * 1024
+
+
+class _Slab(NamedTuple):
+    """The views of one slab of _newton_hessian: the rows p of a run of A blocks.
+
+    product holds the rows lefts and columns rights of the fused product,
+    [(p r),(q s)] = H[(p q),(r s)] for p in rows and q in cols, and out
+    the rho^PT term from the same rows of tau^-1 and columns of its
+    transpose; term is out transposed onto target, product split into
+    axes (a1 b1 a2 b2 a3 b3 a4 b4).  The fold writes first + second to
+    dest, as [p, q, r, s].  Hermitian basis: Re H[(p q),(r s)] +
+    Im H[(p q),(s r)] to the slab's rows of K, and gather is None.  The
+    real basis's K takes the pairs p <= q alone, so cols starts at the
+    slab's first row; its fold writes H[(p q),(r s)] + H[(p q),(s r)] to
+    out's storage, free once the term is added, and gather is
+    (index, rows): the flat index picks the pairs p <= q, r <= s of dest
+    onto rows, the slab's rows of K, which lie together in triu order.
+    """
+
+    lefts: slice
+    rights: slice
+    rows: slice
+    cols: slice
+    product: np.ndarray
+    out: np.ndarray
+    target: np.ndarray
+    term: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    dest: np.ndarray
+    gather: tuple | None
 
 
 class _Workspace(NamedTuple):
     """The large arrays of a solve's Newton systems, with each view taken once.
 
-    A slab (rows, out, target, term) adds the rho^PT term of a run of A
-    blocks: out holds it for those rows of tau^-1, and term is out
-    transposed onto target, the same rows of the product of
-    _newton_hessian split into axes (a1 b1 a2 b2 a3 b3 a4 b4).  bordered
-    holds the Newton matrix, with K block k and border tvec, the
-    coordinates of I.
-
-    Hermitian basis (tri is None): buf holds the complex d^2 x d^2
-    product, the slabs share one real array with bordered, and k is the
-    sum of the views re and im of buf.
-
+    bordered holds the Newton matrix, with K block k, border tvec (the
+    coordinates of I) and corner 0, both written once here; the _Slab
+    views share one product buffer and one term buffer, of one slab each.
     Real basis: tri holds the pairs p <= q of the coordinates, half their
     weights 1/2 (p = q) and 1/sqrt(2), and diag the coordinates with
-    p = q.  buf holds one slab's rows of the real product at a time.  The
-    slab's fold (products, product, first, second, spares, coords) makes
-    them, as product, from the rows products of the left factor, and
-    gathers them onto the rows coords of k: the flat indices first and
-    second pick H[(p q),(r s)] and H[(p q),(s r)] of product into the two
-    spares, which share out's storage.  No array of the real basis shares
-    bordered's.
+    p = q; in the Hermitian basis all three are None.
     """
 
-    buf: np.ndarray
     slabs: list
     bordered: np.ndarray
     k: np.ndarray
     tvec: np.ndarray
-    re: np.ndarray | None = None
-    im: np.ndarray | None = None
-    folds: list | None = None
     tri: tuple | None = None
     half: np.ndarray | None = None
     diag: np.ndarray | None = None
@@ -220,67 +233,56 @@ class _Workspace(NamedTuple):
 def _newton_workspace(da: int, db: int, real: bool = False) -> _Workspace:
     """The _Workspace for da x db, in the real basis when real is set.
 
-    At d = 64 the Hermitian one takes 268 MB complex and 134 MB real; the
-    real one takes 35 MB for bordered, 69 MB for the fold indices and
-    34 MB each for buf and the slab storage.
+    At d = 64 the Hermitian one takes 134 MB for bordered and 67 MB each
+    for the complex product and term buffers; the real one takes 35 MB
+    for bordered, 35 MB for the gather indices and 34 MB each for the two
+    buffers.
     """
     d = da * db
     n = d * d
     block = db * d**3
-    height = min(da, max(1, _SLAB_BYTES // ((8 if real else 16) * block)))
-    starts = range(0, da, height)
-    if not real:
-        store = np.empty(max((n + 1) ** 2, 2 * height * block))
-        buf = np.empty((n, n), dtype=complex)
-        split = buf.reshape((da, db) * 4)
-        slabs = []
-        for start in starts:
-            stop = min(start + height, da)
-            out = store[: 2 * (stop - start) * block].view(complex).reshape((stop - start) * db, d, d, d)
-            slabs.append((slice(start * db, stop * db), out, split[start:stop], _pt_view(out, da, db)))
-        bordered = store[: (n + 1) ** 2].reshape(n + 1, n + 1)
-        # buf[p,r,q,s] = H[(p q),(r s)]
-        quad = buf.reshape(d, d, d, d)
-        re, im = quad.real.transpose(0, 2, 1, 3), quad.imag.transpose(0, 2, 3, 1)
-        return _Workspace(buf, slabs, bordered, bordered[:n, :n].reshape(d, d, d, d), np.eye(d).reshape(n), re, im)
-    index = np.arange(d)
-    p, q = tri = np.nonzero(index[:, None] <= index)
-    m = len(p)
-    # the coordinates of the A blocks start..stop are the pairs of the
-    # rows p of those blocks, which lie together in triu order: the pairs
-    # with p < r number r d - r (r - 1)/2
-    bounds = [r * d - r * (r - 1) // 2 for r in [start * db for start in starts] + [d]]
-    store = np.empty(max(height * block, 2 * max(hi - lo for lo, hi in zip(bounds, bounds[1:])) * m))
-    # product[(p r),(q s)] = H[(p q),(r s)] for the slab's rows p, at the
-    # flat index (p - p0) d n + q d + r n + s: a part for the row (p, q) of
-    # K and one for its column (r, s), or s n + r for H[(p q),(s r)]
-    cols = p * n + q
-    swapped = q * n + p
-    buf = np.empty(height * block)
-    slabs, folds = [], []
-    for start, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
+    dtype = np.dtype(float if real else complex)
+    height = min(da, max(1, _SLAB_BYTES // (dtype.itemsize * block)))
+    products = np.empty(height * block, dtype)
+    terms = np.empty_like(products)
+    if real:
+        p, q = tri = np.triu_indices(d)
+        tvec = (p == q).astype(float)
+    else:
+        tvec = np.eye(d).reshape(n)
+    m = len(tvec)
+    bordered = np.zeros((m + 1, m + 1))
+    bordered[:m, m] = bordered[m, :m] = tvec
+    k = bordered[:m, :m]
+    slabs = []
+    for start in range(0, da, height):
         stop = min(start + height, da)
-        rows = (stop - start) * db
-        out = store[: rows * d**3].reshape(rows, d, d, d)
-        product = buf[: rows * d**3].reshape(rows * d, n)
-        target = product.reshape((stop - start, db) + (da, db) * 3)
-        slabs.append((slice(start * db, stop * db), out, target, _pt_view(out, da, db)))
-        offsets = ((p[lo:hi] - start * db) * d * n + q[lo:hi] * d)[:, None]
-        first, second = offsets + cols, offsets + swapped
-        spares = store[: 2 * (hi - lo) * m].reshape(2, hi - lo, m)
-        folds.append((slice(start * db * d, stop * db * d), product, first, second, spares, slice(lo, hi)))
-    bordered = np.empty((m + 1, m + 1))
+        rows = slice(start * db, stop * db)
+        cols = slice(rows.start if real else 0, d)
+        lefts = slice(rows.start * d, rows.stop * d)
+        h, w = rows.stop - rows.start, d - cols.start
+        shape = (stop - start, db, da, db, w // db, db, da, db)
+        product = products[: h * d * w * d].reshape(h * d, w * d)
+        out = terms[: h * d * w * d].reshape(h, d, w, d)
+        # partial transposition swaps b1 with b2 and b3 with b4
+        target, term = product.reshape(shape), out.reshape(shape).transpose(0, 5, 2, 7, 4, 1, 6, 3)
+        quad = product.reshape(h, d, w, d)
+        if real:
+            lo, hi = np.searchsorted(p, (rows.start, rows.stop))
+            index = (((p[lo:hi] - rows.start) * w + q[lo:hi] - cols.start) * n)[:, None] + (p * d + q)
+            first, second, dest, gather = quad, quad, out, (index, k[lo:hi])
+        else:
+            first, second, dest, gather = quad.real, quad.imag, k[lefts], None
+        slabs.append(
+            _Slab(
+                lefts, slice(cols.start * d, n), rows, cols, product, out, target,
+                term, first.transpose(0, 2, 1, 3), second.transpose(0, 2, 3, 1), dest.reshape(h, w, d, d), gather,
+            )
+        )
+    if not real:
+        return _Workspace(slabs, bordered, k, tvec)
     half = np.where(p == q, 0.5, math.sqrt(0.5))
-    return _Workspace(
-        buf, slabs, bordered, bordered[:m, :m], (p == q).astype(float),
-        folds=folds, tri=tri, half=half, diag=np.flatnonzero(p == q),
-    )
-
-
-def _pt_view(out: np.ndarray, da: int, db: int) -> np.ndarray:
-    """The rho^PT term of slab storage out, transposed onto the product's split axes."""
-    # partial transposition swaps b1 with b2 and b3 with b4
-    return out.reshape((len(out) // db, db) + (da, db) * 3).transpose(0, 5, 2, 7, 4, 1, 6, 3)
+    return _Workspace(slabs, bordered, k, tvec, tri, half, np.flatnonzero(p == q))
 
 
 def _newton_hessian(
@@ -322,12 +324,12 @@ def _newton_hessian(
     product of vec rho^-1 and vec rho^-T in that layout, so one product of
     inner dimension 2d + 1, [P, B^T, mu_curv vec rho^-1] times
     [conj B; P^H; vec(rho^-T)^T], builds both: the assembly costs O(d^5).
-    The partial-transpose image of the rho^PT barrier is added to that
-    product in the slabs of work.  In the Hermitian basis both terms of K
-    are transposed views of the whole complex product; in the real basis
-    each slab's rows of the product are made in turn, in real arithmetic,
-    and gathered onto K by the slab's fold.  The returned matrix is
-    work.bordered, which the next call overwrites.
+    Both bases make that product, add the partial-transpose image of the
+    rho^PT barrier to it and fold it onto K one _Slab of A blocks at a
+    time, in complex or real arithmetic by basis, so no array holds all
+    d^4 entries of the product; the real basis then gathers the pairs
+    p <= q, r <= s onto K and scales its diagonal pairs.  The returned
+    matrix is work.bordered, whose K block the next call overwrites.
     """
     d = len(u)
     n = d * d
@@ -336,32 +338,18 @@ def _newton_hessian(
     left = np.concatenate([pairs, frames.T, (mu_curv * rho_inv).reshape(n, 1)], axis=1)
     right = np.concatenate([frames.conj(), pairs.conj().T, rho_inv.T.reshape(1, n)], axis=0)
     scaled = mu_curv * tau_inv
-    if work.folds is None:
-        np.matmul(left, right, out=work.buf)
-        for rows, out, target, term in work.slabs:
-            np.multiply.outer(scaled[rows], tau_inv.T, out=out)
-            target += term
-        np.add(work.re, work.im, out=work.k)
-    else:
-        for (rows, out, target, term), (products, product, first, second, spares, coords) in zip(
-            work.slabs, work.folds
-        ):
-            np.matmul(left[products], right, out=product)
-            np.multiply.outer(scaled[rows], tau_inv.T, out=out)
-            target += term
-            np.take(product, first, out=spares[0], mode="clip")
-            np.take(product, second, out=spares[1], mode="clip")
-            np.add(spares[0], spares[1], out=work.k[coords])
+    for lefts, rights, rows, cols, product, out, target, term, first, second, dest, gather in work.slabs:
+        np.matmul(left[lefts], right[:, rights], out=product)
+        np.multiply.outer(scaled[rows], tau_inv.T[cols], out=out)
+        target += term
+        np.add(first, second, out=dest)
+        if gather is not None:
+            np.take(dest, gather[0], out=gather[1], mode="clip")
+    if work.tri is not None:
         # 2 w_pq w_rs: 1 off the diagonal pairs, 1/sqrt(2) per diagonal pair
         work.k[work.diag] *= math.sqrt(0.5)
         work.k[:, work.diag] *= math.sqrt(0.5)
-    # the Hermitian basis's slabs overwrote the storage of the border and the corner
-    size = len(work.tvec)
-    bordered = work.bordered
-    bordered[:size, size] = work.tvec
-    bordered[size, :size] = work.tvec
-    bordered[size, size] = 0.0
-    return bordered
+    return work.bordered
 
 
 def _newton_step(
@@ -649,10 +637,10 @@ def _dephased(spectrum: SpectralDecomposition, da: int, db: int) -> tuple[np.nda
     psi, the eigenvector of sigma's largest eigenvalue, is L diag(sqrt(lam)) Vh
     by singular value decomposition, with product vectors |a_i b_i> = L e_i
     (x) Vh^T e_i.  The state is rho = (1 - t) sum_i lam_i |a_i b_i><a_i b_i| +
-    t I/d, t = _BLEND, whose eigenvalues on those vectors are lam' =
-    (1 - t) lam + t/d (Vedral & Plenio, PRA 57, 1619 (1998)).  The
-    multiplier is B = W' M W'^H, with W' = L (x) conj(Vh^T) and, for
-    i != k, M[(i k),(i k)] = |c_ik| and M[(i k),(k i)] = c_ik, where
+    t I/d, t = _BLEND (_schmidt_dephased), whose eigenvalues on those
+    vectors are lam' = (1 - t) lam + t/d (Vedral & Plenio, PRA 57, 1619
+    (1998)).  The multiplier is B = W' M W'^H, with W' = L (x) conj(Vh^T)
+    and, for i != k, M[(i k),(i k)] = |c_ik| and M[(i k),(k i)] = c_ik, where
     c_ik = -sqrt(lam_i lam_k) L(lam'_i, lam'_k) and L is ln's first divided
     difference: each pair of entries is a block |c|[[1, -1], [-1, 1]], so
     B >= 0.  In the frame W = L (x) Vh^T, B^PT = W M^PT W^H cancels the
@@ -662,8 +650,7 @@ def _dephased(spectrum: SpectralDecomposition, da: int, db: int) -> tuple[np.nda
     value by about t.
     """
     d = da * db
-    left, schmidt, right = np.linalg.svd(spectrum.eigenvectors[:, -1].reshape(da, db))
-    lam = schmidt * schmidt
+    dephased, left, lam, right = _schmidt_dephased(spectrum.eigenvectors[:, -1].reshape(da, db))
     r = len(lam)
     lam_blend = (1.0 - _BLEND) * lam + _BLEND / d
     c = -np.sqrt(np.outer(lam, lam)) * _log_divided_differences(lam_blend)
@@ -674,28 +661,28 @@ def _dephased(spectrum: SpectralDecomposition, da: int, db: int) -> tuple[np.nda
     m[ik, ik] = np.abs(c).ravel()
     m[ik, ki] = c.ravel()
     frame_pt = np.kron(left, right.conj().T)
-    pairs = (left[:, None, :r] * right[:r].T[None, :, :]).reshape(d, r)
-    rho = (1.0 - _BLEND) * ((pairs * lam) @ pairs.conj().T) + _BLEND * (np.eye(d) / d)
+    rho = (1.0 - _BLEND) * dephased + _BLEND * (np.eye(d) / d)
     return rho, frame_pt @ m @ frame_pt.conj().T
 
 
-def closest_state_for_pure(psi: PureState) -> DensityMatrix:
-    """Minimizer of S(psi||rho) over PPT states, in closed form.
+def _schmidt_dephased(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The state sum_i lam_i |a_i b_i><a_i b_i| of amplitudes amps dephased in its Schmidt basis.
 
-    Dephasing the pure state in its Schmidt basis: the amplitude matrix is
-    singular-value decomposed and the squared singular values weight the
-    corresponding product projectors.
+    amps = L diag(sqrt(lam)) Vh by singular value decomposition, with
+    product vectors |a_i b_i> = L e_i (x) Vh^T e_i; returns the state,
+    made by one product, with L, lam and Vh.
     """
+    left, schmidt, right = np.linalg.svd(amps)
+    lam = schmidt * schmidt
+    r = len(lam)
+    pairs = (left[:, None, :r] * right[:r].T[None, :, :]).reshape(-1, r)
+    return (pairs * lam) @ pairs.conj().T, left, lam, right
+
+
+def closest_state_for_pure(psi: PureState) -> DensityMatrix:
+    """Minimizer of S(psi||rho) over PPT states, in closed form: psi dephased in its Schmidt basis."""
     dims = psi.dims
-    amps = psi.amplitudes.reshape(dims.da, dims.db)
-    left, svals, right = np.linalg.svd(amps)
-    out = np.zeros((dims.total, dims.total), dtype=complex)
-    for i, s in enumerate(svals):
-        if s <= 0.0:
-            continue
-        vec = np.outer(left[:, i], right[i, :]).ravel()
-        out += (s * s) * np.outer(vec, vec.conj())
-    return DensityMatrix(out, dims=dims)
+    return DensityMatrix(_schmidt_dephased(psi.amplitudes.reshape(dims.da, dims.db))[0], dims=dims)
 
 
 def _binary_entropy_bits(p: float) -> float:

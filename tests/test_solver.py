@@ -494,27 +494,66 @@ def test_newton_dims_cover_uneven_slabs():
     # d <= 9 keeps one slab; NEWTON_DIMS reaches uneven and equal splits
     heights = {}
     for da, db in NEWTON_DIMS:
-        heights[da, db] = [out.shape[0] // db for _, out, _, _ in solver._newton_workspace(da, db).slabs]
+        heights[da, db] = [slab.out.shape[0] // db for slab in solver._newton_workspace(da, db).slabs]
     assert heights[3, 4] == [2, 1]
     assert heights[4, 4] == [1, 1, 1, 1]
     assert heights[3, 3] == [3]
+    # 8-byte real entries fit two A blocks in a 4x4 slab
+    assert [slab.out.shape[0] // 4 for slab in solver._newton_workspace(4, 4, real=True).slabs] == [2, 2]
+
+
+def _held_arrays(value):
+    # every ndarray a workspace holds, through its slabs' tuples
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _held_arrays(item)
+
+
+def _owner(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_newton_workspace_holds_no_d4_array():
+    # only bordered, K and its border, may reach d^4 entries: the product
+    # and the rho^PT term are made one slab of A blocks at a time
+    da, db = 4, 4
+    d = da * db
+    for real in (False, True):
+        work = solver._newton_workspace(da, db, real)
+        bordered = _owner(work.bordered)
+        owners = [_owner(a) for a in _held_arrays(work)]
+        assert len(owners) > len(work.slabs)
+        for owner in owners:
+            if owner is not bordered:
+                assert owner.size < d**4, (real, owner.shape)
 
 
 def test_newton_workspace_reuse_leaks_nothing():
     # steps at two points through one workspace, the second a tangent step
-    # with mu_curv != mu, equal bit for bit the steps on fresh workspaces:
-    # each call rewrites the border and corner that its slabs overwrite
-    for da, db in NEWTON_DIMS:
-        work = solver._newton_workspace(da, db)
-        for seed, mu_curv in ((0, None), (100, 6e-2), (0, None)):
-            _, p = _newton_point(da, db, seed)
-            tables = _log_divided_differences(p.w, p.lw, second=True)
-            grad = solver._gradient(tables[0], p.u, p.overlaps)
-            args = (p, tables, grad, 3e-3, da, db)
-            direction, decrement = solver._newton_step(*args, work, mu_curv)
-            want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db), mu_curv)
-            assert np.array_equal(direction, want)
-            assert decrement == want_decrement
+    # with mu_curv != mu, equal bit for bit the steps on fresh workspaces,
+    # in both bases; the border and corner, written once with the
+    # workspace, are left as the coordinates of I and 0
+    for real, point in ((False, _newton_point), (True, _real_newton_point)):
+        for da, db in NEWTON_DIMS:
+            work = solver._newton_workspace(da, db, real)
+            for seed, mu_curv in ((0, None), (100, 6e-2), (0, None)):
+                _, p = point(da, db, seed)
+                tables = _log_divided_differences(p.w, p.lw, second=True)
+                grad = solver._gradient(tables[0], p.u, p.overlaps)
+                args = (p, tables, grad, 3e-3, da, db)
+                direction, decrement = solver._newton_step(*args, work, mu_curv)
+                want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db, real), mu_curv)
+                assert np.array_equal(direction, want)
+                assert decrement == want_decrement
+            size = len(work.tvec)
+            assert np.array_equal(work.tvec, work.coords(np.eye(da * db)))
+            assert np.array_equal(work.bordered[:size, size], work.tvec)
+            assert np.array_equal(work.bordered[size, :size], work.tvec)
+            assert work.bordered[size, size] == 0.0
 
 
 def _log_dd(x, y):
@@ -945,20 +984,6 @@ def test_real_basis_step_matches_hermitian_step():
             assert np.linalg.norm(direction - want) <= 1e-12 * np.linalg.norm(want)
             assert abs(decrement - want_decrement) <= 1e-12 * abs(want_decrement)
             assert abs(np.trace(direction)) <= 1e-14
-
-
-def test_real_workspace_reuse_leaks_nothing():
-    for da, db in NEWTON_DIMS:
-        work = solver._newton_workspace(da, db, real=True)
-        for seed, mu_curv in ((0, None), (100, 6e-2), (0, None)):
-            _, p = _real_newton_point(da, db, seed)
-            tables = _log_divided_differences(p.w, p.lw, second=True)
-            grad = solver._gradient(tables[0], p.u, p.overlaps)
-            args = (p, tables, grad, 3e-3, da, db)
-            direction, decrement = solver._newton_step(*args, work, mu_curv)
-            want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db, real=True), mu_curv)
-            assert np.array_equal(direction, want)
-            assert decrement == want_decrement
 
 
 def _product_2x3():

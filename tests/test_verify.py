@@ -85,8 +85,8 @@ FROZEN_REPORT_DIGESTS = {
     ("lemma4", 4, 7, (2, 2)): "3ab6a822c5869c2895015b1408bee2dacbda81be3db0ba2e25f75a08802ec0f4",
     # at 2x3 S(sigma_A) = S(sigma_B), so both reductions are measured
     ("lemma4", 3, 7, (2, 3)): "bf6ed19ac137e6427e1092d4c188dccc4c48240af4d3d05d6ae65e464b899c03",
-    ("corollary1", 3, 7, (2, 2)): "350f64e2e9fa92e669b3296bdee08e09c097837d5b71a41ffaa1d25709f038fe",
-    ("corollary1", 2, 7, (2, 3)): "5478c98fdaa427954ef5c4ee05c85de710b1035ca7828467002467638050a42a",
+    ("corollary1", 3, 7, (2, 2)): "d310b608af558594ed515184214b8c7db68f9a7d8a8f62b8c38370c793166ae8",
+    ("corollary1", 2, 7, (2, 3)): "c0f274ba1d4522d6b95884a6d8c5086cda16749b48a7d7e9d92fc6b3febb5ae0",
     # one trial: three solves, the product one at 4x4
     ("corollary2", 1, 7, (2, 2)): "ca33ffdfb9ca6b2303729a6c6c5e8b1c8bfdc4bb7fefec2024b7ae5df2f6f7e0",
     ("lemma3", 4, 7, (2, 2)): "5cf18134f202dda4d2ee8fed3d1be82372f051332e95d43063aa40c95469cdce",

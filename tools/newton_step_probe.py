@@ -11,8 +11,8 @@ which the solver steps in the real basis; --input complex takes
 random_density(64, 4, 1), a complex state of rank 4, which keeps the
 Hermitian basis.  Run each in a fresh process, from the repository root:
 
-    PYTHONPATH=src python3 tools/newton_step_probe.py --input real --max-iters 2 --max-rss-mb 298
-    PYTHONPATH=src python3 tools/newton_step_probe.py --input complex --max-iters 2 --max-rss-mb 700
+    PYTHONPATH=src python3 tools/newton_step_probe.py --input real --max-iters 2 --max-rss-mb 287
+    PYTHONPATH=src python3 tools/newton_step_probe.py --input complex --max-iters 2 --max-rss-mb 530
 """
 
 from __future__ import annotations
