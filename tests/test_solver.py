@@ -532,28 +532,31 @@ def test_newton_workspace_holds_no_d4_array():
                 assert owner.size < d**4, (real, owner.shape)
 
 
-def test_newton_workspace_reuse_leaks_nothing():
+def _check_workspace_reuse(real, point):
     # steps at two points through one workspace, the second a tangent step
-    # with mu_curv != mu, equal bit for bit the steps on fresh workspaces,
-    # in both bases; the border and corner, written once with the
-    # workspace, are left as the coordinates of I and 0
-    for real, point in ((False, _newton_point), (True, _real_newton_point)):
-        for da, db in NEWTON_DIMS:
-            work = solver._newton_workspace(da, db, real)
-            for seed, mu_curv in ((0, None), (100, 6e-2), (0, None)):
-                _, p = point(da, db, seed)
-                tables = _log_divided_differences(p.w, p.lw, second=True)
-                grad = solver._gradient(tables[0], p.u, p.overlaps)
-                args = (p, tables, grad, 3e-3, da, db)
-                direction, decrement = solver._newton_step(*args, work, mu_curv)
-                want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db, real), mu_curv)
-                assert np.array_equal(direction, want)
-                assert decrement == want_decrement
-            size = len(work.tvec)
-            assert np.array_equal(work.tvec, work.coords(np.eye(da * db)))
-            assert np.array_equal(work.bordered[:size, size], work.tvec)
-            assert np.array_equal(work.bordered[size, :size], work.tvec)
-            assert work.bordered[size, size] == 0.0
+    # with mu_curv != mu, equal bit for bit the steps on fresh workspaces;
+    # the border and corner, written once with the workspace, are left as
+    # the coordinates of I and 0
+    for da, db in NEWTON_DIMS:
+        work = solver._newton_workspace(da, db, real)
+        for seed, mu_curv in ((0, None), (100, 6e-2), (0, None)):
+            _, p = point(da, db, seed)
+            tables = _log_divided_differences(p.w, p.lw, second=True)
+            grad = solver._gradient(tables[0], p.u, p.overlaps)
+            args = (p, tables, grad, 3e-3, da, db)
+            direction, decrement = solver._newton_step(*args, work, mu_curv)
+            want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db, real), mu_curv)
+            assert np.array_equal(direction, want)
+            assert decrement == want_decrement
+        size = len(work.tvec)
+        assert np.array_equal(work.tvec, work.coords(np.eye(da * db)))
+        assert np.array_equal(work.bordered[:size, size], work.tvec)
+        assert np.array_equal(work.bordered[size, :size], work.tvec)
+        assert work.bordered[size, size] == 0.0
+
+
+def test_newton_workspace_reuse_leaks_nothing():
+    _check_workspace_reuse(False, _newton_point)
 
 
 def _log_dd(x, y):
@@ -984,6 +987,10 @@ def test_real_basis_step_matches_hermitian_step():
             assert np.linalg.norm(direction - want) <= 1e-12 * np.linalg.norm(want)
             assert abs(decrement - want_decrement) <= 1e-12 * abs(want_decrement)
             assert abs(np.trace(direction)) <= 1e-14
+
+
+def test_real_workspace_reuse_leaks_nothing():
+    _check_workspace_reuse(True, _real_newton_point)
 
 
 def _product_2x3():
