@@ -33,7 +33,12 @@ class EigensolverError(RuntimeError):
 
 
 class ConvergenceWarning(UserWarning):
-    """An iterative routine stopped on its budget rather than its tolerance."""
+    """An iterative routine returned an answer its tolerance does not certify.
+
+    ree_ppt warns whenever its result has converged False: on its
+    iteration budget, or at the end of its barrier path with a certified
+    gap above _GAP_TOL; the message names the gap.
+    """
 
 
 class StateFileParseError(ValueError):

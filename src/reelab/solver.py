@@ -33,6 +33,17 @@ bounds are taken only at centred points whose central-path gap 2d mu,
 for barrier degree 2d (11.2.2), is already within it, since no earlier
 bound can certify.
 
+That gap forces the path down to mu near 1e-11, and its last weights
+cost about 40% of an entangled solve's steps.  So at the first centred
+point where rho^PT shows a clean kernel, k eigenvalues of order mu well
+below the rest, the path polishes instead: Newton on the optimality
+conditions G = nu I + (V Z V^H)^PT, V^H rho^PT V = 0 (Friedland & Gour,
+J. Math. Phys. 52, 052201 (2011); Nocedal & Wright, ch. 18), which
+converge quadratically from there.  Each polished rho is blended toward
+I/d just past its PPT edge and certified by the same dual bound with the
+multiplier V Z V^H; a polish that does not certify within
+_POLISH_SYSTEMS systems hands back to the path at its centred point.
+
 Two inputs skip the path.  The paper's bound
 S(sigma||rho) >= S(sigma_A) - S(sigma) is attained on a pure sigma by
 its state dephased in the Schmidt basis (Vedral & Plenio, PRA 57, 1619
@@ -60,7 +71,9 @@ from .errors import ConvergenceWarning, InputError, ShapeError
 from .hermitian import (
     HermitianMatrix, SpectralDecomposition, _eigh, _log_adjoint, _log_divided_differences
 )
-from .states import DensityMatrix, PureState, _bell_weights, _integral, _partial_transpose_b, _ppt_edge_weight
+from .states import (
+    DensityMatrix, PureState, _bell_weights, _edge_weight, _integral, _partial_transpose_b, _ppt_edge_weight
+)
 
 _YY_FLIP = np.array(
     [
@@ -80,7 +93,9 @@ class ReeResult:
     ``closest_state`` the minimizing density matrix, so the REE lies in
     [``lower_bits``, ``value_bits``]: ``lower_bits`` is the weak-duality
     lower bound in bits, floored at 0.  ``converged`` is set when that
-    certified gap is at most _GAP_TOL bits.
+    certified gap is at most _GAP_TOL bits.  ``iterations`` counts the
+    Newton systems solved: the barrier path's steps and the KKT polish's
+    systems, 0 for a closed-form answer.
     """
 
     value_bits: float
@@ -154,6 +169,12 @@ _GAP_TOL = 1e-9
 # weight of I/d in the closed-form answers: it keeps rho and rho^PT
 # positive definite, at a cost of at most about _BLEND nats in value
 _BLEND = 1e-11
+# the KKT polish: at most _POLISH_SYSTEMS Newton systems, from the first
+# centred point whose rho^PT has k >= 1 eigenvalues at most _KERNEL_GATE mu,
+# the next _KERNEL_GATE times the k-th, and lam_min(rho) above _KERNEL_GATE mu.
+# Gates of 30 and 10 let the polish start where it failed to certify
+_POLISH_SYSTEMS = 5
+_KERNEL_GATE = 100.0
 
 
 # bytes per slab of _newton_hessian, at least one A block.  A slab per A
@@ -177,8 +198,11 @@ class _Slab(NamedTuple):
     real basis's K takes the pairs p <= q alone, so cols starts at the
     slab's first row; its fold writes H[(p q),(r s)] + H[(p q),(s r)] to
     out's storage, free once the term is added, and gather is
-    (index, rows): the flat index picks the pairs p <= q, r <= s of dest
-    onto rows, the slab's rows of K, which lie together in triu order.
+    (index, rows, buffer): the flat index picks the pairs p <= q, r <= s
+    of dest into buffer, a contiguous view of product's storage, free once
+    folded, which is copied onto rows, the slab's rows of K; they lie
+    together in triu order but are not contiguous in bordered, so a
+    gather straight onto them went through a hidden temporary.
     """
 
     lefts: slice
@@ -215,10 +239,10 @@ class _Workspace(NamedTuple):
     diag: np.ndarray | None = None
 
     def coords(self, g: np.ndarray) -> np.ndarray:
-        """The coordinates tr(E g) of a matrix g, E the basis of the unknowns."""
+        """The coordinates tr(E g) of a matrix g, or of each in a stack, E the basis of the unknowns."""
         if self.tri is None:
-            return (g.real + g.imag).reshape(-1)
-        return self.half * (g + g.T)[self.tri]
+            return (g.real + g.imag).reshape(*g.shape[:-2], -1)
+        return self.half * (g + g.swapaxes(-1, -2))[(..., *self.tri)]
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         """The Hermitian matrix of coordinates x."""
@@ -270,7 +294,8 @@ def _newton_workspace(da: int, db: int, real: bool = False) -> _Workspace:
         if real:
             lo, hi = np.searchsorted(p, (rows.start, rows.stop))
             index = (((p[lo:hi] - rows.start) * w + q[lo:hi] - cols.start) * n)[:, None] + (p * d + q)
-            first, second, dest, gather = quad, quad, out, (index, k[lo:hi])
+            buffer = products[: index.size].reshape(index.shape)
+            first, second, dest, gather = quad, quad, out, (index, k[lo:hi], buffer)
         else:
             first, second, dest, gather = quad.real, quad.imag, k[lefts], None
         slabs.append(
@@ -289,9 +314,8 @@ def _newton_hessian(
     dd2: np.ndarray,
     u: np.ndarray,
     overlaps_full: np.ndarray,
-    rho_inv: np.ndarray,
-    tau_inv: np.ndarray,
-    mu_curv: float,
+    rho_pair: tuple[np.ndarray, np.ndarray] | None,
+    pt_pairs: list,
     work: _Workspace,
 ) -> np.ndarray:
     """Bordered real Newton matrix [[K, t], [t^T, 0]] in the basis of work, t the coordinates of I.
@@ -319,32 +343,41 @@ def _newton_hessian(
     B_j = u (O o T_j) u^H, where O is overlaps_full and T = dd2 the fully
     symmetric table of second divided differences from
     _log_divided_differences.  Laid out as [(p r),(q s)] it is
-    X + X^H with X = P conj(B), P[(p r),j] = u_pj conj(u_rj), and the
-    curvature mu_curv (rho^-1 x rho^-T) of the rho barrier is the outer
-    product of vec rho^-1 and vec rho^-T in that layout, so one product of
-    inner dimension 2d + 1, [P, B^T, mu_curv vec rho^-1] times
-    [conj B; P^H; vec(rho^-T)^T], builds both: the assembly costs O(d^5).
-    Both bases make that product, add the partial-transpose image of the
-    rho^PT barrier to it and fold it onto K one _Slab of A blocks at a
-    time, in complex or real arithmetic by basis, so no array holds all
-    d^4 entries of the product; the real basis then gathers the pairs
-    p <= q, r <= s onto K and scales its diagonal pairs.  The returned
-    matrix is work.bordered, whose K block the next call overwrites.
+    X + X^H with X = P conj(B), P[(p r),j] = u_pj conj(u_rj).  The other
+    terms are Kronecker pairs (a, c), each the map Delta -> a Delta c.
+    rho_pair, the curvature (mu_curv rho^-1, rho^-1) of the rho barrier or
+    None, is the outer product of vec a and vec c^T in that layout, so one
+    product of inner dimension 2d + 1, [P, B^T, vec a] times
+    [conj B; P^H; vec(c^T)^T], builds both: the assembly costs O(d^5).
+    pt_pairs act on Delta^PT, Delta -> (a Delta^PT c)^PT: the rho^PT
+    barrier (mu_curv tau^-1, tau^-1), or the two cross terms of the KKT
+    polish (_kkt_step).  Both bases make that product, add the
+    partial-transpose image of each pt pair to it and fold it onto K one
+    _Slab of A blocks at a time, in complex or real arithmetic by basis,
+    so no array holds all d^4 entries of the product; the real basis then
+    gathers the pairs p <= q, r <= s onto K and scales its diagonal
+    pairs.  The returned matrix is work.bordered, whose K block the next
+    call overwrites.
     """
     d = len(u)
     n = d * d
     frames = (u @ (overlaps_full * dd2) @ u.conj().T).reshape(d, n)
     pairs = (u[:, None, :] * u.conj()[None, :, :]).reshape(n, d)
-    left = np.concatenate([pairs, frames.T, (mu_curv * rho_inv).reshape(n, 1)], axis=1)
-    right = np.concatenate([frames.conj(), pairs.conj().T, rho_inv.T.reshape(1, n)], axis=0)
-    scaled = mu_curv * tau_inv
+    left, right = [pairs, frames.T], [frames.conj(), pairs.conj().T]
+    if rho_pair is not None:
+        left.append(rho_pair[0].reshape(n, 1))
+        right.append(rho_pair[1].T.reshape(1, n))
+    left, right = np.concatenate(left, axis=1), np.concatenate(right, axis=0)
     for lefts, rights, rows, cols, product, out, target, term, first, second, dest, gather in work.slabs:
         np.matmul(left[lefts], right[:, rights], out=product)
-        np.multiply.outer(scaled[rows], tau_inv.T[cols], out=out)
-        target += term
+        for a, c in pt_pairs:
+            np.multiply.outer(a[rows], c.T[cols], out=out)
+            target += term
         np.add(first, second, out=dest)
         if gather is not None:
-            np.take(dest, gather[0], out=gather[1], mode="clip")
+            index, rows_k, buffer = gather
+            np.take(dest, index, out=buffer, mode="clip")
+            rows_k[...] = buffer
     if work.tri is not None:
         # 2 w_pq w_rs: 1 off the diagonal pairs, 1/sqrt(2) per diagonal pair
         work.k[work.diag] *= math.sqrt(0.5)
@@ -391,7 +424,9 @@ def _newton_step(
         mu_curv = mu
     rho_inv = (p.u * (1.0 / p.w)) @ p.u.conj().T
     tau_inv = (p.v * (1.0 / p.s)) @ p.v.conj().T
-    bordered = _newton_hessian(tables[1], p.u, p.overlaps, rho_inv, tau_inv, mu_curv, work)
+    bordered = _newton_hessian(
+        tables[1], p.u, p.overlaps, (mu_curv * rho_inv, rho_inv), [(mu_curv * tau_inv, tau_inv)], work
+    )
     g_mu = grad - mu * rho_inv - mu * _partial_transpose_b(tau_inv, da, db)
     size = len(work.tvec)
     rhs = np.zeros(size + 1)
@@ -443,6 +478,127 @@ def _dual_bound(p: _Point, grad: np.ndarray, mult: np.ndarray | None, da: int, d
     return p.f - float(np.real(np.vdot(grad, p.rho))) + lam - slack
 
 
+def _clean_kernel(p: _Point, mu: float) -> int:
+    """The dimension k of the kernel that rho^PT shows at a point centred for mu, or 0 when it shows none cleanly."""
+    k = int(np.count_nonzero(p.s <= _KERNEL_GATE * mu))
+    if k == 0 or k == len(p.s) or p.s[k] < _KERNEL_GATE * p.s[k - 1] or not p.w[0] > _KERNEL_GATE * mu:
+        return 0
+    return k
+
+
+def _frame_basis(k: int, real: bool) -> np.ndarray:
+    """An orthonormal basis of the k x k multipliers, real symmetric or Hermitian, as a (k', k, k) stack."""
+    if real:
+        a, b = np.triu_indices(k)
+        basis = np.zeros((len(a), k, k))
+        j = np.arange(len(a))
+        basis[j, a, b] = basis[j, b, a] = np.where(a == b, 1.0, math.sqrt(0.5))
+        return basis
+    unit = np.eye(k * k).reshape(k * k, k, k)
+    return (0.5 + 0.5j) * unit + (0.5 - 0.5j) * unit.swapaxes(1, 2)
+
+
+def _kkt_step(
+    p: _Point, dd2: np.ndarray, grad: np.ndarray, mult: np.ndarray, k: int, da: int, db: int, work: _Workspace
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """One Newton step on the optimality conditions, with rho^PT's k least eigenvectors V as its kernel.
+
+    At the optimum G = nu I + (V Z V^H)^PT with Z >= 0 and V^H rho^PT V = 0,
+    G the gradient of f (Friedland & Gour, J. Math. Phys. 52, 052201
+    (2011)).  Newton on these conditions solves for the step Delta, nu and
+    Z: the kernel moves with Delta, by -T_perp Delta^PT V to first order
+    with T_perp = V_perp s_perp^-1 V_perp^H, so the multiplier changes by
+    -(T_Z Delta^PT T_perp + T_perp Delta^PT T_Z), T_Z = V (V^H mult V) V^H
+    the projection of the current multiplier mult.  The system is
+
+        [[K, t, A], [t^T, 0, 0], [A^T, 0, 0]] [x; -nu; -z] = [-g; 0; -c]
+
+    with K the f-Hessian plus those cross terms (_newton_hessian, assembled
+    in work), A the coordinates of (V E_j V^H)^PT over the k' elements E_j
+    of _frame_basis, and c those of V^H rho^PT V = diag(s_k).  It is
+    solved by its Schur complement against M = work.bordered, of size
+    m + 1: one solve of M with k' + 1 right-hand sides, then one of the
+    k' x k' complement, so beside the barrier step's arrays the polish
+    holds (m + 1)(k' + 1) entries, not a second matrix of size m + 1 + k'.
+    Returns the direction and the new multiplier V Z V^H, or None when a
+    solve fails.
+    """
+    v, rest = p.v[:, :k], p.v[:, k:]
+    t_z = v @ (v.conj().T @ mult @ v) @ v.conj().T
+    t_perp = (rest * (1.0 / p.s[k:])) @ rest.conj().T
+    bordered = _newton_hessian(dd2, p.u, p.overlaps, None, [(t_z, t_perp), (t_perp, t_z)], work)
+    basis = _frame_basis(k, work.tri is not None)
+    border = work.coords(_partial_transpose_b(v @ basis @ v.conj().T, da, db))
+    size = len(work.tvec)
+    rhs = np.zeros((size + 1, len(basis) + 1))
+    rhs[:size, 0] = -work.coords(grad)
+    rhs[:size, 1:] = border.T
+    kernel = np.real(np.einsum("jaa,a->j", basis.conj(), p.s[:k]))
+    try:
+        sol = np.linalg.solve(bordered, rhs)
+        # [x; -nu] = y - Y w, with M [y, Y] = [-g, A] and the Schur
+        # complement A^T Y of M = bordered: A^T Y w = A^T y + c
+        w = np.linalg.solve(border @ sol[:size, 1:], border @ sol[:size, 0] + kernel)
+    except np.linalg.LinAlgError:
+        return None
+    x = sol[:size, 0] - sol[:size, 1:] @ w
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        return None
+    return work.matrix(x), v @ np.tensordot(-w, basis, 1) @ v.conj().T
+
+
+def _kkt_polish(
+    sig: np.ndarray,
+    sigma_term: float,
+    p: _Point,
+    tables: tuple[np.ndarray, np.ndarray],
+    grad: np.ndarray,
+    mu: float,
+    k: int,
+    da: int,
+    db: int,
+    work: _Workspace,
+    systems: int,
+    best: _Point,
+    lower: float,
+) -> tuple[_Point, float, int, bool]:
+    """At most systems _kkt_steps from a point p centred for mu whose rho^PT shows a kernel of dimension k.
+
+    The multiplier starts at the barrier's estimate mu s_k^-1 on the
+    kernel and is carried as the d x d matrix B = V Z V^H, since each new
+    rho^PT returns its kernel in another frame.  Each step's rho + Delta
+    is blended toward I/d by its edge weight (_edge_weight) plus _BLEND,
+    so the new point is strictly feasible, and certified by _dual_bound
+    with B projected onto the new kernel and its negative part dropped:
+    V [V^H B V]_+ V^H.  best and lower are the path's best iterate and
+    bound, updated here.  Returns them, the systems solved, and whether
+    the gap closed.
+    """
+    d = da * db
+    v = p.v[:, :k]
+    mult = (v * (mu / p.s[:k])) @ v.conj().T
+    for used in range(1, systems + 1):
+        step = _kkt_step(p, tables[1], grad, mult, k, da, db, work)
+        if step is None:
+            return best, lower, used, False
+        direction, mult = step
+        raw = p.rho + direction
+        t = _edge_weight(float(_eigh(_partial_transpose_b(raw, da, db))[0][0]), d) + _BLEND
+        p = _point(sig, (1.0 - t) * raw + t * (np.eye(d) / d), sigma_term, da, db)
+        if p is None:
+            return best, lower, used, False
+        tables = _log_divided_differences(p.w, p.lw, second=used < systems)
+        grad = _gradient(tables[0], p.u, p.overlaps)
+        z, frame = _eigh(p.v[:, :k].conj().T @ mult @ p.v[:, :k])
+        frame = p.v[:, :k] @ frame
+        lower = max(lower, _dual_bound(p, grad, (frame * np.clip(z, 0.0, None)) @ frame.conj().T, da, db))
+        if p.f < best.f:
+            best = p
+        if _bits(best.f) - _bits(lower) <= _GAP_TOL:
+            return best, lower, used, True
+    return best, lower, systems, False
+
+
 def _barrier_path(
     sig: np.ndarray, sigma_term: float, rho: np.ndarray, da: int, db: int, max_iters: int
 ) -> tuple[_Point, int, float]:
@@ -469,7 +625,15 @@ def _barrier_path(
     _GAP_TOL bits: the certificate of ree_ppt.  Otherwise it ends centred
     at _MU_FLOOR or after max_iters steps, where the last step's bound is
     taken too.  Every bound is a valid weak-duality bound, so the best one
-    is kept.  Returns the best iterate, the step count and that best bound.
+    is kept.
+
+    The first centred point whose rho^PT shows a clean kernel
+    (_clean_kernel) is handed to _kkt_polish once, within the budget
+    left.  The polish returns as soon as its bound certifies the best
+    iterate; otherwise its best point and bound are kept and the path goes
+    on from the centred point, so an input the gate never admits takes the
+    same steps as without it.  Returns the best iterate, the Newton
+    systems solved (steps and polish systems) and the best bound.
     """
     # the closed-form start is strictly feasible by construction
     p = _point(sig, rho, sigma_term, da, db)
@@ -483,6 +647,7 @@ def _barrier_path(
     mu_curv = None
     work = _newton_workspace(da, db, real=not np.iscomplexobj(sig))
     iterations = 0
+    polished = False
     while iterations < max_iters:
         iterations += 1
         direction, decrement = _newton_step(p, tables, grad, mu, da, db, work, mu_curv)
@@ -513,6 +678,16 @@ def _barrier_path(
         # centred for mu once the decrement is small on the barrier scale
         # or no step was possible
         if (not moved) or decrement < 0.25 * mu:
+            k = 0 if polished or iterations >= max_iters else _clean_kernel(p, mu)
+            if k:
+                polished = True
+                budget = min(_POLISH_SYSTEMS, max_iters - iterations)
+                best, lower, systems, done = _kkt_polish(
+                    sig, sigma_term, p, tables, grad, mu, k, da, db, work, budget, best, lower
+                )
+                iterations += systems
+                if done:
+                    return best, iterations, lower
             # no bound can certify before the central path's own gap 2d mu does
             if 2 * d * mu <= _GAP_TOL * _LN2:
                 lower = max(lower, _path_bound(*last_step, da, db))
@@ -542,7 +717,10 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     with I/d (_start_point) and follows the logarithmic-barrier path with
     damped Newton steps, centring at each barrier weight, until the
     certified gap closes or the weight is centred at its floor
-    (_barrier_path); a real sigma takes real Newton steps.
+    (_barrier_path); a real sigma takes real Newton steps.  Once rho^PT
+    shows a clean kernel the path ends on a few Newton systems on the
+    optimality conditions instead (_kkt_polish), and falls back to its
+    remaining weights if they do not certify.
 
     The reported value is in bits, evaluated on sigma at the returned
     closest state: the closed form, or the best iterate of the path, the
@@ -551,7 +729,9 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     the minimum.  The lower bound is the best weak-duality bound taken
     (_dual_bound), and convergence means the gap between the two is at
     most _GAP_TOL bits.  max_iters, a positive integer, bounds the Newton
-    steps.
+    systems, steps and polish systems together.  Every result that has not
+    converged, on the budget or at the end of the path, warns
+    ConvergenceWarning with its gap.
     """
     budget = _integral(max_iters)
     if budget is None or budget < 1:
@@ -562,9 +742,11 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     if bdims.total > 64:
         raise InputError(f"total dimension {bdims.total} exceeds the supported limit 64")
     res = _solve(sigma, budget)
-    if res.iterations >= budget and not res.converged:
+    if not res.converged:
+        where = "on the iteration budget" if res.iterations >= budget else "at the barrier-weight floor"
         warnings.warn(
-            f"ree_ppt stopped on the iteration budget after {res.iterations} steps",
+            f"ree_ppt stopped {where} after {res.iterations} Newton systems, uncertified: "
+            f"gap {res.value_bits - res.lower_bits:.3g} bits, tolerance {_GAP_TOL:g}",
             ConvergenceWarning,
             stacklevel=2,
         )

@@ -215,8 +215,12 @@ def _ppt_edge_weight(mat: np.ndarray, da: int, db: int) -> float:
     (I/d)^PT = I/d, so the blend's partial transpose has least eigenvalue
     (1 - t) lam + t/d, lam that of mat^PT: zero at t* = -lam/(1/d - lam).
     """
-    lam = float(_eigh(_partial_transpose_b(mat, da, db))[0][0])
-    return -lam / (1.0 / (da * db) - lam) if lam < 0.0 else 0.0
+    return _edge_weight(float(_eigh(_partial_transpose_b(mat, da, db))[0][0]), da * db)
+
+
+def _edge_weight(lam: float, d: int) -> float:
+    """_ppt_edge_weight from the least eigenvalue lam of mat^PT, d the total dimension."""
+    return -lam / (1.0 / d - lam) if lam < 0.0 else 0.0
 
 
 def partial_transpose_B(rho: DensityMatrix) -> HermitianMatrix:

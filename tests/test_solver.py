@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -253,8 +254,9 @@ def test_ree_budget_limited_bound_stays_below_value():
 
 
 def test_ree_returns_best_bound_seen(monkeypatch):
-    # the first bound falls just short of certifying and every later one
-    # is useless: the path runs to the weight floor and keeps the first
+    # the first bound, the KKT polish's first, falls just short of
+    # certifying and every later one is useless: the polish fails, and the
+    # path runs on to the weight floor and keeps the first
     bounds = []
     inner = solver._dual_bound
 
@@ -453,7 +455,8 @@ def test_newton_hessian_matches_dense_reference():
         mu = 3e-3
         dd2 = _log_divided_differences(w, p.lw, second=True)[1]
         work = solver._newton_workspace(da, db)
-        hess = solver._newton_hessian(dd2, u, overlaps, rho_inv, tau_inv, mu, work)[:n, :n]
+        pairs = (mu * rho_inv, rho_inv), [(mu * tau_inv, tau_inv)]
+        hess = solver._newton_hessian(dd2, u, overlaps, *pairs, work)[:n, :n]
         coords = _real_coords(d)
         want = coords.conj().T @ _kron_newton_hessian(w, u, overlaps, rho_inv, tau_inv, mu, da, db) @ coords
         # the Hessian preserves Hermiticity, so it is real in these coordinates
@@ -471,7 +474,7 @@ def test_newton_hessian_matches_dense_reference():
             p2 = solver._point(sig, rho + sign * h * dirn, 0.0, da, db)
             grads.append(solver._gradient(_log_divided_differences(p2.w), p2.u, p2.overlaps))
         fd = _real_vec((grads[0] - grads[1]) / (2.0 * h))
-        sigma_part = solver._newton_hessian(dd2, u, overlaps, rho_inv, tau_inv, 0.0, work)[:n, :n]
+        sigma_part = solver._newton_hessian(dd2, u, overlaps, None, [], work)[:n, :n]
         applied = sigma_part @ _real_vec(dirn)
         assert np.linalg.norm(applied - fd) <= 1e-7 * np.linalg.norm(fd)
 
@@ -517,11 +520,25 @@ def _owner(a):
     return a
 
 
-def test_newton_workspace_holds_no_d4_array():
+def test_newton_workspace_holds_no_d4_array(monkeypatch):
     # only bordered, K and its border, may reach d^4 entries: the product
-    # and the rho^PT term are made one slab of A blocks at a time
+    # and the rho^PT term are made one slab of A blocks at a time.  A KKT
+    # polish system solves its k' = k^2 (Hermitian) or k(k+1)/2 (real)
+    # kernel rows by a Schur complement against bordered, so it factors no
+    # other matrix larger than k' x k', solves right-hand sides of
+    # (m + 1)(k' + 1) entries, and allocates no more than a barrier step
+    # plus (m + 1)(k^2 + 1) entries: a fresh KKT matrix of size m + 1 + k'
+    # would add more than bordered's (m + 1)^2
     da, db = 4, 4
     d = da * db
+    solves = []
+    inner = np.linalg.solve
+
+    def recorded(a, b):
+        solves.append((a, b.shape))
+        return inner(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
     for real in (False, True):
         work = solver._newton_workspace(da, db, real)
         bordered = _owner(work.bordered)
@@ -530,6 +547,29 @@ def test_newton_workspace_holds_no_d4_array():
         for owner in owners:
             if owner is not bordered:
                 assert owner.size < d**4, (real, owner.shape)
+        _, p = (_real_newton_point if real else _newton_point)(da, db)
+        tables = _log_divided_differences(p.w, p.lw, second=True)
+        grad = solver._gradient(tables[0], p.u, p.overlaps)
+        m = len(work.tvec)
+        for k in (1, 2, 3):
+            size = k * (k + 1) // 2 if real else k * k
+            mult = (p.v[:, :k] * np.arange(1.0, k + 1.0)) @ p.v[:, :k].conj().T
+            peaks = []
+            for run in (
+                lambda: solver._newton_step(p, tables, grad, 3e-3, da, db, work),
+                lambda: solver._kkt_step(p, tables[1], grad, mult, k, da, db, work),
+            ):
+                run()
+                solves.clear()
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert solves[0][0] is work.bordered and solves[0][1] == (m + 1, size + 1)
+            assert [a.shape for a, _ in solves[1:]] == [(size, size)]
+            assert peaks[1] <= peaks[0] + 8 * (m + 1) * (k * k + 1) < peaks[0] + 8 * (m + 1) ** 2, (real, k, peaks)
 
 
 def _check_workspace_reuse(real, point):
@@ -837,10 +877,11 @@ def _panel_mixed_states():
 
 
 # sha256 over value, bound, step count and closest state of every complex
-# input of rank above 1 below, frozen from the Hermitian-basis solver before
-# real inputs got their own basis.  Two of them (2x2, rank 4) are PPT, so
-# all are solved on the path without closed forms, as they were then
-COMPLEX_SOLVES_DIGEST = "2242c648d8d2140b939d25f9fe6ec4f8eef2ab9879e178e780f23efc99edcbef"
+# input of rank above 1 below, in the Hermitian basis.  Two of them (2x2,
+# rank 4) are PPT, so all are solved on the path without closed forms.
+# Re-frozen when the path gained the KKT polish, after each of the 27 that
+# reached it was seen to stay certified within 1.1e-10 bits of its old value
+COMPLEX_SOLVES_DIGEST = "df937e79c8cdfbd34f364ed5bae4fd242ac9395f0863ccd91320fec138e8662a"
 
 
 def test_complex_solves_match_frozen():
@@ -960,7 +1001,9 @@ def test_real_basis_hessian_matches_dense_reference():
         tau_inv = (p.v * (1.0 / p.s)) @ p.v.T
         dd2 = _log_divided_differences(p.w, p.lw, second=True)[1]
         work = solver._newton_workspace(da, db, real=True)
-        bordered = solver._newton_hessian(dd2, p.u, p.overlaps, rho_inv, tau_inv, 3e-3, work)
+        bordered = solver._newton_hessian(
+            dd2, p.u, p.overlaps, (3e-3 * rho_inv, rho_inv), [(3e-3 * tau_inv, tau_inv)], work
+        )
         basis = _symmetric_basis(d)
         m = basis.shape[1]
         assert bordered.shape == (m + 1, m + 1)
@@ -1085,3 +1128,199 @@ def test_closed_form_answers(kind, make):
         assert path.iterations > 0 and path.converged
         assert res.lower_bits <= path.value_bits + 1e-12
         assert path.lower_bits <= res.value_bits + 1e-12
+
+
+
+def _ginibre_full_rank(rng, d, real):
+    g = rng.standard_normal((d, d))
+    if not real:
+        g = g + 1j * rng.standard_normal((d, d))
+    r = g @ g.conj().T
+    return r / np.trace(r).real
+
+
+def _kkt_sigma(rho, z, dims):
+    # sigma with the exact REE S(sigma||rho), from the optimality
+    # conditions at a full-rank rho on the PPT boundary and a multiplier
+    # z >= 0 on the kernel of rho^PT: sigma = rho - c T(z^PT), where T
+    # divides by ln's first divided differences in rho's eigenframe, the
+    # inverse of the Frechet derivative of ln.  Then tr sigma = 1, since
+    # tr T(X) = tr(rho X) and tr(rho^PT z) = 0; the gradient of
+    # S(sigma||.) at rho is -I + c z^PT, so the KKT conditions hold with
+    # multiplier c z and REE(sigma) = S(sigma||rho).  c is half the
+    # largest value that keeps sigma >= 0.  Returns sigma, the REE in bits
+    # and c z
+    da, db = dims
+    w, u = np.linalg.eigh(rho)
+    inv_dd = u @ ((u.conj().T @ states._partial_transpose_b(z, da, db) @ u) / _log_divided_differences(w)) @ u.conj().T
+    root = (u / np.sqrt(w)) @ u.conj().T
+    c = 0.5 / np.linalg.eigvalsh(root @ inv_dd @ root)[-1]
+    sigma = DensityMatrix(rho - c * inv_dd, dims)
+    return sigma, relative_entropy(sigma, DensityMatrix(rho, dims)), c * z
+
+
+def _kkt_exact_case(dims, seed, real):
+    # rho* is a random non-PPT r blended onto its PPT edge, and the
+    # multiplier |v><v|, v the least eigenvector of rho*^PT
+    da, db = dims
+    d = da * db
+    rng = np.random.default_rng([seed, da, db, int(real)])
+    t = 0.0
+    while t == 0.0:
+        r = _ginibre_full_rank(rng, d, real)
+        t = states._ppt_edge_weight(r, da, db)
+    rho = (1.0 - t) * r + t * np.eye(d) / d
+    v = np.linalg.eigh(states._partial_transpose_b(rho, da, db))[1][:, 0]
+    return _kkt_sigma(rho, np.outer(v, v.conj()), dims)
+
+
+def _kkt_two_kernel_case(dims, seed, real):
+    # rho*^PT is a random r^PT with its two least eigenvalues set to 0, so
+    # its kernel has dimension 2, and the multiplier weighs the two kernel
+    # vectors 1 and 3
+    da, db = dims
+    d = da * db
+    r = _ginibre_full_rank(np.random.default_rng(seed), d, real)
+    lam, e = np.linalg.eigh(states._partial_transpose_b(r, da, db))
+    lam[:2] = 0.0
+    rho = states._partial_transpose_b((e * lam) @ e.conj().T, da, db)
+    assert np.linalg.eigvalsh(rho)[0] > 0.0
+    return _kkt_sigma(rho / np.trace(rho).real, (e[:, :2] * [1.0, 3.0]) @ e[:, :2].conj().T, dims)
+
+
+KKT_EXACT_DIMS = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("dims", KKT_EXACT_DIMS, ids=[f"{a}x{b}" for a, b in KKT_EXACT_DIMS])
+def test_ree_matches_exact_kkt_answer(dims, seed, real):
+    sigma, exact, _ = _kkt_exact_case(dims, seed, real)
+    assert (sigma.mat.imag.any()) != real
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        res = ree_ppt(sigma)
+    assert res.converged
+    assert -1e-12 <= res.value_bits - exact <= 1e-9
+    assert res.lower_bits <= exact + 1e-12
+
+
+@pytest.mark.parametrize("dims, seed, real", [((3, 3), 0, True), ((2, 4), 1, False)], ids=["real-3x3", "complex-2x4"])
+def test_kkt_polish_carries_the_multiplier_across_kernel_frames(dims, seed, real, monkeypatch):
+    # a kernel of dimension 2 whose multiplier is no multiple of I: at each
+    # polished point, blended toward I/d, the two kernel eigenvalues of
+    # rho^PT nearly coincide and eigh returns the kernel in another frame,
+    # so the multiplier is carried as the d x d matrix V Z V^H.  A k x k Z
+    # carried into the next frame failed every polish of these cases
+    sigma, exact, mult = _kkt_two_kernel_case(dims, seed, real)
+    polishes, bounds = [], []
+    polish, bound = solver._kkt_polish, solver._dual_bound
+
+    def recorded_polish(*args):
+        out = polish(*args)
+        polishes.append((args[6], out[3]))
+        return out
+
+    def recorded_bound(p, grad, b, da, db):
+        bounds.append(b)
+        return bound(p, grad, b, da, db)
+
+    monkeypatch.setattr(solver, "_kkt_polish", recorded_polish)
+    monkeypatch.setattr(solver, "_dual_bound", recorded_bound)
+    res = ree_ppt(sigma)
+    assert polishes == [(2, True)]
+    assert res.converged
+    assert -1e-12 <= res.value_bits - exact <= 1e-9
+    assert res.lower_bits <= exact + 1e-12
+    # the certifying bound's multiplier is the constructed one
+    assert np.linalg.norm(bounds[-1] - mult) <= 1e-6 * np.linalg.norm(mult)
+
+
+def test_ree_warns_with_the_gap_when_uncertified(monkeypatch):
+    # a path that ends at the weight floor uncertified, within its budget,
+    # warns too, and names its gap
+    bounds = []
+    inner = solver._dual_bound
+
+    def degraded(*args):
+        bounds.append(inner(*args) - 1e-8 if not bounds else -math.inf)
+        return bounds[-1]
+
+    monkeypatch.setattr(solver, "_dual_bound", degraded)
+    with pytest.warns(ConvergenceWarning, match="barrier-weight floor") as caught:
+        res = ree_ppt(random_density(6, 6, 1).tagged(2, 3))
+    assert not res.converged
+    assert res.iterations < 5000
+    assert f"gap {res.value_bits - res.lower_bits:.3g} bits" in str(caught[0].message)
+
+
+def test_failed_kkt_polish_keeps_its_best_value_and_bound(monkeypatch):
+    # the polish's bounds fall 1e-8 nats short and the path's are useless,
+    # and the budget ends with the polish: the result is the polish's best
+    # point and best bound, although neither certifies
+    sigma = random_density(6, 6, 1).tagged(2, 3)
+    polish, bound, step = solver._kkt_polish, solver._dual_bound, solver._newton_step
+    runs, steps, inside, polish_bounds = [], [], [False], []
+
+    def recorded_polish(*args):
+        inside[0] = True
+        out = polish(*args)
+        inside[0] = False
+        runs.append((len(steps), args[11], args[10], out))
+        return out
+
+    def degraded(*args):
+        if not inside[0]:
+            return -math.inf
+        polish_bounds.append(bound(*args) - 1e-8)
+        return polish_bounds[-1]
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_kkt_polish", recorded_polish)
+    monkeypatch.setattr(solver, "_dual_bound", degraded)
+    monkeypatch.setattr(solver, "_newton_step", counted)
+    with pytest.warns(ConvergenceWarning, match="barrier-weight floor"):
+        ree_ppt(sigma)
+    ((before, start, systems, (best, lower, used, done)),) = runs
+    # the polish failed after all its systems, and found a better point
+    assert not done and used == systems == solver._POLISH_SYSTEMS == len(polish_bounds)
+    assert best.f < start.f
+    runs.clear()
+    polish_bounds.clear()
+    with pytest.warns(ConvergenceWarning, match="iteration budget"):
+        res = ree_ppt(sigma, max_iters=before + solver._POLISH_SYSTEMS)
+    ((_, start, _, (best, lower, used, done)),) = runs
+    assert res.iterations == before + used
+    assert res.value_bits == solver._bits(best.f) < solver._bits(start.f)
+    assert res.lower_bits == solver._bits(max(polish_bounds)) == solver._bits(lower)
+
+
+# inputs the polish gate never admits, with value_bits, lower_bits and
+# iterations as solved before the polish was added: PPT inputs on the
+# Hermitian path, whose rho^PT shows no kernel, and two whose closest
+# state is on both cones' boundaries, so lam_min(rho) fails the gate
+UNPOLISHED_SOLVES = {
+    "werner-0.3": (lambda: werner(0.3), True, (3.2034265038149176e-16, 0.0, 7)),
+    "ppt-ginibre-2x2": (lambda: random_density(4, 4, 123).tagged(2, 2), True, (0.0, 0.0, 15)),
+    "ppt-ginibre-2x3": (lambda: random_density(6, 6, 214).tagged(2, 3), True, (0.0, 0.0, 11)),
+    "near-pure-2x3": (_near_pure_2x3, False, (0.9809465083785697, 0.9809465081476291, 26)),
+    "ppt-edge-1e-8": (lambda: _ppt_boundary_2x3(1e-8), False, (5.8773266065492296e-12, 0.0, 20)),
+}
+
+
+@pytest.mark.parametrize("make, hermitian, want", UNPOLISHED_SOLVES.values(), ids=UNPOLISHED_SOLVES.keys())
+def test_unpolished_solves_are_unchanged(make, hermitian, want, monkeypatch):
+    calls = []
+    inner = solver._kkt_polish
+
+    def recorded(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "_kkt_polish", recorded)
+    res = solver._solve(make(), 5000, hermitian=hermitian)
+    assert not calls
+    assert (res.value_bits, res.lower_bits, res.iterations) == want

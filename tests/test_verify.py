@@ -78,8 +78,8 @@ FROZEN_REPORT_DIGESTS = {
     ("monotone", 30, 7, (2, 2)): "85078f2e38855a8fbd49d2967cf4d52c941944c64c5ae733627a1b436eef805c",
     ("monotone", 30, 7, (2, 3)): "4337e06d87c859c4d9fb0415d1972681fbdc19a322a3d739504fe542fb2b809d",
     # each record carries the solve's value, iterations and lower-bound margin
-    ("lemma2", 8, 7, (2, 2)): "10410a466ed455c553177dbdbc01c42fb56a5ce9af3fb19712295c60420d7e32",
-    ("lemma2", 4, 7, (2, 3)): "2ba32f7b9ae02ee4d2f8c536fa53359e19da6d50b4055fbe3dfa36b6fc832069",
+    ("lemma2", 8, 7, (2, 2)): "4d9b73064959d816c03b9ae3da1559b5f94f8485379728fc76c84ffb37a28199",
+    ("lemma2", 4, 7, (2, 3)): "671fd3874f53936d0307067ec3f3d189d3f4cd513669cb95dd7d00500d263137",
     # every trial saturates the lemma 2 bound, so each record carries the
     # reduction distance of the closest state
     ("lemma4", 4, 7, (2, 2)): "3ab6a822c5869c2895015b1408bee2dacbda81be3db0ba2e25f75a08802ec0f4",
@@ -89,7 +89,7 @@ FROZEN_REPORT_DIGESTS = {
     ("corollary1", 2, 7, (2, 3)): "c0f274ba1d4522d6b95884a6d8c5086cda16749b48a7d7e9d92fc6b3febb5ae0",
     # one trial: three solves, the product one at 4x4
     ("corollary2", 1, 7, (2, 2)): "ca33ffdfb9ca6b2303729a6c6c5e8b1c8bfdc4bb7fefec2024b7ae5df2f6f7e0",
-    ("lemma3", 4, 7, (2, 2)): "5cf18134f202dda4d2ee8fed3d1be82372f051332e95d43063aa40c95469cdce",
+    ("lemma3", 4, 7, (2, 2)): "da83cf9582f5b9c1ad266a90014e70779930ee89ff8e010c496198187bf6c202",
     ("theorem1", 20, 7, (2, 4)): "b17bc22433f26ed233024dca4355127a1d91c69504b4c7d6fe65a31ae34f3f48",
 }
 
