@@ -172,7 +172,8 @@ _BLEND = 1e-11
 # the KKT polish: at most _POLISH_SYSTEMS Newton systems, from the first
 # centred point whose rho^PT has k >= 1 eigenvalues at most _KERNEL_GATE mu,
 # the next _KERNEL_GATE times the k-th, and lam_min(rho) above _KERNEL_GATE mu.
-# Gates of 30 and 10 let the polish start where it failed to certify
+# Over the benchmark panels and 96 random 2x2-3x4 states, 1 of 119 polish
+# attempts failed at a gate of 100, against 4 of 117 at 30 and 17 of 114 at 10
 _POLISH_SYSTEMS = 5
 _KERNEL_GATE = 100.0
 
