@@ -202,8 +202,8 @@ class _Slab(NamedTuple):
     (index, rows, buffer): the flat index picks the pairs p <= q, r <= s
     of dest into buffer, a contiguous view of product's storage, free once
     folded, which is copied onto rows, the slab's rows of K; they lie
-    together in triu order but are not contiguous in bordered, so a
-    gather straight onto them went through a hidden temporary.
+    together in triu order but are not contiguous in bordered, and numpy
+    would gather onto them through a hidden temporary.
     """
 
     lefts: slice
