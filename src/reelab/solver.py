@@ -567,7 +567,8 @@ def _kkt_polish(
 
     The multiplier starts at the barrier's estimate mu s_k^-1 on the
     kernel and is carried as the d x d matrix B = V Z V^H, since each new
-    rho^PT returns its kernel in another frame.  Each step's rho + Delta
+    rho^PT returns its kernel in another frame.  Each step's rho + Delta,
+    with Delta projected onto trace zero so the point keeps unit trace,
     is blended toward I/d by its edge weight (_edge_weight) plus _BLEND,
     so the new point is strictly feasible, and certified by _dual_bound
     with B projected onto the new kernel and its negative part dropped:
@@ -583,7 +584,9 @@ def _kkt_polish(
         if step is None:
             return best, lower, used, False
         direction, mult = step
-        raw = p.rho + direction
+        # the solved direction's trace reached 1.1e-10 on a low-rank input,
+        # and no later step renormalises the point
+        raw = p.rho + (direction - (np.trace(direction).real / d) * np.eye(d))
         t = _edge_weight(float(_eigh(_partial_transpose_b(raw, da, db))[0][0]), d) + _BLEND
         p = _point(sig, (1.0 - t) * raw + t * (np.eye(d) / d), sigma_term, da, db)
         if p is None:

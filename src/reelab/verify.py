@@ -179,9 +179,13 @@ def _nondistillable_arrays(rngs, dims) -> list:
     them, are those of a loop of scalar rank and _state_seed draws.
     Chunk k of every generator still without a state is screened by one
     states._first_ppt call, so each array is the one a loop over that
-    generator's candidates accepts.  A generator may be drawn past its
-    accepted candidate: a caller must not read it after this returns.
-    The arrays are not validated.
+    generator's candidates accepts.  That call builds no candidate of
+    rank at most max(dA, dB) when both are at least 2, since those are
+    NPT; their (rank, seed) pairs are still drawn, so each stream is the
+    loop's, and an exhausted budget's 200th candidate is rebuilt whatever
+    its rank.  A generator may be drawn past its accepted candidate: a
+    caller must not read it after this returns.  The arrays are not
+    validated.
     """
     d = dims.total
     da, db = dims.da, dims.db

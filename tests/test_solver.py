@@ -880,8 +880,11 @@ def _panel_mixed_states():
 # input of rank above 1 below, in the Hermitian basis.  Two of them (2x2,
 # rank 4) are PPT, so all are solved on the path without closed forms.
 # Re-frozen when the path gained the KKT polish, after each of the 27 that
-# reached it was seen to stay certified within 1.1e-10 bits of its old value
-COMPLEX_SOLVES_DIGEST = "df937e79c8cdfbd34f364ed5bae4fd242ac9395f0863ccd91320fec138e8662a"
+# reached it was seen to stay certified within 1.1e-10 bits of its old value,
+# and when each polish direction was projected onto trace zero, which moved
+# no step count, no value by more than 2.9e-15 bits and no bound by more
+# than 5.9e-14
+COMPLEX_SOLVES_DIGEST = "18a7d2616694238c62ce0cc5c03ecff09d22d45c8bcf7c562d305fc07ed13faf"
 
 
 def test_complex_solves_match_frozen():
@@ -971,6 +974,28 @@ def test_real_basis_closest_state_keeps_unit_trace():
     state = DensityMatrix(res.closest_state.mat, (2, 2))
     assert abs(state.matrix.trace() - 1.0) <= 1e-12
     assert res.converged
+
+
+def test_kkt_polish_keeps_unit_trace(monkeypatch):
+    # a polish direction on this real rank-3 5x5 input carried a trace of
+    # 1.1e-10, and the polished point, never renormalised, failed the
+    # closest state's trace check with StateInvariantError
+    drifts = []
+    inner = solver._kkt_polish
+
+    def recorded(*args):
+        out = inner(*args)
+        drifts.append(abs(np.trace(out[0].rho).real - 1.0))
+        return out
+
+    monkeypatch.setattr(solver, "_kkt_polish", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        res = ree_ppt(DensityMatrix(_real_ginibre_state(25, 3, 9538), (5, 5)))
+    # the polish ran, and its best point keeps unit trace
+    assert len(drifts) == 1 and drifts[0] <= 1e-12
+    assert res.converged
+    assert abs(res.closest_state.matrix.trace() - 1.0) <= 1e-12
 
 
 def _real_newton_point(da, db, seed=0):

@@ -78,8 +78,8 @@ FROZEN_REPORT_DIGESTS = {
     ("monotone", 30, 7, (2, 2)): "85078f2e38855a8fbd49d2967cf4d52c941944c64c5ae733627a1b436eef805c",
     ("monotone", 30, 7, (2, 3)): "4337e06d87c859c4d9fb0415d1972681fbdc19a322a3d739504fe542fb2b809d",
     # each record carries the solve's value, iterations and lower-bound margin
-    ("lemma2", 8, 7, (2, 2)): "4d9b73064959d816c03b9ae3da1559b5f94f8485379728fc76c84ffb37a28199",
-    ("lemma2", 4, 7, (2, 3)): "671fd3874f53936d0307067ec3f3d189d3f4cd513669cb95dd7d00500d263137",
+    ("lemma2", 8, 7, (2, 2)): "a8ebec471b96068ecfafe0f42c808d9e4b18ae91753cd98a5aae7b7c6b950ca3",
+    ("lemma2", 4, 7, (2, 3)): "d9fe61cc4b9b53bd760a6337901d82d4082e7f59ae5feb87c448c1b1bdb9fb64",
     # every trial saturates the lemma 2 bound, so each record carries the
     # reduction distance of the closest state
     ("lemma4", 4, 7, (2, 2)): "3ab6a822c5869c2895015b1408bee2dacbda81be3db0ba2e25f75a08802ec0f4",
@@ -89,8 +89,10 @@ FROZEN_REPORT_DIGESTS = {
     ("corollary1", 2, 7, (2, 3)): "c0f274ba1d4522d6b95884a6d8c5086cda16749b48a7d7e9d92fc6b3febb5ae0",
     # one trial: three solves, the product one at 4x4
     ("corollary2", 1, 7, (2, 2)): "ca33ffdfb9ca6b2303729a6c6c5e8b1c8bfdc4bb7fefec2024b7ae5df2f6f7e0",
-    ("lemma3", 4, 7, (2, 2)): "da83cf9582f5b9c1ad266a90014e70779930ee89ff8e010c496198187bf6c202",
+    ("lemma3", 4, 7, (2, 2)): "103a11a2b96cd81770b0b17a7487a48a1fb2b0c8f1c20e8803bd8da21b8d18cb",
     ("theorem1", 20, 7, (2, 4)): "b17bc22433f26ed233024dca4355127a1d91c69504b4c7d6fe65a31ae34f3f48",
+    # at 1x3 every state is PPT, so the sampler's rank rule must not skip a candidate
+    ("theorem1", 20, 7, (1, 3)): "16ef3b7a04cccab1ae0b822ddba310e382b1822951da5ffddd48c849e80b66bb",
 }
 
 
@@ -117,7 +119,7 @@ def test_stacked_suites_match_parent_in_small_chunks(monkeypatch):
         text = campaign_text(run_suite(suite, trials, seed, dims=dims))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (suite, dims)
         stacked += 1
-    assert stacked == 8
+    assert stacked == 9
 
 
 def test_reduction_crosses_a_full_size_chunk(monkeypatch):
@@ -204,6 +206,11 @@ def test_nondistillable_matches_sequential_loop():
     # at 3x3 every Ginibre draw blends
     branches = assert_sampler_matches_loop((3, 3), range(16))
     assert branches["accepted"] == 0 and branches["blended"] > 8
+    # the rank rule at two more shapes, and at 1x3, where every state is
+    # PPT and no candidate may be skipped
+    assert assert_sampler_matches_loop((2, 5), range(12))["blended"] > 4
+    assert assert_sampler_matches_loop((3, 4), range(12))["blended"] > 4
+    assert assert_sampler_matches_loop((1, 3), range(40))["accepted"] > 20
 
 
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (2, 4), (3, 3)])
@@ -288,7 +295,7 @@ def test_ppt_edge_weight_matches_bisection():
 
 
 def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
-    # the screen decomposes the candidates its 2x2 minors keep: each
+    # the screen decomposes the drawn candidates its 2x2 minors keep: each
     # decomposed least eigenvalue is within 1e-15 of the exact one, and
     # every candidate a minor discards fails the exact PPT test
     eigvalsh = np.linalg.eigvalsh
@@ -313,14 +320,16 @@ def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
     for da, db in ((2, 2), (2, 3), (2, 4), (3, 3)):
         d = da * db
         specs = [(int(rng.integers(1, d + 1)), int(rng.integers(0, 2**63 - 1))) for _ in range(1000)]
+        # the rank rule draws only the candidates of rank above max(dA, dB)
+        drawn = [spec for spec in specs if spec[0] > max(da, db)]
         screened.clear()
         minors.clear()
         states._first_ppt([specs[:400], specs[400:]], da, db)
         # the screen's stacks in order, each of at most _STACK_ENTRIES entries
         decomposed = np.concatenate(minors) >= -(PSD_TOL + states._PPT_SCREEN_GUARD)
         least = np.concatenate(screened)
-        assert len(minors) > 1 and len(decomposed) == len(specs) and len(least) == np.sum(decomposed)
-        exact = np.array([eigvalsh(_partial_transpose_b(_random_density_arr(d, *spec), da, db))[0] for spec in specs])
+        assert len(minors) > 1 and len(decomposed) == len(drawn) and len(least) == np.sum(decomposed)
+        exact = np.array([eigvalsh(_partial_transpose_b(_random_density_arr(d, *spec), da, db))[0] for spec in drawn])
         worst = max(worst, float(np.max(np.abs(least - exact[decomposed]))))
         # the minors discard a share of the candidates outside the PPT test, and no other
         assert np.all(exact[~decomposed] < -PSD_TOL), (da, db)
@@ -347,6 +356,46 @@ def test_least_minor_keeps_ppt_edge_and_separable_states():
         assert np.all(minor >= -(PSD_TOL + states._PPT_SCREEN_GUARD)), (da, db)
         assert np.all(minor >= np.linalg.eigvalsh(pt)[:, 0] - 1e-15), (da, db)
     assert blended > 80
+
+
+def test_first_ppt_skips_ranks_only_where_they_are_npt(monkeypatch):
+    # candidates of rank at most max(dA, dB) are never drawn when both
+    # sides have dimension 2 or more; at 1xN every rank is drawn
+    screen = states._ppt_screen
+    ranks = []
+
+    def recorded(candidates, da, db):
+        ranks.extend(rank for rank, _ in candidates)
+        return screen(candidates, da, db)
+
+    monkeypatch.setattr(states, "_ppt_screen", recorded)
+    for da, db in ((2, 2), (2, 3), (3, 2), (3, 3), (1, 3), (3, 1)):
+        d = da * db
+        specs = [(1 + k % d, 900 + k) for k in range(4 * d)]
+        ranks.clear()
+        states._first_ppt([specs], da, db)
+        floor = max(da, db) if min(da, db) >= 2 else 0
+        assert sorted(ranks) == sorted(rank for rank, _ in specs if rank > floor), (da, db)
+    # a chunk whose every candidate is skipped draws nothing and accepts none
+    ranks.clear()
+    assert states._first_ppt([[(1, 5), (2, 6)], [(3, 7)]], 2, 3) == [None, None]
+    assert ranks == []
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (2, 4), (3, 3)])
+def test_ginibre_states_of_rank_at_most_the_larger_side_are_npt(da, db):
+    # the cells the rank rule skips: a PPT state of rank at most
+    # max(rank rho_A, rank rho_B) is separable, which a Ginibre state of
+    # that rank is with probability 0; each must fail the PPT test by a
+    # wide margin, not by rounding
+    d = da * db
+    rng = np.random.default_rng([31, da, db])
+    for rank in range(1, max(da, db) + 1):
+        g = (rng.standard_normal((2000, d, rank)) + 1j * rng.standard_normal((2000, d, rank))) / np.sqrt(2.0)
+        m = g @ g.conj().swapaxes(1, 2)
+        m /= np.real(np.trace(m, axis1=1, axis2=2))[:, None, None]
+        least = np.linalg.eigvalsh(_partial_transpose_b(m, da, db))[:, 0]
+        assert np.max(least) < -1e-5, (da, db, rank)
 
 
 @pytest.mark.parametrize("offset", [0.5, -0.5])
