@@ -413,6 +413,9 @@ def _gram_state(g: np.ndarray) -> np.ndarray:
 
 # A screened least eigenvalue lies within about 1e-15 of the exact one, so
 # a candidate screened below -PSD_TOL minus this guard cannot pass _is_ppt.
+# The sign stage shifts rho^PT by the same c = PSD_TOL + guard: a wrong
+# determinant sign needs an eigenvalue within about 1e-14 of -c, which
+# _is_ppt rejects as well.
 _PPT_SCREEN_GUARD = 1e-12
 
 
@@ -446,17 +449,14 @@ def _least_minor(pt: np.ndarray, da: int, db: int) -> np.ndarray:
 
 
 def _ppt_screen(candidates, da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each (rank, generator) candidate, whether its screened rho^PT is within the guard of PPT.
+    """For each (rank, generator) candidate, whether _screen_pt keeps its rho^PT.
 
     _first_ppt passes only the candidates its rank rule draws, those of
     rank above max(da, db) when both are at least 2.  They are built as
     one zero-padded Ginibre stack, with the normal draws _ginibre makes
-    from each generator, and screened in two stages.  First the 2x2
-    minors: a candidate whose _least_minor is below the guard has, by
-    interlacing, an eigenvalue of rho^PT at least as low, so _is_ppt would
-    reject it too.  The rest are screened by one stacked eigvalsh.  Also
-    returns the padded Ginibre matrices of the kept candidates: the first
-    rank columns of each hold the bits _ginibre gives.
+    from each generator.  Also returns the padded Ginibre matrices of the
+    kept candidates: the first rank columns of each hold the bits
+    _ginibre gives.
     """
     d = da * db
     # the real and imaginary parts that _ginibre draws, combined as it does
@@ -466,17 +466,48 @@ def _ppt_screen(candidates, da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
     g = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
     m = g @ g.conj().swapaxes(1, 2)
     m /= np.real(np.trace(m, axis1=1, axis2=2))[:, None, None]
-    pt = _partial_transpose_b(m, da, db)
-    kept = _clears(_least_minor(pt, da, db), PSD_TOL + _PPT_SCREEN_GUARD)
-    if np.any(kept):
-        kept[kept] = _clears(_eigvalsh(pt[kept])[:, 0], PSD_TOL + _PPT_SCREEN_GUARD)
+    kept = _screen_pt(_partial_transpose_b(m, da, db), da, db)
     return kept, g[kept]
 
 
+def _screen_pt(pt: np.ndarray, da: int, db: int) -> np.ndarray:
+    """For each rho^PT of a stack, whether it is within the guard of PPT.
+
+    Three stages, each only on the survivors of the one before, with
+    c = PSD_TOL + _PPT_SCREEN_GUARD; a stage discards only what _is_ppt
+    rejects too.  First the 2x2 minors: a rho^PT whose _least_minor is
+    below -c has, by interlacing, an eigenvalue at least as low.  Then
+    the sign of det(rho^PT + cI), the product of the lambda_i + c, from
+    one stacked slogdet (det underflows at large d): a negative sign
+    means an odd number of eigenvalues below -c.  rho^PT has at most
+    (da - 1)(db - 1) negative eigenvalues (Rana, PRA 87, 054301 (2013)),
+    at most one at 2x2 (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)),
+    so the sign rejects nearly every NPT candidate the minors keep at
+    2x2 and most of them at 2x3.  LU with partial pivoting is backward
+    stable, so a wrong sign needs an eigenvalue within about 1e-14 of
+    -c, below -PSD_TOL.  Last one stacked eigvalsh, whose least
+    eigenvalue is within about 1e-15 of the exact one.  The minors go
+    first: where most rho^PT carry an even number of negative
+    eigenvalues (2x4, 3x3) the sign alone costs more than it saves.
+    """
+    d = da * db
+    c = PSD_TOL + _PPT_SCREEN_GUARD
+    kept = _clears(_least_minor(pt, da, db), c)
+    if np.any(kept):
+        shifted = pt[kept]
+        shifted.reshape(len(shifted), d * d)[:, :: d + 1] += c
+        kept[kept] = np.real(np.linalg.slogdet(shifted)[0]) >= 0.0
+    if np.any(kept):
+        kept[kept] = _clears(_eigvalsh(pt[kept])[:, 0], c)
+    return kept
+
+
 def _first_ppt(groups, da: int, db: int) -> list:
-    """For each list of (rank, seed) candidates, the array of its first that passes _is_ppt, or None.
+    """For each group of (rank, seed) candidates, the array of its first that passes _is_ppt, or None.
 
     Candidate (rank, seed) is _random_density_arr(da * db, rank, seed).
+    groups is an (n, size, 2) int64 array, as _nondistillable_arrays
+    draws a chunk, or a list of lists of pairs, possibly ragged.
     When da and db are both at least 2, a candidate of rank at most
     max(da, db) is marked not kept without being drawn: it is NPT with
     probability 1.  A PPT state of rank at most max(rank rho_A, rank rho_B)
@@ -492,35 +523,42 @@ def _first_ppt(groups, da: int, db: int) -> list:
     and -3.0e-4 at 2x2 ranks 1 and 2, at most -7.7e-3 at 2x3, -1.7e-2 at
     2x4 and -5.6e-2 at 3x3, against the test's -1e-9.
 
-    The seeds of the drawn candidates are hashed in one _generators pass;
-    the candidates are then drawn and screened together by _ppt_screen, by
-    2x2 minors and then by stacked eigvalsh, in stacks of at most
-    _STACK_ENTRIES matrix entries.  The screen only discards: each
-    candidate within the guard of the PPT test is rebuilt exactly, one
-    matrix at a time from the normal draws the screen made for it, and
-    decided by _is_ppt, in its group's order.  So each answer is the one
-    a loop over that group gives, provided the skipped cells are NPT, as
-    the sequential-loop test and the frozen report digests check.
+    The pairs are flattened into one array, and the rank rule, the
+    seeding and the kept marks work on index arrays.  The seeds of the
+    drawn candidates are hashed in one _generators pass; the candidates
+    are then drawn and screened together by _ppt_screen, by 2x2 minors,
+    by the sign of det(rho^PT + cI) and by stacked eigvalsh (_screen_pt),
+    in stacks of at most _STACK_ENTRIES matrix entries.  The screen only
+    discards: each candidate within the guard of the PPT test is rebuilt
+    exactly, one matrix at a time from the normal draws the screen made
+    for it, and decided by _is_ppt, in its group's order.  So each answer
+    is the one a loop over that group gives, provided the skipped cells
+    are NPT, as the sequential-loop test and the frozen report digests
+    check.
     """
     d = da * db
-    specs = [spec for group in groups for spec in group]
+    if isinstance(groups, np.ndarray):
+        specs = groups.reshape(-1, 2)
+    else:
+        specs = np.array([spec for group in groups for spec in group], dtype=np.int64).reshape(-1, 2)
+    # the group of each candidate, by its index in specs
+    owner = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    ranks = specs[:, 0]
     floor = max(da, db) if min(da, db) >= 2 else 0
-    drawn = [i for i, (rank, _) in enumerate(specs) if rank > floor]
-    rngs = _generators(_entropy((), [specs[i][1] for i in drawn]))
+    drawn = np.flatnonzero(ranks > floor)
+    rngs = _generators(_entropy((), specs[drawn, 1]))
     per_stack = max(1, _STACK_ENTRIES // (d * d))
-    # the padded Ginibre matrix of each kept candidate, by its index in specs
-    ginibre = {}
+    out = [None] * len(groups)
     for lo in range(0, len(drawn), per_stack):
         stack = drawn[lo:lo + per_stack]
-        kept, g = _ppt_screen([(specs[i][0], next(rngs)) for i in stack], da, db)
-        ginibre.update(zip(np.compress(kept, stack).tolist(), g))
-    out, start = [], 0
-    for group in groups:
-        screened = (
-            _gram_state(ginibre[i][:, :rank]) for i, (rank, _) in enumerate(group, start) if i in ginibre
-        )
-        out.append(next((mat for mat in screened if _is_ppt(mat, da, db)), None))
-        start += len(group)
+        kept, g = _ppt_screen(list(zip(ranks[stack].tolist(), rngs)), da, db)
+        # kept candidates in specs order: each group's in its own order
+        for i, gin in zip(stack[kept].tolist(), g):
+            k = owner[i]
+            if out[k] is None:
+                mat = _gram_state(gin[:, : ranks[i]])
+                if _is_ppt(mat, da, db):
+                    out[k] = mat
     return out
 
 
@@ -541,9 +579,8 @@ def random_pure(dims, seed: int) -> PureState:
     return PureState(vec / np.linalg.norm(vec), dims)
 
 
-def _random_separable_arr(dims: BipartiteDims, seed: int, k: int) -> np.ndarray:
-    """The array random_separable validates, for k >= 1 products."""
-    rng = np.random.default_rng(seed)
+def _random_separable_arr(dims: BipartiteDims, rng: np.random.Generator, k: int) -> np.ndarray:
+    """The array random_separable validates, for k >= 1 products drawn from rng."""
     weights = rng.dirichlet(np.ones(k))
     mat = np.zeros((dims.total, dims.total), dtype=np.complex128)
     for w in weights:
@@ -567,7 +604,7 @@ def random_separable(dims, seed: int, k: int | None = None) -> DensityMatrix:
         k = 2 * dims.total**2
     if k < 1:
         raise InputError("k must be positive")
-    return DensityMatrix(_random_separable_arr(dims, seed, k), dims)
+    return DensityMatrix(_random_separable_arr(dims, np.random.default_rng(seed), k), dims)
 
 
 def permute_systems(rho: DensityMatrix, perm, subsystem_dims) -> DensityMatrix:

@@ -63,7 +63,6 @@ from .states import (
     _integral,
     _partial_transpose_b,
     _ppt_edge_weight,
-    _random_density_arr,
     _random_separable_arr,
     _reduction_b,
     _states,
@@ -183,46 +182,54 @@ def _nondistillable_arrays(rngs, dims) -> list:
     rank at most max(dA, dB) when both are at least 2, since those are
     NPT; their (rank, seed) pairs are still drawn, so each stream is the
     loop's, and an exhausted budget's 200th candidate is rebuilt whatever
-    its rank.  A generator may be drawn past its accepted candidate: a
-    caller must not read it after this returns.  The arrays are not
-    validated.
+    its rank.  The separable quarter and those rebuilds are each seeded
+    in one _generators pass.  A generator may be drawn past its accepted
+    candidate: a caller must not read it after this returns.  The arrays
+    are not validated.
     """
     d = dims.total
     da, db = dims.da, dims.db
     out = [None] * len(rngs)
-    pending = []
+    separable, pending = [], []
     for k, rng in enumerate(rngs):
         if rng.integers(0, 4) == 0:
             kind = int(rng.integers(1, 4))
-            out[k] = _random_separable_arr(dims, _state_seed(rng), kind)
+            separable.append((k, kind, _state_seed(rng)))
         else:
             pending.append(k)
+    seeded = _generators(_entropy((), [seed for _, _, seed in separable]))
+    for (k, kind, _), rng in zip(separable, seeded):
+        out[k] = _random_separable_arr(dims, rng, kind)
     for size in _PPT_CHUNKS:
         if not pending:
             return out
         low = np.array([1, 0] * size, dtype=np.int64)
         high = np.array([d + 1, 2**63 - 1] * size, dtype=np.int64)
-        groups = {k: rngs[k].integers(low, high).reshape(size, 2).tolist() for k in pending}
-        for k, mat in zip(groups, _first_ppt(list(groups.values()), da, db)):
+        groups = np.stack([rngs[k].integers(low, high).reshape(size, 2) for k in pending])
+        for k, mat in zip(pending, _first_ppt(groups, da, db)):
             out[k] = mat
-        pending = [k for k in groups if out[k] is None]
-    for k in pending:
-        mat = _random_density_arr(d, *groups[k][-1])
+        last = [j for j, k in enumerate(pending) if out[k] is None]
+        pending = [pending[j] for j in last]
+    for k, mat in zip(pending, _density_arrays(d, groups[last, -1])):
         t = _ppt_edge_weight(mat, da, db)
         out[k] = (1.0 - t) * mat + t * (np.eye(d) / d)
     return out
+
+
+def _density_arrays(d: int, specs) -> list:
+    """_random_density_arr(d, rank, seed) for each (rank, seed) of specs, the seeds hashed in one _generators pass."""
+    seeded = _generators(_entropy((), [seed for _, seed in specs]))
+    return [_gram_state(_ginibre(rng, d, rank)) for (rank, _), rng in zip(specs, seeded)]
 
 
 def _sigma_draws(rngs, d: int) -> list:
     """For each generator, a uniformly drawn rank and the array of a random state of that rank on dimension d.
 
     Each generator draws the rank and then the seed of its state, whose
-    array is _random_density_arr(d, rank, seed); the seeds are hashed in
-    one _generators pass.
+    array is _random_density_arr(d, rank, seed), built by _density_arrays.
     """
     specs = [(int(rng.integers(1, d + 1)), _state_seed(rng)) for rng in rngs]
-    seeded = _generators(_entropy((), [seed for _, seed in specs]))
-    return [(rank, _gram_state(_ginibre(next(seeded), d, rank))) for rank, _ in specs]
+    return [(rank, mat) for (rank, _), mat in zip(specs, _density_arrays(d, specs))]
 
 
 def _random_sigma(rng, dims) -> tuple[DensityMatrix, int]:

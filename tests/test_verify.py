@@ -93,6 +93,8 @@ FROZEN_REPORT_DIGESTS = {
     ("theorem1", 20, 7, (2, 4)): "b17bc22433f26ed233024dca4355127a1d91c69504b4c7d6fe65a31ae34f3f48",
     # at 1x3 every state is PPT, so the sampler's rank rule must not skip a candidate
     ("theorem1", 20, 7, (1, 3)): "16ef3b7a04cccab1ae0b822ddba310e382b1822951da5ffddd48c849e80b66bb",
+    # 2x3 with its sides swapped: the partial transpose acts on the larger side
+    ("theorem1", 20, 7, (3, 2)): "bff14b066cd6ca1f4770385ef27bf2951a22b81e9effede2b7ffa1e089593794",
 }
 
 
@@ -119,7 +121,7 @@ def test_stacked_suites_match_parent_in_small_chunks(monkeypatch):
         text = campaign_text(run_suite(suite, trials, seed, dims=dims))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (suite, dims)
         stacked += 1
-    assert stacked == 9
+    assert stacked == 10
 
 
 def test_reduction_crosses_a_full_size_chunk(monkeypatch):
@@ -202,6 +204,8 @@ def test_nondistillable_matches_sequential_loop():
     # a third of the 2x3 Ginibre draws exhaust the budget and blend
     branches = assert_sampler_matches_loop((2, 3), range(80))
     assert branches["accepted"] > 20 and branches["blended"] > 10
+    branches = assert_sampler_matches_loop((3, 2), range(40))
+    assert branches["accepted"] > 10 and branches["blended"] > 5
     assert assert_sampler_matches_loop((2, 4), range(40))["blended"] > 10
     # at 3x3 every Ginibre draw blends
     branches = assert_sampler_matches_loop((3, 3), range(16))
@@ -295,12 +299,16 @@ def test_ppt_edge_weight_matches_bisection():
 
 
 def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
-    # the screen decomposes the drawn candidates its 2x2 minors keep: each
-    # decomposed least eigenvalue is within 1e-15 of the exact one, and
-    # every candidate a minor discards fails the exact PPT test
+    # the screen's stages on the drawn candidates: every candidate a 2x2
+    # minor or a determinant sign discards fails the exact PPT test; at
+    # 2x2 and 2x3, where rho^PT mostly has one negative eigenvalue, the
+    # sign discards at least 3/4 of the NPT candidates the minors keep;
+    # and each least eigenvalue the stacked eigvalsh gives for the rest is
+    # within 1e-15 of the exact one
     eigvalsh = np.linalg.eigvalsh
+    slogdet = np.linalg.slogdet
     least_minor = states._least_minor
-    screened, minors = [], []
+    screened, signs, minors = [], [], []
 
     def recording_eigvalsh(a, *args, **kwargs):
         w = eigvalsh(a, *args, **kwargs)
@@ -308,12 +316,18 @@ def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
             screened.append(w[:, 0].copy())
         return w
 
+    def recording_slogdet(a):
+        sign, logdet = slogdet(a)
+        signs.append(np.real(sign))
+        return sign, logdet
+
     def recording_least_minor(*args):
         w = least_minor(*args)
         minors.append(w.copy())
         return w
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
     monkeypatch.setattr(states, "_least_minor", recording_least_minor)
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -323,18 +337,78 @@ def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
         # the rank rule draws only the candidates of rank above max(dA, dB)
         drawn = [spec for spec in specs if spec[0] > max(da, db)]
         screened.clear()
+        signs.clear()
         minors.clear()
         states._first_ppt([specs[:400], specs[400:]], da, db)
-        # the screen's stacks in order, each of at most _STACK_ENTRIES entries
-        decomposed = np.concatenate(minors) >= -(PSD_TOL + states._PPT_SCREEN_GUARD)
+        # the screen's stacks in order, each of at most _STACK_ENTRIES
+        # entries; each stage sees the survivors of the one before
+        signed = np.concatenate(minors) >= -(PSD_TOL + states._PPT_SCREEN_GUARD)
+        decomposed = signed.copy()
+        decomposed[signed] = np.concatenate(signs) >= 0.0
         least = np.concatenate(screened)
-        assert len(minors) > 1 and len(decomposed) == len(drawn) and len(least) == np.sum(decomposed)
+        assert len(minors) > 1 and len(signed) == len(drawn) and len(least) == np.sum(decomposed)
         exact = np.array([eigvalsh(_partial_transpose_b(_random_density_arr(d, *spec), da, db))[0] for spec in drawn])
         worst = max(worst, float(np.max(np.abs(least - exact[decomposed]))))
         # the minors discard a share of the candidates outside the PPT test, and no other
-        assert np.all(exact[~decomposed] < -PSD_TOL), (da, db)
-        assert np.sum(~decomposed) >= np.sum(exact < -PSD_TOL) // 4, (da, db)
+        assert np.all(exact[~signed] < -PSD_TOL), (da, db)
+        assert np.sum(~signed) >= np.sum(exact < -PSD_TOL) // 4, (da, db)
+        # so does the sign, on the minors' survivors
+        assert np.all(exact[signed & ~decomposed] < -PSD_TOL), (da, db)
+        if d <= 6:
+            assert 4 * np.sum(signed & ~decomposed) >= 3 * np.sum(signed & (exact < -PSD_TOL)), (da, db)
     assert worst <= 1e-15
+
+
+def test_sign_stage_keeps_ppt_states_and_leaves_even_counts_to_eigvalsh(monkeypatch):
+    # det(rho^PT + cI) is negative only when an odd number of eigenvalues
+    # lie below -c: PPT-edge blends, separable mixtures and states whose
+    # least eigenvalue sits just above -PSD_TOL pass every stage, and a
+    # rho^PT with exactly two eigenvalues below -c passes the minors and
+    # the sign and is rejected by eigvalsh
+    c = PSD_TOL + states._PPT_SCREEN_GUARD
+    inside = -PSD_TOL * (1.0 - 1e-3)
+    eigvalsh = np.linalg.eigvalsh
+    decided = []
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        w = eigvalsh(a, *args, **kwargs)
+        if w.ndim == 2:
+            decided.append(len(w))
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    rng = np.random.default_rng(13)
+    for da, db in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4)):
+        d = da * db
+        mats = []
+        for _ in range(40):
+            mat = _random_density_arr(d, int(rng.integers(1, d + 1)), int(rng.integers(0, 2**63 - 1)))
+            lam = eigvalsh(_partial_transpose_b(mat, da, db))[0]
+            t = _ppt_edge_weight(mat, da, db)
+            mats.append((1.0 - t) * mat + t * (np.eye(d) / d))
+            if lam < inside:
+                # blended toward I/d until its least eigenvalue is inside
+                t = (inside - lam) / (1.0 / d - lam)
+                mats.append((1.0 - t) * mat + t * (np.eye(d) / d))
+            mats.append(_random_separable_arr(BipartiteDims(da, db), np.random.default_rng(int(rng.integers(0, 2**63 - 1))), int(rng.integers(1, 4))))
+        pt = _partial_transpose_b(np.stack(mats), da, db)
+        least = eigvalsh(pt)[:, 0]
+        assert np.all(least >= inside - 1e-14) and np.sum(np.abs(least - inside) <= 1e-14) >= 10, (da, db)
+        decided.clear()
+        assert np.all(states._screen_pt(pt, da, db)), (da, db)
+        assert decided == [len(mats)], (da, db)
+    for da, db in ((2, 4), (3, 3)):
+        d = da * db
+        pt = _partial_transpose_b(
+            np.stack([_random_density_arr(d, int(rng.integers(db + 1, d + 1)), int(rng.integers(0, 2**63 - 1))) for _ in range(400)]),
+            da,
+            db,
+        )
+        two = (np.sum(eigvalsh(pt) < -c, axis=1) == 2) & (states._least_minor(pt, da, db) >= -c)
+        assert np.sum(two) >= 20, (da, db)
+        decided.clear()
+        assert not np.any(states._screen_pt(pt[two], da, db)), (da, db)
+        assert decided == [np.sum(two)], (da, db)
 
 
 def test_least_minor_keeps_ppt_edge_and_separable_states():
@@ -350,7 +424,7 @@ def test_least_minor_keeps_ppt_edge_and_separable_states():
             t = _ppt_edge_weight(mat, da, db)
             blended += t > 0.0
             mats.append((1.0 - t) * mat + t * (np.eye(d) / d))
-            mats.append(_random_separable_arr(BipartiteDims(da, db), int(rng.integers(0, 2**63 - 1)), int(rng.integers(1, 4))))
+            mats.append(_random_separable_arr(BipartiteDims(da, db), np.random.default_rng(int(rng.integers(0, 2**63 - 1))), int(rng.integers(1, 4))))
         pt = _partial_transpose_b(np.stack(mats), da, db)
         minor = states._least_minor(pt, da, db)
         assert np.all(minor >= -(PSD_TOL + states._PPT_SCREEN_GUARD)), (da, db)
