@@ -208,9 +208,10 @@ def _nondistillable_arrays(rngs, dims) -> list:
         groups = np.stack([rngs[k].integers(low, high).reshape(size, 2) for k in pending])
         for k, mat in zip(pending, _first_ppt(groups, da, db)):
             out[k] = mat
-        last = [j for j, k in enumerate(pending) if out[k] is None]
-        pending = [pending[j] for j in last]
-    for k, mat in zip(pending, _density_arrays(d, groups[last, -1])):
+        # the rows of this chunk whose generator is still without a state
+        left = [j for j, k in enumerate(pending) if out[k] is None]
+        pending = [pending[j] for j in left]
+    for k, mat in zip(pending, _density_arrays(d, groups[left, -1])):
         t = _ppt_edge_weight(mat, da, db)
         out[k] = (1.0 - t) * mat + t * (np.eye(d) / d)
     return out
