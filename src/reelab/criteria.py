@@ -139,8 +139,10 @@ def operator_monotone_search(
         raise InputError(f"dim must be an integer of at least 2, got {dim!r}")
     if count is None or count < 1:
         raise InputError(f"trials must be a positive integer, got {trials!r}")
-    if master is None or master < 0:
-        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
+    # trial i is seeded by SeedSequence([seed, i]), which _generators holds
+    # in four 32-bit words: at most three for the seed, one for i
+    if master is None or not 0 <= master < 2**96:
+        raise InputError(f"seed must be a nonnegative integer below 2**96, got {seed!r}")
     dim, trials, seed = size, count, master
     base = f.domain_lower if math.isfinite(f.domain_lower) else 0.0
     b_range = (base + 0.1, base + 10.0)

@@ -502,12 +502,11 @@ def _screen_pt(pt: np.ndarray, da: int, db: int) -> np.ndarray:
     return kept
 
 
-def _first_ppt(groups, da: int, db: int) -> list:
+def _first_ppt(groups: np.ndarray, da: int, db: int) -> list:
     """For each group of (rank, seed) candidates, the array of its first that passes _is_ppt, or None.
 
     Candidate (rank, seed) is _random_density_arr(da * db, rank, seed).
-    groups is an (n, size, 2) int64 array, as _nondistillable_arrays
-    draws a chunk, or a list of lists of pairs, possibly ragged.
+    groups is an (n, size, 2) int64 array of them.
     When da and db are both at least 2, a candidate of rank at most
     max(da, db) is marked not kept without being drawn: it is NPT with
     probability 1.  A PPT state of rank at most max(rank rho_A, rank rho_B)
@@ -523,42 +522,47 @@ def _first_ppt(groups, da: int, db: int) -> list:
     and -3.0e-4 at 2x2 ranks 1 and 2, at most -7.7e-3 at 2x3, -1.7e-2 at
     2x4 and -5.6e-2 at 3x3, against the test's -1e-9.
 
-    The pairs are flattened into one array, and the rank rule, the
-    seeding and the kept marks work on index arrays.  The seeds of the
-    drawn candidates are hashed in one _generators pass; the candidates
-    are then drawn and screened together by _ppt_screen, by 2x2 minors,
-    by the sign of det(rho^PT + cI) and by stacked eigvalsh (_screen_pt),
-    in stacks of at most _STACK_ENTRIES matrix entries.  The screen only
-    discards: each candidate within the guard of the PPT test is rebuilt
-    exactly, one matrix at a time from the normal draws the screen made
-    for it, and decided by _is_ppt, in its group's order.  So each answer
-    is the one a loop over that group gives, provided the skipped cells
-    are NPT, as the sequential-loop test and the frozen report digests
-    check.
+    The groups still without a state are walked in windows that double
+    from 8, the last cut to size (8, 16, 32, 64 and 80 at 200), so few
+    candidates are wasted where most pass.  A window's pairs are
+    flattened group by group, and the rank rule, the seeding and the kept
+    marks work on index arrays.  Its drawn candidates' seeds are hashed
+    in one _generators pass; the candidates are then drawn and screened
+    together by _ppt_screen, by 2x2 minors, by the sign of
+    det(rho^PT + cI) and by stacked eigvalsh (_screen_pt), in stacks of at
+    most _STACK_ENTRIES matrix entries.  The screen only discards: each
+    candidate within the guard of the PPT test is rebuilt exactly, one
+    matrix at a time from the normal draws the screen made for it, and
+    decided by _is_ppt, in its group's order.  So each answer is the one
+    a loop over that group gives, provided the skipped cells are NPT, as
+    the sequential-loop test and the frozen report digests check.
     """
     d = da * db
-    if isinstance(groups, np.ndarray):
-        specs = groups.reshape(-1, 2)
-    else:
-        specs = np.array([spec for group in groups for spec in group], dtype=np.int64).reshape(-1, 2)
-    # the group of each candidate, by its index in specs
-    owner = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    ranks = specs[:, 0]
+    size = groups.shape[1]
     floor = max(da, db) if min(da, db) >= 2 else 0
-    drawn = np.flatnonzero(ranks > floor)
-    rngs = _generators(_entropy((), specs[drawn, 1]))
     per_stack = max(1, _STACK_ENTRIES // (d * d))
     out = [None] * len(groups)
-    for lo in range(0, len(drawn), per_stack):
-        stack = drawn[lo:lo + per_stack]
-        kept, g = _ppt_screen(list(zip(ranks[stack].tolist(), rngs)), da, db)
-        # kept candidates in specs order: each group's in its own order
-        for i, gin in zip(stack[kept].tolist(), g):
-            k = owner[i]
-            if out[k] is None:
-                mat = _gram_state(gin[:, : ranks[i]])
-                if _is_ppt(mat, da, db):
-                    out[k] = mat
+    pending = np.arange(len(groups))
+    lo = 0
+    while lo < size and len(pending):
+        # the windows [0, 8), [8, 24), [24, 56), ...
+        hi = min(2 * lo + 8, size)
+        specs = groups[pending, lo:hi].reshape(-1, 2)
+        ranks = specs[:, 0]
+        drawn = np.flatnonzero(ranks > floor)
+        rngs = _generators(_entropy((), specs[drawn, 1]))
+        for start in range(0, len(drawn), per_stack):
+            stack = drawn[start:start + per_stack]
+            kept, g = _ppt_screen(list(zip(ranks[stack].tolist(), rngs)), da, db)
+            # kept candidates in specs order: each group's in its own order
+            for i, gin in zip(stack[kept].tolist(), g):
+                k = pending[i // (hi - lo)]
+                if out[k] is None:
+                    mat = _gram_state(gin[:, : ranks[i]])
+                    if _is_ppt(mat, da, db):
+                        out[k] = mat
+        pending = pending[[out[k] is None for k in pending]]
+        lo = hi
     return out
 
 
@@ -569,7 +573,10 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     numpy's PCG64 generator; identical (seed, dim, rank) reproduce the
     state bit-for-bit.
     """
-    return DensityMatrix(_random_density_arr(dim, rank, seed))
+    size, cols = _integral(dim), _integral(rank)
+    if size is None or cols is None:
+        raise InputError(f"dim and rank must be integers, got dim {dim!r}, rank {rank!r}")
+    return DensityMatrix(_random_density_arr(size, cols, seed))
 
 
 def random_pure(dims, seed: int) -> PureState:
@@ -600,11 +607,10 @@ def random_separable(dims, seed: int, k: int | None = None) -> DensityMatrix:
     so the samples are not confined to a low-dimensional face.
     """
     dims = _as_dims(dims)
-    if k is None:
-        k = 2 * dims.total**2
-    if k < 1:
-        raise InputError("k must be positive")
-    return DensityMatrix(_random_separable_arr(dims, np.random.default_rng(seed), k), dims)
+    count = 2 * dims.total**2 if k is None else _integral(k)
+    if count is None or count < 1:
+        raise InputError(f"k must be a positive integer, got {k!r}")
+    return DensityMatrix(_random_separable_arr(dims, np.random.default_rng(seed), count), dims)
 
 
 def permute_systems(rho: DensityMatrix, perm, subsystem_dims) -> DensityMatrix:

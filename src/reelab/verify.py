@@ -142,20 +142,15 @@ def _trial_rngs(master_seed: int, suite: str, trials) -> list:
     return list(_generators(_entropy((master_seed, tag), trials)))
 
 
-def _trial_rng(master_seed: int, suite: str, trial: int) -> np.random.Generator:
-    return _trial_rngs(master_seed, suite, [trial])[0]
-
-
 def _state_seed(rng: np.random.Generator) -> int:
     # a scalar draw gives the value of a draw of size 1 at a third of the
-    # cost; _nondistillable_arrays draws a chunk's seeds with their ranks in
+    # cost; _nondistillable_arrays draws a stream's seeds with their ranks in
     # one bounded draw, which gives the values of these calls in turn
     return int(rng.integers(0, 2**63 - 1))
 
 
-# Rejection chunks: doubling, so a dimension where most candidates pass
-# builds few wasted ones; together they spend the budget of 200.
-_PPT_CHUNKS = (8, 16, 32, 64, 80)
+# the candidates a Ginibre stream of the theorem1 sampler draws before it blends
+_PPT_BUDGET = 200
 
 
 def _nondistillable_arrays(rngs, dims) -> list:
@@ -164,56 +159,51 @@ def _nondistillable_arrays(rngs, dims) -> list:
     One quarter of draws are explicit short product mixtures, which are
     separable (hence PPT) and usually rank deficient; the rest are
     Ginibre states of random rank, rejection-sampled to a PSD partial
-    transpose with a budget of 200 candidates.  When the budget runs
-    out, the 200th candidate is blended toward the uniform state onto
+    transpose with a budget of _PPT_BUDGET candidates.  When the budget
+    runs out, the last candidate is blended toward the uniform state onto
     the PPT boundary, by the closed-form weight of
     states._ppt_edge_weight.  That is not rare: on the four seeds of the
     benchmark campaign's 2x3 theorem1 slot, 100 trials each, it happens
     in 0 of the 313 Ginibre trials at 2x2, 101 at 2x3 and all 313 at 3x3.
 
-    Each generator draws its own candidates in the chunks of _PPT_CHUNKS,
-    all (rank, seed) pairs of a chunk in one integers call with
-    elementwise bounds.  numpy draws such a call element by element with
-    the routine of a scalar call, so the pairs, and the stream after
-    them, are those of a loop of scalar rank and _state_seed draws.
-    Chunk k of every generator still without a state is screened by one
-    states._first_ppt call, so each array is the one a loop over that
-    generator's candidates accepts.  That call builds no candidate of
-    rank at most max(dA, dB) when both are at least 2, since those are
-    NPT; their (rank, seed) pairs are still drawn, so each stream is the
-    loop's, and an exhausted budget's 200th candidate is rebuilt whatever
-    its rank.  The separable quarter and those rebuilds are each seeded
-    in one _generators pass.  A generator may be drawn past its accepted
-    candidate: a caller must not read it after this returns.  The arrays
-    are not validated.
+    Each Ginibre generator draws the (rank, seed) pairs of its whole
+    budget in one integers call with elementwise bounds.  numpy draws
+    such a call element by element with the routine of a scalar call, so
+    the pairs are those of a loop of scalar rank and _state_seed draws,
+    and the first k of them those of a draw of k pairs.  One
+    states._first_ppt call walks every generator's candidates, so each
+    array is the one a loop over that generator's candidates accepts.
+    That call builds no candidate of rank at most max(dA, dB) when both
+    are at least 2, since those are NPT; an exhausted budget's last
+    candidate is rebuilt whatever its rank.  The separable quarter and
+    those rebuilds are each seeded in one _generators pass.  A Ginibre
+    generator is drawn past its accepted candidate: a caller must not
+    read it after this returns.  The arrays are not validated.
     """
     d = dims.total
     da, db = dims.da, dims.db
+    low = np.array([1, 0] * _PPT_BUDGET, dtype=np.int64)
+    high = np.array([d + 1, 2**63 - 1] * _PPT_BUDGET, dtype=np.int64)
     out = [None] * len(rngs)
-    separable, pending = [], []
+    separable, ginibre, pairs = [], [], []
     for k, rng in enumerate(rngs):
         if rng.integers(0, 4) == 0:
             kind = int(rng.integers(1, 4))
             separable.append((k, kind, _state_seed(rng)))
         else:
-            pending.append(k)
+            ginibre.append(k)
+            pairs.append(rng.integers(low, high))
     seeded = _generators(_entropy((), [seed for _, _, seed in separable]))
     for (k, kind, _), rng in zip(separable, seeded):
         out[k] = _random_separable_arr(dims, rng, kind)
-    for size in _PPT_CHUNKS:
-        if not pending:
-            return out
-        low = np.array([1, 0] * size, dtype=np.int64)
-        high = np.array([d + 1, 2**63 - 1] * size, dtype=np.int64)
-        groups = np.stack([rngs[k].integers(low, high).reshape(size, 2) for k in pending])
-        for k, mat in zip(pending, _first_ppt(groups, da, db)):
-            out[k] = mat
-        # the rows of this chunk whose generator is still without a state
-        left = [j for j, k in enumerate(pending) if out[k] is None]
-        pending = [pending[j] for j in left]
-    for k, mat in zip(pending, _density_arrays(d, groups[left, -1])):
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, _PPT_BUDGET, 2)
+    found = _first_ppt(pairs, da, db)
+    exhausted = [j for j, mat in enumerate(found) if mat is None]
+    for j, mat in zip(exhausted, _density_arrays(d, pairs[exhausted, -1])):
         t = _ppt_edge_weight(mat, da, db)
-        out[k] = (1.0 - t) * mat + t * (np.eye(d) / d)
+        found[j] = (1.0 - t) * mat + t * (np.eye(d) / d)
+    for k, mat in zip(ginibre, found):
+        out[k] = mat
     return out
 
 

@@ -61,22 +61,14 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def ppt_full_rank_arrays(da: int, db: int, seeds0) -> list:
     """For each seed0, the array of random_density(d, d, s) for the first s from seed0 on whose state is PPT.
 
-    1000 consecutive seeds per start in doubling chunks; chunk k of every
-    start still without a PPT state is screened as one stack.
+    1000 consecutive seeds per start, walked by one _first_ppt call.
     """
     d = da * db
-    found = [None] * len(seeds0)
-    pending = list(range(len(seeds0)))
-    offset = 0
-    for size in (8, 16, 32, 64, 128, 256, 496):
-        groups = [[(d, s) for s in range(seeds0[k] + offset, seeds0[k] + offset + size)] for k in pending]
-        for k, mat in zip(pending, _first_ppt(groups, da, db)):
-            found[k] = mat
-        pending = [k for k in pending if found[k] is None]
-        if not pending:
-            return found
-        offset += size
-    raise AssertionError("rejection sampling budget exhausted")
+    seeds = np.asarray(seeds0, dtype=np.int64)[:, None] + np.arange(1000)
+    found = _first_ppt(np.stack([np.full_like(seeds, d), seeds], axis=-1), da, db)
+    if any(mat is None for mat in found):
+        raise AssertionError("rejection sampling budget exhausted")
+    return found
 
 
 def random_unitary(rng, d: int) -> np.ndarray:

@@ -176,6 +176,13 @@ def test_monotone_search_input_validation():
         operator_monotone_search(SQUARE, 2, 2.5, seed=0)
     with pytest.raises(InputError):
         operator_monotone_search(SQUARE, 2.5, 10, seed=0)
+    # trial i is seeded by SeedSequence([seed, i]) in four 32-bit words:
+    # the largest seed takes three, and a larger one is refused for every f,
+    # not only for those that reach the seeding past the injected trial 0
+    assert operator_monotone_search(LOG, 2, 300, seed=2**96 - 1) is None
+    for f in (LOG, SQUARE):
+        with pytest.raises(InputError, match=r"below 2\*\*96, got 79228162514264337593543950336"):
+            operator_monotone_search(f, 2, 300, seed=2**96)
     # integral values of any type are taken as the integers they equal
     pow11 = ScalarFunction("pow1.1", lambda x: np.power(x, 1.1), 0.0)
     want = operator_monotone_search(pow11, 4, 100, seed=45)

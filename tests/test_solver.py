@@ -307,7 +307,7 @@ def test_point_rejects_infeasible_rho(monkeypatch):
 
 def _lemma2_trial_sigma(seed, trial, dims):
     # the state that verify's lemma2 trial draws
-    return verify._random_sigma(verify._trial_rng(seed, "lemma2", trial), dims)[0]
+    return verify._random_sigma(verify._trial_rngs(seed, "lemma2", [trial])[0], dims)[0]
 
 
 def test_ree_value_is_least_over_the_path(monkeypatch):

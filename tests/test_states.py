@@ -221,6 +221,21 @@ def test_random_density_reproducible():
         random_density(4, 5, 0)
 
 
+def test_samplers_take_integral_sizes_of_any_type():
+    a = random_density(4, 4, 42)
+    # integral values of any numeric type are taken as the integers they
+    # equal; bools and fractions are refused as InputError, not numpy's TypeError
+    assert np.array_equal(random_density(4.0, np.int64(4), 42).mat, a.mat)
+    for dim, rank in ((4, 2.5), (4, True), (4.5, 2), (True, 1), ("4", 2)):
+        with pytest.raises(InputError):
+            random_density(dim, rank, 1)
+    sep = random_separable((2, 2), 5, k=3)
+    assert np.array_equal(random_separable((2, 2), 5, k=3.0).mat, sep.mat)
+    for k in (2.5, True, 0, -1, "2"):
+        with pytest.raises(InputError):
+            random_separable((2, 2), 1, k=k)
+
+
 def test_random_density_rank_one_is_pure():
     rho = random_density(4, 1, 7)
     assert np.max(np.abs(rho.mat @ rho.mat - rho.mat)) <= 1e-9

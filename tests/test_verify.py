@@ -21,7 +21,7 @@ from reelab.states import (
 from reelab.verify import (
     SUITE_NAMES,
     _nondistillable_arrays,
-    _trial_rng,
+    _trial_rngs,
     record_to_json,
     run_suite,
     summary_to_json,
@@ -191,9 +191,9 @@ def assert_sampler_matches_loop(dims, seeds) -> dict:
     dims = BipartiteDims(*dims)
     branches = {"separable": 0, "accepted": 0, "blended": 0}
     # one chunk of trials 0, one stream per seed, against a loop over each stream
-    got = _nondistillable_arrays([_trial_rng(seed, "theorem1", 0) for seed in seeds], dims)
+    got = _nondistillable_arrays([_trial_rngs(seed, "theorem1", [0])[0] for seed in seeds], dims)
     for seed, mat in zip(seeds, got):
-        want, branch = sequential_nondistillable(_trial_rng(seed, "theorem1", 0), dims)
+        want, branch = sequential_nondistillable(_trial_rngs(seed, "theorem1", [0])[0], dims)
         assert DensityMatrix(mat, dims).mat.tobytes() == want.mat.tobytes(), (dims, seed, branch)
         branches[branch] += 1
     return branches
@@ -219,22 +219,25 @@ def test_nondistillable_matches_sequential_loop():
 
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (2, 4), (3, 3)])
 def test_bulk_pair_draw_matches_scalar_draws(da, db):
-    # _nondistillable_arrays draws a chunk's (rank, seed) pairs in one
-    # integers call with elementwise bounds: numpy must give the values of
-    # the scalar rank and _state_seed calls in turn, and leave the stream
-    # where they leave it
+    # _nondistillable_arrays draws a stream's whole budget of (rank, seed)
+    # pairs in one integers call with elementwise bounds: numpy must give
+    # the values of the scalar rank and _state_seed calls in turn, so the
+    # first k pairs are those of a k-pair draw, and a k-pair draw leaves
+    # the stream where k scalar pairs leave it
     d = da * db
+    budget = verify._PPT_BUDGET
+    low = np.array([1, 0] * budget, dtype=np.int64)
+    high = np.array([d + 1, 2**63 - 1] * budget, dtype=np.int64)
     top = 0
-    for size in verify._PPT_CHUNKS:
-        low = np.array([1, 0] * size, dtype=np.int64)
-        high = np.array([d + 1, 2**63 - 1] * size, dtype=np.int64)
-        for seed in range(4):
-            bulk, loop = np.random.default_rng([seed, size, d]), np.random.default_rng([seed, size, d])
-            pairs = bulk.integers(low, high).reshape(size, 2).tolist()
-            assert pairs == [[int(loop.integers(1, d + 1)), verify._state_seed(loop)] for _ in range(size)]
-            assert bulk.integers(0, 2**40) == loop.integers(0, 2**40)
-            assert bulk.standard_normal(5).tobytes() == loop.standard_normal(5).tobytes()
-            top = max(top, max(rank for rank, _ in pairs))
+    for seed in range(4):
+        whole = np.random.default_rng([seed, d]).integers(low, high).reshape(budget, 2).tolist()
+        for k in (1, 8, 24, 56, 120, budget):
+            part, loop = np.random.default_rng([seed, d]), np.random.default_rng([seed, d])
+            assert part.integers(low[: 2 * k], high[: 2 * k]).reshape(k, 2).tolist() == whole[:k]
+            assert whole[:k] == [[int(loop.integers(1, d + 1)), verify._state_seed(loop)] for _ in range(k)]
+            assert part.integers(0, 2**40) == loop.integers(0, 2**40)
+            assert part.standard_normal(5).tobytes() == loop.standard_normal(5).tobytes()
+        top = max(top, max(rank for rank, _ in whole))
     assert top == d
     # the bounds' extremes, rank d and seed 2**63 - 2, come out without overflow
     bulk, loop = np.random.default_rng(d), np.random.default_rng(d)
@@ -339,7 +342,9 @@ def test_ppt_screen_tracks_exact_eigenvalue(monkeypatch):
         screened.clear()
         signs.clear()
         minors.clear()
-        states._first_ppt([specs[:400], specs[400:]], da, db)
+        # groups of 8, each walked in one window of 8, so every drawn
+        # candidate is screened, accepted groups' included
+        states._first_ppt(np.array(specs).reshape(125, 8, 2), da, db)
         # the screen's stacks in order, each of at most _STACK_ENTRIES
         # entries; each stage sees the survivors of the one before
         signed = np.concatenate(minors) >= -(PSD_TOL + states._PPT_SCREEN_GUARD)
@@ -445,15 +450,60 @@ def test_first_ppt_skips_ranks_only_where_they_are_npt(monkeypatch):
     monkeypatch.setattr(states, "_ppt_screen", recorded)
     for da, db in ((2, 2), (2, 3), (3, 2), (3, 3), (1, 3), (3, 1)):
         d = da * db
-        specs = [(1 + k % d, 900 + k) for k in range(4 * d)]
+        specs = [(1 + k % d, 900 + k) for k in range(8 * d)]
         ranks.clear()
-        states._first_ppt([specs], da, db)
+        # groups of 8, each walked in one window of 8, so every drawn
+        # candidate is screened
+        states._first_ppt(np.array(specs).reshape(d, 8, 2), da, db)
         floor = max(da, db) if min(da, db) >= 2 else 0
         assert sorted(ranks) == sorted(rank for rank, _ in specs if rank > floor), (da, db)
-    # a chunk whose every candidate is skipped draws nothing and accepts none
+    # groups whose every candidate is skipped draw nothing and accept none
     ranks.clear()
-    assert states._first_ppt([[(1, 5), (2, 6)], [(3, 7)]], 2, 3) == [None, None]
+    assert states._first_ppt(np.array([[(1, 5), (2, 6)], [(3, 7), (1, 8)]]), 2, 3) == [None, None]
     assert ranks == []
+
+
+def test_first_ppt_stops_screening_a_group_once_it_is_accepted(monkeypatch):
+    # _first_ppt walks the groups still without a state in windows of 8,
+    # 16, 32, 64 and 80 candidates: a group is seeded and screened up to
+    # the window of its first PPT candidate and no further, and a group
+    # without one walks all five
+    entropy = states._entropy
+    windows = []
+
+    def recorded(prefix, values):
+        windows.append(set(np.asarray(values).tolist()))
+        return entropy(prefix, values)
+
+    monkeypatch.setattr(states, "_entropy", recorded)
+    da, db = 2, 3
+    d = da * db
+    low = np.array([1, 0] * 200, dtype=np.int64)
+    high = np.array([d + 1, 2**63 - 1] * 200, dtype=np.int64)
+    rng = np.random.default_rng(17)
+    groups = np.stack([rng.integers(low, high).reshape(200, 2) for _ in range(16)])
+    found = states._first_ppt(groups, da, db)
+    bounds = [0, 8, 24, 56, 120, 200]
+    last = []
+    for group, mat in zip(groups.tolist(), found):
+        accepted = next((i for i, spec in enumerate(group) if _is_ppt(_random_density_arr(d, *spec), da, db)), None)
+        if accepted is None:
+            assert mat is None
+            last.append(4)
+        else:
+            assert mat.tobytes() == _random_density_arr(d, *group[accepted]).tobytes()
+            last.append(int(np.searchsorted(bounds, accepted, side="right")) - 1)
+    assert 0 in last and 4 in last
+    assert len(windows) == 5
+    for w, seeds in enumerate(windows):
+        want = {
+            seed
+            for group, end in zip(groups.tolist(), last)
+            if end >= w
+            for rank, seed in group[bounds[w]:bounds[w + 1]]
+            if rank > max(da, db)
+        }
+        assert seeds == want, w
 
 
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (2, 4), (3, 3)])
