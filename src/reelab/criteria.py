@@ -189,6 +189,8 @@ def loewner_matrix_psd_check(
     x = np.asarray(sample_points, dtype=float).ravel()
     if len(x) < 1:
         raise InputError("need at least one sample point")
+    if not np.all(np.isfinite(x)):
+        raise InputError("sample points must be finite")
     if len(np.unique(x)) != len(x):
         raise InputError("sample points must be distinct")
     if np.any(x <= f.domain_lower):

@@ -12,17 +12,16 @@ search is the only feasibility test: it accepts a point only when the
 eigenvalues of rho and rho^PT are all positive, so every iterate is
 strictly inside both cones and the path needs no projection.  Each point
 is decomposed once, into a _Point: the two eigh calls of its trial serve
-the next Newton step.  The steps have one basis per solve.  A Hermitian
-step Delta has d^2 real coordinates r = vec(Re Delta + Im Delta), in
-which the Hessian H is the real symmetric K = Re H + Im(H F), F the
-permutation that transposes vec, so each step costs O(d^5) to assemble K
+the next Newton step.  The steps have one orthonormal basis per solve
+(_Basis).  A Hermitian step has d^2 real coordinates, in which the
+Hessian is a real symmetric K, so each step costs O(d^5) to assemble K
 from eigenframe factors with one fused complex product, made and folded
 onto K one slab of A blocks at a time, and O(d^6) for one real bordered
 solve of size d^2 + 1, at half the memory of the complex system.
 Complex conjugation maps the PPT set to itself, so a sigma with no
 imaginary part has a real optimum and a real path (Vollbrecht &
 Werner, PRA 64, 062307 (2001)); its steps are real symmetric, with the
-d(d+1)/2 coordinates of an orthonormal symmetric basis, and eigh, the
+d(d+1)/2 coordinates of the real basis, and eigh, the
 fused product and the bordered solve of size d(d+1)/2 + 1 all run in
 real arithmetic.  The best iterate, the one of least value, gives an
 upper bound; a Newton step, read as a primal-dual estimate of the PPT
@@ -72,7 +71,8 @@ from .hermitian import (
     HermitianMatrix, SpectralDecomposition, _eigh, _log_adjoint, _log_divided_differences
 )
 from .states import (
-    DensityMatrix, PureState, _bell_weights, _edge_weight, _integral, _partial_transpose_b, _ppt_edge_weight
+    DensityMatrix, PureState, _bell_weights, _edge_weight, _integral, _partial_transpose_b, _ppt_edge_weight,
+    _require_dims,
 )
 
 _YY_FLIP = np.array(
@@ -220,39 +220,62 @@ class _Slab(NamedTuple):
     gather: tuple | None
 
 
-class _Workspace(NamedTuple):
-    """The large arrays of a solve's Newton systems, with each view taken once.
+class _Basis(NamedTuple):
+    """An orthonormal basis E of the n x n Hermitian matrices, or of the real symmetric ones.
 
-    bordered holds the Newton matrix, with K block k, border tvec (the
-    coordinates of I) and corner 0, both written once here; the _Slab
-    views share one product buffer and one term buffer, of one slab each.
-    Real basis: tri holds the pairs p <= q of the coordinates, half their
-    weights 1/2 (p = q) and 1/sqrt(2), and diag the coordinates with
-    p = q; in the Hermitian basis all three are None.
+    Hermitian: the n^2 elements ((1+i) e_p e_q^T + (1-i) e_q e_p^T)/2, in
+    which X has the coordinates tr(E X) = vec(Re X + Im X); tri, half and
+    diag are None.  Real: the n(n+1)/2 elements (e_p e_q^T + e_q e_p^T) w_pq
+    over the pairs p <= q of tri, with weights half, w_pq = 1/2 on the
+    pairs diag with p = q and 1/sqrt(2) off them.  tvec holds the
+    coordinates of I.  Every entry of E is 0, 1, (1 +- i)/2 or 1/sqrt(2),
+    so each coordinate and each matrix entry is one rounded product plus
+    exact zeros, in whatever order they are added.
     """
 
-    slabs: list
-    bordered: np.ndarray
-    k: np.ndarray
     tvec: np.ndarray
     tri: tuple | None = None
     half: np.ndarray | None = None
     diag: np.ndarray | None = None
 
     def coords(self, g: np.ndarray) -> np.ndarray:
-        """The coordinates tr(E g) of a matrix g, or of each in a stack, E the basis of the unknowns."""
+        """The coordinates tr(E g) of a matrix g, or of each in a stack."""
         if self.tri is None:
             return (g.real + g.imag).reshape(*g.shape[:-2], -1)
         return self.half * (g + g.swapaxes(-1, -2))[(..., *self.tri)]
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        """The Hermitian matrix of coordinates x."""
+        """The Hermitian matrix of coordinates x, or of each row in a stack."""
         if self.tri is None:
-            step = x.reshape(math.isqrt(len(x)), -1)
-            return (0.5 + 0.5j) * step + (0.5 - 0.5j) * step.T
-        step = np.zeros((len(self.diag), len(self.diag)))
-        step[self.tri] = self.half * x
-        return step + step.T
+            n = math.isqrt(x.shape[-1])
+            step = x.reshape(*x.shape[:-1], n, n)
+            return (0.5 + 0.5j) * step + (0.5 - 0.5j) * step.swapaxes(-1, -2)
+        step = np.zeros((*x.shape[:-1], len(self.diag), len(self.diag)))
+        step[(..., *self.tri)] = self.half * x
+        return step + step.swapaxes(-1, -2)
+
+
+def _basis(n: int, real: bool) -> _Basis:
+    """The _Basis of the n x n real symmetric matrices when real is set, else of the Hermitian ones."""
+    if not real:
+        return _Basis(np.eye(n).reshape(n * n))
+    p, q = tri = np.triu_indices(n)
+    return _Basis((p == q).astype(float), tri, np.where(p == q, 0.5, math.sqrt(0.5)), np.flatnonzero(p == q))
+
+
+class _Workspace(NamedTuple):
+    """The large arrays of a solve's Newton systems, with each view taken once.
+
+    bordered holds the Newton matrix, with K block k, border the
+    coordinates of I in basis, the _Basis of the unknowns, and corner 0,
+    both written once here; the _Slab views share one product buffer and
+    one term buffer, of one slab each.
+    """
+
+    slabs: list
+    bordered: np.ndarray
+    k: np.ndarray
+    basis: _Basis
 
 
 def _newton_workspace(da: int, db: int, real: bool = False) -> _Workspace:
@@ -270,14 +293,10 @@ def _newton_workspace(da: int, db: int, real: bool = False) -> _Workspace:
     height = min(da, max(1, _SLAB_BYTES // (dtype.itemsize * block)))
     products = np.empty(height * block, dtype)
     terms = np.empty_like(products)
-    if real:
-        p, q = tri = np.triu_indices(d)
-        tvec = (p == q).astype(float)
-    else:
-        tvec = np.eye(d).reshape(n)
-    m = len(tvec)
+    basis = _basis(d, real)
+    m = len(basis.tvec)
     bordered = np.zeros((m + 1, m + 1))
-    bordered[:m, m] = bordered[m, :m] = tvec
+    bordered[:m, m] = bordered[m, :m] = basis.tvec
     k = bordered[:m, :m]
     slabs = []
     for start in range(0, da, height):
@@ -293,6 +312,7 @@ def _newton_workspace(da: int, db: int, real: bool = False) -> _Workspace:
         target, term = product.reshape(shape), out.reshape(shape).transpose(0, 5, 2, 7, 4, 1, 6, 3)
         quad = product.reshape(h, d, w, d)
         if real:
+            p, q = basis.tri
             lo, hi = np.searchsorted(p, (rows.start, rows.stop))
             index = (((p[lo:hi] - rows.start) * w + q[lo:hi] - cols.start) * n)[:, None] + (p * d + q)
             buffer = products[: index.size].reshape(index.shape)
@@ -305,10 +325,7 @@ def _newton_workspace(da: int, db: int, real: bool = False) -> _Workspace:
                 term, first.transpose(0, 2, 1, 3), second.transpose(0, 2, 3, 1), dest.reshape(h, w, d, d), gather,
             )
         )
-    if not real:
-        return _Workspace(slabs, bordered, k, tvec)
-    half = np.where(p == q, 0.5, math.sqrt(0.5))
-    return _Workspace(slabs, bordered, k, tvec, tri, half, np.flatnonzero(p == q))
+    return _Workspace(slabs, bordered, k, basis)
 
 
 def _newton_hessian(
@@ -319,25 +336,15 @@ def _newton_hessian(
     pt_pairs: list,
     work: _Workspace,
 ) -> np.ndarray:
-    """Bordered real Newton matrix [[K, t], [t^T, 0]] in the basis of work, t the coordinates of I.
+    """Bordered real Newton matrix [[K, t], [t^T, 0]] in work.basis, t the coordinates of I.
 
     The complex Hessian H on vec(rho) (row-major vec, n = d^2) maps
-    Hermitian matrices to Hermitian matrices, and K is H in the
-    coordinates of the workspace's basis, t = tvec.
-
-    Hermitian basis: a step Delta is the real vector
-    r = vec(Re Delta + Im Delta): vec Delta = T r with
-    T = ((1+i) I + (1-i) F)/2 unitary and F the permutation that
-    transposes vec, so K = T^H H T = Re H + Im(H F) is real and
-    symmetric of size d^2, entry K[(p q),(r s)] = Re H[(p q),(r s)] +
-    Im H[(p q),(s r)].
-
-    Real basis, for real u, overlaps_full and tau^-1: H is real and
-    commutes with F, and a real symmetric step has the d(d+1)/2
-    coordinates of the orthonormal basis E_pq = (e_p e_q^T + e_q e_p^T)
-    w_pq, p <= q, with w_pq = half[pq] (1/2 on the diagonal, 1/sqrt(2)
-    off it); so K[pq, rs] = tr(E_pq H(E_rs)) =
-    2 w_pq w_rs (H[(p q),(r s)] + H[(p q),(s r)]).
+    Hermitian matrices to Hermitian matrices, and K[i, j] = tr(E_i H(E_j))
+    is H in the coordinates of the _Basis E.  Hermitian basis: K is real
+    and symmetric of size d^2, entry K[(p q),(r s)] = Re H[(p q),(r s)] +
+    Im H[(p q),(s r)].  Real basis, for real u, overlaps_full and tau^-1:
+    H is real and commutes with transposition, so
+    K[pq, rs] = 2 w_pq w_rs (H[(p q),(r s)] + H[(p q),(s r)]).
 
     The second derivative of -tr{sigma ln rho} in rho's eigenframe is
     sum_j u_pj conj(u_rj) conj(B_j)[q,s] + B_j[p,r] conj(u_qj) u_sj with
@@ -379,10 +386,10 @@ def _newton_hessian(
             index, rows_k, buffer = gather
             np.take(dest, index, out=buffer, mode="clip")
             rows_k[...] = buffer
-    if work.tri is not None:
+    if work.basis.diag is not None:
         # 2 w_pq w_rs: 1 off the diagonal pairs, 1/sqrt(2) per diagonal pair
-        work.k[work.diag] *= math.sqrt(0.5)
-        work.k[:, work.diag] *= math.sqrt(0.5)
+        work.k[work.basis.diag] *= math.sqrt(0.5)
+        work.k[:, work.basis.diag] *= math.sqrt(0.5)
     return work.bordered
 
 
@@ -410,15 +417,13 @@ def _newton_step(
     of the central path, which predicts the new centre instead of
     overshooting into the cone boundary.
 
-    The trace-zero Newton system is solved in the real coordinates of
-    work's basis (_newton_hessian) as one real bordered system, of size
-    d^2 + 1 in the Hermitian basis and d(d+1)/2 + 1 in the real one,
-    assembled in work, the solve's _newton_workspace: both bases are
-    orthonormal, so the right-hand side is minus the coordinates of the
-    barrier gradient g, the border is the coordinates of I, and the
-    decrement is the real dot product of the two.  The direction, the
-    matrix of the solution's coordinates, is Hermitian by construction.
-    Assembly costs O(d^5) (_newton_hessian), the dense real solve O(d^6).
+    The trace-zero Newton system is one real bordered system in the
+    coordinates of the orthonormal work.basis, assembled in work, the
+    solve's _newton_workspace: the right-hand side is minus the
+    coordinates of the barrier gradient g, the border those of I, and the
+    decrement the real dot product of the two.  The direction is the
+    matrix of the solution's coordinates.  Assembly costs O(d^5)
+    (_newton_hessian), the dense real solve O(d^6).
     Returns (direction, decrement); direction is None when the solve fails.
     """
     if mu_curv is None:
@@ -429,14 +434,14 @@ def _newton_step(
         tables[1], p.u, p.overlaps, (mu_curv * rho_inv, rho_inv), [(mu_curv * tau_inv, tau_inv)], work
     )
     g_mu = grad - mu * rho_inv - mu * _partial_transpose_b(tau_inv, da, db)
-    size = len(work.tvec)
+    size = len(work.basis.tvec)
     rhs = np.zeros(size + 1)
-    rhs[:size] = -work.coords(g_mu)
+    rhs[:size] = -work.basis.coords(g_mu)
     try:
         sol = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         return None, -1.0
-    direction = work.matrix(sol[:size])
+    direction = work.basis.matrix(sol[:size])
     decrement = float(rhs[:size] @ sol[:size])
     if not np.isfinite(decrement):
         return None, -1.0
@@ -487,18 +492,6 @@ def _clean_kernel(p: _Point, mu: float) -> int:
     return k
 
 
-def _frame_basis(k: int, real: bool) -> np.ndarray:
-    """An orthonormal basis of the k x k multipliers, real symmetric or Hermitian, as a (k', k, k) stack."""
-    if real:
-        a, b = np.triu_indices(k)
-        basis = np.zeros((len(a), k, k))
-        j = np.arange(len(a))
-        basis[j, a, b] = basis[j, b, a] = np.where(a == b, 1.0, math.sqrt(0.5))
-        return basis
-    unit = np.eye(k * k).reshape(k * k, k, k)
-    return (0.5 + 0.5j) * unit + (0.5 - 0.5j) * unit.swapaxes(1, 2)
-
-
 def _kkt_step(
     p: _Point, dd2: np.ndarray, grad: np.ndarray, mult: np.ndarray, k: int, da: int, db: int, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -515,12 +508,13 @@ def _kkt_step(
         [[K, t, A], [t^T, 0, 0], [A^T, 0, 0]] [x; -nu; -z] = [-g; 0; -c]
 
     with K the f-Hessian plus those cross terms (_newton_hessian, assembled
-    in work), A the coordinates of (V E_j V^H)^PT over the k' elements E_j
-    of _frame_basis, and c those of V^H rho^PT V = diag(s_k).  It is
-    solved by its Schur complement against M = work.bordered, of size
-    m + 1: one solve of M with k' + 1 right-hand sides, then one of the
-    k' x k' complement, so beside the barrier step's arrays the polish
-    holds (m + 1)(k' + 1) entries, not a second matrix of size m + 1 + k'.
+    in work), A the coordinates in work.basis of (V E_j V^H)^PT over the
+    k' elements E_j of the _basis of the k x k multipliers, and z and c
+    the coordinates in E of Z and V^H rho^PT V = diag(s_k).  It is solved
+    by its Schur complement against M = work.bordered, of size m + 1: one
+    solve of M with k' + 1 right-hand sides, then one of the k' x k'
+    complement, so beside the barrier step's arrays the polish holds
+    (m + 1)(k' + 1) entries, not a second matrix of size m + 1 + k'.
     Returns the direction and the new multiplier V Z V^H, or None when a
     solve fails.
     """
@@ -528,24 +522,23 @@ def _kkt_step(
     t_z = v @ (v.conj().T @ mult @ v) @ v.conj().T
     t_perp = (rest * (1.0 / p.s[k:])) @ rest.conj().T
     bordered = _newton_hessian(dd2, p.u, p.overlaps, None, [(t_z, t_perp), (t_perp, t_z)], work)
-    basis = _frame_basis(k, work.tri is not None)
-    border = work.coords(_partial_transpose_b(v @ basis @ v.conj().T, da, db))
-    size = len(work.tvec)
-    rhs = np.zeros((size + 1, len(basis) + 1))
-    rhs[:size, 0] = -work.coords(grad)
+    frame = _basis(k, work.basis.diag is not None)
+    size, count = len(work.basis.tvec), len(frame.tvec)
+    border = work.basis.coords(_partial_transpose_b(v @ frame.matrix(np.eye(count)) @ v.conj().T, da, db))
+    rhs = np.zeros((size + 1, count + 1))
+    rhs[:size, 0] = -work.basis.coords(grad)
     rhs[:size, 1:] = border.T
-    kernel = np.real(np.einsum("jaa,a->j", basis.conj(), p.s[:k]))
     try:
         sol = np.linalg.solve(bordered, rhs)
         # [x; -nu] = y - Y w, with M [y, Y] = [-g, A] and the Schur
         # complement A^T Y of M = bordered: A^T Y w = A^T y + c
-        w = np.linalg.solve(border @ sol[:size, 1:], border @ sol[:size, 0] + kernel)
+        w = np.linalg.solve(border @ sol[:size, 1:], border @ sol[:size, 0] + frame.coords(np.diag(p.s[:k])))
     except np.linalg.LinAlgError:
         return None
     x = sol[:size, 0] - sol[:size, 1:] @ w
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
         return None
-    return work.matrix(x), v @ np.tensordot(-w, basis, 1) @ v.conj().T
+    return work.basis.matrix(x), v @ frame.matrix(-w) @ v.conj().T
 
 
 def _kkt_polish(
@@ -740,11 +733,9 @@ def ree_ppt(sigma: DensityMatrix, max_iters: int = 5000) -> ReeResult:
     budget = _integral(max_iters)
     if budget is None or budget < 1:
         raise InputError(f"max_iters must be a positive integer, got {max_iters!r}")
-    bdims = getattr(sigma, "dims", None)
-    if bdims is None:
-        raise ShapeError("state carries no bipartite dimensions")
-    if bdims.total > 64:
-        raise InputError(f"total dimension {bdims.total} exceeds the supported limit 64")
+    da, db = _require_dims(sigma)
+    if da * db > 64:
+        raise InputError(f"total dimension {da * db} exceeds the supported limit 64")
     res = _solve(sigma, budget)
     if not res.converged:
         where = "on the iteration budget" if res.iterations >= budget else "at the barrier-weight floor"
@@ -867,6 +858,8 @@ def _schmidt_dephased(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def closest_state_for_pure(psi: PureState) -> DensityMatrix:
     """Minimizer of S(psi||rho) over PPT states, in closed form: psi dephased in its Schmidt basis."""
+    if not isinstance(psi, PureState):
+        raise InputError(f"closest_state_for_pure takes a PureState, got {type(psi).__name__}; see ree_ppt")
     dims = psi.dims
     return DensityMatrix(_schmidt_dephased(psi.amplitudes.reshape(dims.da, dims.db))[0], dims=dims)
 
@@ -889,8 +882,7 @@ def eof_two_qubit(sigma: DensityMatrix) -> float:
     four), so no square root is taken of a rounding-noise eigenvalue; then
     C = max(0, mu1 - mu2 - mu3 - mu4) and E_F = h((1 + sqrt(1 - C^2)) / 2).
     """
-    dims = getattr(sigma, "dims", None)
-    if dims is None or (dims.da, dims.db) != (2, 2):
+    if _require_dims(sigma) != (2, 2):
         raise ShapeError("entanglement of formation requires dims (2, 2)")
     w = sigma.spectrum.eigenvalues
     keep = w >= EIG_ZERO_TOL

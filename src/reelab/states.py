@@ -34,6 +34,14 @@ def _integral(value) -> int | None:
     return None if isinstance(value, (bool, np.bool_)) or n != value else n
 
 
+def _seed(value) -> int:
+    """value as an int, numpy's seed for its default generator: any nonnegative integer, however large."""
+    n = _integral(value)
+    if n is None or n < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class BipartiteDims:
     """Local dimensions of an A|B split."""
@@ -154,6 +162,8 @@ class PureState:
 
 
 def _require_dims(rho: DensityMatrix) -> tuple[int, int]:
+    if not isinstance(rho, DensityMatrix):
+        raise InputError(f"expected a DensityMatrix, got {type(rho).__name__}; for a PureState psi, psi.density()")
     if rho.dims is None:
         raise ShapeError("operation requires a state with bipartite dims")
     return rho.dims.da, rho.dims.db
@@ -576,13 +586,13 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     size, cols = _integral(dim), _integral(rank)
     if size is None or cols is None:
         raise InputError(f"dim and rank must be integers, got dim {dim!r}, rank {rank!r}")
-    return DensityMatrix(_random_density_arr(size, cols, seed))
+    return DensityMatrix(_random_density_arr(size, cols, _seed(seed)))
 
 
 def random_pure(dims, seed: int) -> PureState:
     """Haar-random pure state on the A|B product space."""
     dims = _as_dims(dims)
-    vec = _ginibre(np.random.default_rng(seed), dims.total, 1).ravel()
+    vec = _ginibre(np.random.default_rng(_seed(seed)), dims.total, 1).ravel()
     return PureState(vec / np.linalg.norm(vec), dims)
 
 
@@ -610,7 +620,7 @@ def random_separable(dims, seed: int, k: int | None = None) -> DensityMatrix:
     count = 2 * dims.total**2 if k is None else _integral(k)
     if count is None or count < 1:
         raise InputError(f"k must be a positive integer, got {k!r}")
-    return DensityMatrix(_random_separable_arr(dims, np.random.default_rng(seed), count), dims)
+    return DensityMatrix(_random_separable_arr(dims, np.random.default_rng(_seed(seed)), count), dims)
 
 
 def permute_systems(rho: DensityMatrix, perm, subsystem_dims) -> DensityMatrix:

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +219,16 @@ def test_loewner_matrix_identity_all_ones():
 def test_loewner_matrix_duplicate_points():
     with pytest.raises(InputError):
         loewner_matrix_psd_check(LOG, [1.0, 1.0, 2.0])
+
+
+def test_loewner_matrix_non_finite_points():
+    # inf and nan points are refused, not read as a disproof
+    for f in (SQRT, LOG):
+        for bad in (math.inf, math.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InputError, match="finite"):
+                    loewner_matrix_psd_check(f, [1.0, bad])
 
 
 def test_loewner_matrix_domain():

@@ -272,6 +272,20 @@ def test_ree_returns_best_bound_seen(monkeypatch):
     assert res.lower_bits <= res.value_bits
 
 
+def test_low_rank_d16_ends_uncertified_and_warns():
+    # ROADMAP item 1's uncertified region: a rank-2 state at 4x4 ends at the
+    # barrier-weight floor with a gap of about 4.7e-4 bits.  The outcome is
+    # typed and honest: a warning, converged False and a feasible closest
+    # state.  Once item 1's lever lands, this test must assert certification
+    with pytest.warns(ConvergenceWarning, match="barrier-weight floor"):
+        res = ree_ppt(random_density(16, 2, 8625).tagged(4, 4))
+    assert res.converged is False
+    assert res.lower_bits < res.value_bits
+    rho = res.closest_state.mat
+    assert np.linalg.eigvalsh(rho)[0] > 0.0
+    assert np.linalg.eigvalsh(solver._partial_transpose_b(rho, 4, 4))[0] > 0.0
+
+
 def test_point_carries_value_and_barrier_logdet():
     sigma = random_density(6, 3, 5).tagged(2, 3)
     rho_state = DensityMatrix(0.5 * random_density(6, 6, 6).mat + 0.5 * np.eye(6) / 6, dims=(2, 3))
@@ -550,7 +564,7 @@ def test_newton_workspace_holds_no_d4_array(monkeypatch):
         _, p = (_real_newton_point if real else _newton_point)(da, db)
         tables = _log_divided_differences(p.w, p.lw, second=True)
         grad = solver._gradient(tables[0], p.u, p.overlaps)
-        m = len(work.tvec)
+        m = len(work.basis.tvec)
         for k in (1, 2, 3):
             size = k * (k + 1) // 2 if real else k * k
             mult = (p.v[:, :k] * np.arange(1.0, k + 1.0)) @ p.v[:, :k].conj().T
@@ -588,10 +602,10 @@ def _check_workspace_reuse(real, point):
             want, want_decrement = solver._newton_step(*args, solver._newton_workspace(da, db, real), mu_curv)
             assert np.array_equal(direction, want)
             assert decrement == want_decrement
-        size = len(work.tvec)
-        assert np.array_equal(work.tvec, work.coords(np.eye(da * db)))
-        assert np.array_equal(work.bordered[:size, size], work.tvec)
-        assert np.array_equal(work.bordered[size, :size], work.tvec)
+        size = len(work.basis.tvec)
+        assert np.array_equal(work.basis.tvec, work.basis.coords(np.eye(da * db)))
+        assert np.array_equal(work.bordered[:size, size], work.basis.tvec)
+        assert np.array_equal(work.bordered[size, :size], work.basis.tvec)
         assert work.bordered[size, size] == 0.0
 
 
@@ -708,6 +722,15 @@ def test_ree_dimension_cap():
         ree_ppt(too_big)
     with pytest.raises(ShapeError):
         ree_ppt(DensityMatrix(np.eye(4) / 4))
+
+
+def test_solver_entry_points_reject_the_wrong_state_type():
+    psi = random_pure((2, 2), 3)
+    for call in (ree_ppt, eof_two_qubit):
+        with pytest.raises(InputError, match=r"psi\.density\(\)"):
+            call(psi)
+    with pytest.raises(InputError, match="takes a PureState"):
+        closest_state_for_pure(psi.density())
 
 
 def test_closest_state_for_pure_product():

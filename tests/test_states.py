@@ -236,6 +236,21 @@ def test_samplers_take_integral_sizes_of_any_type():
             random_separable((2, 2), 1, k=k)
 
 
+def test_samplers_take_nonnegative_integer_seeds():
+    # negative and fractional seeds are InputError, not numpy's ValueError
+    # or TypeError; integral seeds of any type and size are taken as is
+    assert np.array_equal(random_density(4, 2, 5.0).mat, random_density(4, 2, 5).mat)
+    random_pure((2, 2), 2**64)
+    for seed in (-1, 1.5, True, "1"):
+        for sample in (
+            lambda: random_density(4, 2, seed),
+            lambda: random_pure((2, 2), seed),
+            lambda: random_separable((2, 2), seed),
+        ):
+            with pytest.raises(InputError, match="seed"):
+                sample()
+
+
 def test_random_density_rank_one_is_pure():
     rho = random_density(4, 1, 7)
     assert np.max(np.abs(rho.mat @ rho.mat - rho.mat)) <= 1e-9
