@@ -20,11 +20,7 @@ import re
 import sys
 
 from .criteria import ppt_criterion, reduction_criterion
-from .entropy import (
-    lemma2_bound,
-    negative_conditional_entropy,
-    von_neumann_entropy,
-)
+from .entropy import _entropies
 from .errors import (
     EigensolverError,
     InputError,
@@ -39,8 +35,6 @@ from .statefile import _fmt, dumps_state, load_state
 from .states import (
     BipartiteDims,
     bell_diagonal,
-    partial_trace_A,
-    partial_trace_B,
     pure_from_schmidt,
     random_density,
     singlet,
@@ -158,14 +152,16 @@ def _cmd_compute(args) -> int:
         )
     red = reduction_criterion(state, args.tol_criteria)
     ppt = ppt_criterion(state, args.tol_criteria)
+    # the differences negative_conditional_entropy and lemma2_bound take
+    s_joint, s_a, s_b = _entropies(state)
     lines = [
         f"dims: {state.dims.da}x{state.dims.db}",
-        f"entropy_joint_bits: {_fmt(von_neumann_entropy(state))}",
-        f"entropy_a_bits: {_fmt(von_neumann_entropy(partial_trace_B(state)))}",
-        f"entropy_b_bits: {_fmt(von_neumann_entropy(partial_trace_A(state)))}",
-        f"neg_conditional_a_bits: {_fmt(negative_conditional_entropy(state, 'A'))}",
-        f"neg_conditional_b_bits: {_fmt(negative_conditional_entropy(state, 'B'))}",
-        f"lemma2_bound_bits: {_fmt(lemma2_bound(state))}",
+        f"entropy_joint_bits: {_fmt(s_joint)}",
+        f"entropy_a_bits: {_fmt(s_a)}",
+        f"entropy_b_bits: {_fmt(s_b)}",
+        f"neg_conditional_a_bits: {_fmt(s_a - s_joint)}",
+        f"neg_conditional_b_bits: {_fmt(s_b - s_joint)}",
+        f"lemma2_bound_bits: {_fmt(max(s_a, s_b) - s_joint)}",
         f"reduction_holds: {_bool(red.holds)}",
         f"reduction_witness: {_fmt(float(red.witness_eigenvalue))}",
         f"ppt_holds: {_bool(ppt.holds)}",

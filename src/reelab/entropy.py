@@ -177,7 +177,19 @@ def lemma2_bound(sigma: DensityMatrix) -> float:
     A lower bound on the relative entropy of entanglement; vacuous
     (negative) for weakly correlated states, tight for pure ones.
     """
-    s_joint = von_neumann_entropy(sigma)
-    s_a = von_neumann_entropy(partial_trace_B(sigma))
-    s_b = von_neumann_entropy(partial_trace_A(sigma))
+    s_joint, s_a, s_b = _entropies(sigma)
     return max(s_a, s_b) - s_joint
+
+
+def _entropies(sigma: DensityMatrix) -> tuple[float, float, float]:
+    """S(sigma), S(sigma_A) and S(sigma_B) in bits, each reduction built and decomposed once.
+
+    Differences of these give negative_conditional_entropy and
+    lemma2_bound bit for bit, so a caller that reports all of them
+    decomposes each reduced state once, not once per quantity.
+    """
+    return (
+        von_neumann_entropy(sigma),
+        von_neumann_entropy(partial_trace_B(sigma)),
+        von_neumann_entropy(partial_trace_A(sigma)),
+    )

@@ -5,7 +5,8 @@ A state file is a JSON object with a ``version`` string, an optional
 whose entries are ``[re, im]`` pairs.  Row and column indices follow the
 flat convention ``i*dB + j`` for basis state |i>|j>.  Numbers are
 written as decimals with 17 significant digits, which round-trips IEEE
-doubles exactly, so saving a loaded file reproduces it byte for byte.
+doubles exactly, and a negative zero as ``-0.0`` (JSON reads ``-0`` as
+the integer 0), so saving a loaded file reproduces it byte for byte.
 
 Malformed documents raise :class:`StateFileParseError` (with line and
 column when the JSON parser reports them); well-formed documents whose
@@ -38,6 +39,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _entry_fmt(x: float) -> str:
+    """_fmt for a matrix entry, but a negative zero is written -0.0: JSON reads -0 as the integer 0."""
+    text = f"{x:.17g}"
+    return "-0.0" if text == "-0" else text
+
+
 def dumps_state(state: DensityMatrix) -> str:
     """Serialize a density matrix to the canonical text form."""
     mat = state.mat
@@ -48,7 +55,7 @@ def dumps_state(state: DensityMatrix) -> str:
     d = mat.shape[0]
     for i in range(d):
         cells = ", ".join(
-            f"[{_fmt(float(mat[i, j].real))}, {_fmt(float(mat[i, j].imag))}]"
+            f"[{_entry_fmt(float(mat[i, j].real))}, {_entry_fmt(float(mat[i, j].imag))}]"
             for j in range(d)
         )
         comma = "," if i < d - 1 else ""
@@ -68,15 +75,29 @@ def _require(cond: bool, message: str) -> None:
         raise StateFileParseError(message)
 
 
-def _number(value, where: str) -> float:
-    # bool is an int subclass; a bare true/false is not a number here
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{where} must be a number",
-    )
-    out = float(value)
-    _require(math.isfinite(out), f"{where} must be finite")
-    return out
+def _finite(value) -> bool:
+    """Whether a parsed JSON value is a number, not a bool, that is a finite double.
+
+    json.loads gives plain int, float and bool objects, so the type tests
+    are isinstance(value, (int, float)) without bool, a subclass of int.
+    """
+    if type(value) is float:
+        return math.isfinite(value)
+    try:
+        return type(value) is int and math.isfinite(value)
+    except OverflowError:  # an integer beyond the largest double
+        return False
+
+
+def _entry_fault(cell) -> str:
+    """Why a matrix entry is not a [re, im] pair of finite numbers."""
+    if not (isinstance(cell, list) and len(cell) == 2):
+        return "must be a [re, im] pair"
+    for part, value in zip(("real part", "imaginary part"), cell):
+        if type(value) not in (int, float):
+            return f"{part} must be a number"
+        if not _finite(value):
+            return f"{part} must be finite"
 
 
 def loads_state(text: str) -> DensityMatrix:
@@ -111,20 +132,18 @@ def loads_state(text: str) -> DensityMatrix:
     rows = doc["matrix"]
     _require(isinstance(rows, list) and len(rows) >= 1, "matrix must be a nonempty array")
     d = len(rows)
-    mat = np.zeros((d, d), dtype=np.complex128)
+    # entries are checked in file order, and only the first faulty one
+    # gets a message
     for i, row in enumerate(rows):
         _require(
             isinstance(row, list) and len(row) == d,
             f"matrix row {i} must be an array of {d} entries",
         )
         for j, cell in enumerate(row):
-            _require(
-                isinstance(cell, list) and len(cell) == 2,
-                f"matrix entry ({i},{j}) must be a [re, im] pair",
-            )
-            re = _number(cell[0], f"matrix entry ({i},{j}) real part")
-            im = _number(cell[1], f"matrix entry ({i},{j}) imaginary part")
-            mat[i, j] = complex(re, im)
+            if not (isinstance(cell, list) and len(cell) == 2 and _finite(cell[0]) and _finite(cell[1])):
+                raise StateFileParseError(f"matrix entry ({i},{j}) {_entry_fault(cell)}")
+    # each [re, im] pair of float64s is one complex128
+    mat = np.array(rows, dtype=float).view(np.complex128).reshape(d, d)
     if dims is not None:
         _require(
             dims.total == d,

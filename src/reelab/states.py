@@ -199,12 +199,14 @@ def _trace_a(mat: np.ndarray, da: int, db: int) -> np.ndarray:
 
 def partial_trace_B(rho: DensityMatrix) -> DensityMatrix:
     """Trace out system B: (rho_A)_{i i'} = sum_j rho_{(i j),(i' j)}."""
-    return DensityMatrix(_trace_b(rho.mat, *_require_dims(rho)))
+    da, db = _require_dims(rho)
+    return DensityMatrix(_trace_b(rho.mat, da, db))
 
 
 def partial_trace_A(rho: DensityMatrix) -> DensityMatrix:
     """Trace out system A: (rho_B)_{j j'} = sum_i rho_{(i j),(i j')}."""
-    return DensityMatrix(_trace_a(rho.mat, *_require_dims(rho)))
+    da, db = _require_dims(rho)
+    return DensityMatrix(_trace_a(rho.mat, da, db))
 
 
 def _partial_transpose_b(mat: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -246,7 +248,8 @@ def _reduction_b(mat: np.ndarray, da: int, db: int) -> np.ndarray:
 
 def reduction_operator(rho: DensityMatrix) -> HermitianMatrix:
     """rho_A (x) 1_B - rho, whose positivity the reduction criterion asserts."""
-    return HermitianMatrix(_reduction_b(rho.mat, *_require_dims(rho)))
+    da, db = _require_dims(rho)
+    return HermitianMatrix(_reduction_b(rho.mat, da, db))
 
 
 def pure_from_schmidt(alpha, dims) -> PureState:
@@ -466,7 +469,8 @@ def _ppt_screen(candidates, da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
     one zero-padded Ginibre stack, with the normal draws _ginibre makes
     from each generator.  Also returns the padded Ginibre matrices of the
     kept candidates: the first rank columns of each hold the bits
-    _ginibre gives.
+    _ginibre gives.  At 1xN every candidate is kept unscreened, and
+    _is_ppt alone decides.
     """
     d = da * db
     # the real and imaginary parts that _ginibre draws, combined as it does
@@ -474,6 +478,9 @@ def _ppt_screen(candidates, da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
     for k, (rank, rng) in enumerate(candidates):
         parts[k, :, :, :rank] = rng.standard_normal((2, d, rank))
     g = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+    if min(da, db) == 1:
+        # every state is PPT at 1xN, so the screen would keep them all
+        return np.ones(len(g), dtype=bool), g
     m = g @ g.conj().swapaxes(1, 2)
     m /= np.real(np.trace(m, axis1=1, axis2=2))[:, None, None]
     kept = _screen_pt(_partial_transpose_b(m, da, db), da, db)
@@ -527,10 +534,10 @@ def _first_ppt(groups: np.ndarray, da: int, db: int) -> list:
     dimension (da - 1)(db - 1) + 1, the 2xN cell of rank N, holds finitely
     many, and a state on it is separable only if it mixes their projectors,
     a condition of measure zero.  At 1xN every state is PPT and no
-    candidate is skipped.  Over 100,000 Ginibre states per skipped cell
-    (50,000 at 3x3), the largest least eigenvalue of rho^PT was -1.2e-3
-    and -3.0e-4 at 2x2 ranks 1 and 2, at most -7.7e-3 at 2x3, -1.7e-2 at
-    2x4 and -5.6e-2 at 3x3, against the test's -1e-9.
+    candidate is skipped or screened.  Over 100,000 Ginibre states per
+    skipped cell (50,000 at 3x3), the largest least eigenvalue of rho^PT
+    was -1.2e-3 and -3.0e-4 at 2x2 ranks 1 and 2, at most -7.7e-3 at 2x3,
+    -1.7e-2 at 2x4 and -5.6e-2 at 3x3, against the test's -1e-9.
 
     The groups still without a state are walked in windows that double
     from 8, the last cut to size (8, 16, 32, 64 and 80 at 200), so few

@@ -71,6 +71,35 @@ def test_compute_invariant_violation_exits_3(tmp_path, capsys):
     assert "invariant" in err
 
 
+def test_compute_decomposes_each_operator_once(tmp_path, capsys, monkeypatch):
+    # the file, rho_A, rho_B, the reduction operator and rho^PT: one eigh each
+    import numpy as np
+
+    path = tmp_path / "r23.json"
+    save_state(random_density(6, 3, 12).tagged(2, 3), path)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        inner = getattr(np.linalg, name)
+
+        def counted(m, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(m)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    code, out, _ = run(capsys, "compute", str(path))
+    assert code == 0 and out.count("\n") == 11
+    assert calls == {"eigh": 5, "eigvalsh": 0}
+
+
+def test_compute_oversized_integer_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"version": "1", "dims": {"dA": 1, "dB": 1}, "matrix": [[[1' + "0" * 400 + ", 0]]]}")
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "reelab: parse failure: matrix entry (0,0) real part must be finite\n"
+
+
 def test_compute_requires_dims(tmp_path, capsys):
     path = tmp_path / "untagged.json"
     save_state(random_density(4, 4, 3), path)

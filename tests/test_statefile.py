@@ -88,6 +88,81 @@ def test_schema_violations_rejected():
         loads_state('{"version": "1", "matrix": [[[1, 0], [0, 0]]]}')
 
 
+def _matrix_doc(rows: str) -> str:
+    return '{"version": "1", "matrix": ' + rows + "}"
+
+
+def test_integer_entries_are_accepted():
+    state = loads_state(_matrix_doc("[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]"))
+    assert np.array_equal(state.mat, np.diag([1.0, 0.0]).astype(complex))
+    assert np.array_equal(loads_state(_matrix_doc("[[[1, 0]]]")).mat, [[1.0 + 0j]])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("[[[0.5, 0], [0, 0]], [[true, 0], [0.5, 0]]]", "matrix entry (1,0) real part must be a number"),
+        ("[[[0.5, 0], [0, false]], [[0, 0], [0.5, 0]]]", "matrix entry (0,1) imaginary part must be a number"),
+        ('[[[0.5, 0], [0, 0]], [[0, 0], ["0.5", 0]]]', "matrix entry (1,1) real part must be a number"),
+        ("[[[0.5, {}], [0, 0]], [[0, 0], [0.5, 0]]]", "matrix entry (0,0) imaginary part must be a number"),
+        ("[[[0.5, 0], [0, 0]], [[0, null], [0.5, 0]]]", "matrix entry (1,0) imaginary part must be a number"),
+        ("[[[0.5, 0], [0, 0]], [[NaN, 0], [0.5, 0]]]", "matrix entry (1,0) real part must be finite"),
+        ("[[[0.5, 0], [0, -Infinity]], [[0, 0], [0.5, 0]]]", "matrix entry (0,1) imaginary part must be finite"),
+        ("[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0, 0]]]", "matrix entry (1,1) must be a [re, im] pair"),
+        ("[[[0.5, 0], [0, 0]], [[0, 0], 0.5]]", "matrix entry (1,1) must be a [re, im] pair"),
+        ("[[[0.5, 0], [0, 0]], [[0, 0]]]", "matrix row 1 must be an array of 2 entries"),
+        # the first faulty entry in file order is the one reported
+        ("[[[0.5, 0], [1e999, true]], [[true, 0], [0.5, 0]]]", "matrix entry (0,1) real part must be finite"),
+        ("[[[0.5, 0], [0, 0]], [[1e999, true], [0.5]]]", "matrix entry (1,0) real part must be finite"),
+    ],
+)
+def test_entry_faults_name_the_first_faulty_entry(rows, message):
+    with pytest.raises(StateFileParseError) as info:
+        loads_state(_matrix_doc(rows))
+    assert str(info.value) == message
+    assert info.value.line is None and info.value.column is None
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_oversized_integer_entry_is_not_finite(sign):
+    # float() of a 401-digit integer overflows; 1e999 already parses as inf
+    huge = sign + "1" + "0" * 400
+    with pytest.raises(StateFileParseError, match=r"^matrix entry \(0,0\) real part must be finite$"):
+        loads_state(_matrix_doc(f"[[[{huge}, 0]]]"))
+    with pytest.raises(StateFileParseError, match=r"^matrix entry \(0,0\) imaginary part must be finite$"):
+        loads_state(_matrix_doc(f"[[[1, {huge}]]]"))
+    # an integer inside the double range is a number, and fails the trace check instead
+    with pytest.raises(StateInvariantError, match="trace"):
+        loads_state(_matrix_doc(f"[[[{sign}1{'0' * 300}, 0]]]"))
+
+
+def test_negative_zero_entries_round_trip():
+    state = DensityMatrix(np.array([[0.5, complex(-0.0, -0.0)], [0.0, 0.5]]))
+    assert np.signbit(state.mat[0, 1].imag)
+    text = dumps_state(state)
+    assert "[0, -0.0]" in text
+    again = loads_state(text)
+    assert np.signbit(again.mat[0, 1].imag)
+    assert dumps_state(again) == text
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_saving_a_loaded_file_reproduces_it(d):
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((d, d))
+    real = g @ g.T
+    candidates = [
+        random_density(d, d, 40 + d),
+        random_density(d, max(1, d // 2), 60 + d),
+        DensityMatrix(real / np.trace(real)),
+    ]
+    # a pure state on every split of d into dA x dB
+    candidates += [random_pure((da, d // da), 80 + d).density() for da in range(1, d + 1) if d % da == 0]
+    for state in candidates:
+        text = dumps_state(state)
+        assert dumps_state(loads_state(text)) == text
+
+
 def test_state_invariants_enforced():
     with pytest.raises(StateInvariantError):
         loads_state('{"version": "1", "matrix": [[[0.9, 0], [0, 0]], [[0, 0], [0.099, 0]]]}')

@@ -171,6 +171,13 @@ def test_tiles_state_is_ppt():
     assert ppt_criterion(rho).holds
 
 
+def test_reductions_refuse_a_pure_state_typed():
+    psi = random_pure((2, 2), 1)
+    for reduce in (partial_trace_B, partial_trace_A, reduction_operator):
+        with pytest.raises(InputError, match=r"psi\.density\(\)"):
+            reduce(psi)
+
+
 def test_pure_from_schmidt():
     psi = pure_from_schmidt([1.0], (2, 2))
     assert np.allclose(psi.amplitudes, [1, 0, 0, 0])

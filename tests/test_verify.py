@@ -463,6 +463,28 @@ def test_first_ppt_skips_ranks_only_where_they_are_npt(monkeypatch):
     assert ranks == []
 
 
+def test_first_ppt_screens_nothing_at_1xn(monkeypatch):
+    # every state is PPT at 1xN, so no candidate goes through _screen_pt:
+    # _is_ppt alone accepts each group's first candidate, bit for bit
+    screen = states._screen_pt
+    screened = []
+
+    def recorded(pt, da, db):
+        screened.append(len(pt))
+        return screen(pt, da, db)
+
+    monkeypatch.setattr(states, "_screen_pt", recorded)
+    for da, db in ((1, 3), (3, 1), (1, 4)):
+        d = da * db
+        groups = np.array([[(1 + (g + k) % d, 900 + 8 * g + k) for k in range(8)] for g in range(5)])
+        got = states._first_ppt(groups, da, db)
+        assert screened == [], (da, db)
+        for group, mat in zip(groups.tolist(), got):
+            assert np.array_equal(mat, _random_density_arr(d, *group[0])), (da, db)
+    states._first_ppt(np.array([[(4, 900 + k) for k in range(8)]]), 2, 2)
+    assert screened == [8]
+
+
 def test_first_ppt_stops_screening_a_group_once_it_is_accepted(monkeypatch):
     # _first_ppt walks the groups still without a state in windows of 8,
     # 16, 32, 64 and 80 candidates: a group is seeded and screened up to
